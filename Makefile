@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check build test race vet fmt lint fuzz fuzz-smoke bench bench-hotpath bench-hotpath-smoke bench-serve-smoke
+.PHONY: check build test race vet fmt lint fuzz fuzz-smoke bench perfbench-test bench-serve-smoke
 
-check: fmt vet lint build test race fuzz-smoke bench-hotpath-smoke bench-serve-smoke
+check: fmt vet lint build test race fuzz-smoke perfbench-test bench-serve-smoke
 
 build:
 	$(GO) build ./...
@@ -58,41 +58,28 @@ fuzz-smoke:
 	$(GO) run ./cmd/epre fuzz -seed 3000 -n 150 -workers 4 -call-heavy \
 		-gvn-diff -pre-diff
 
-# Performance tracking: Go micro-benchmarks, the serve/table1 bench
-# (single-flight dedup assertion, analysis-cache counts into
-# BENCH_passmgr.json, hot-path allocation profile into
-# BENCH_hotpath.json), and the loadgen corpus replay that owns
-# BENCH_serve.json (single/batch/warm-restart scenarios with HDR
-# latency histograms and counter deltas).
+# perfbench is a nested module (BENCHMARK.json runs it), so the root
+# `./...` never reaches its own tests; part of `check`.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# Performance tracking, one harness: the Go micro-benchmarks, then the
+# benchmark's three workloads (see BENCHMARK.json and perfbench/) for
+# 15 s each.  Each perfbench run prints a stamp line and one JSON result
+# line with every end-to-end metric.
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-	$(GO) run ./cmd/epre bench -passmgr-out BENCH_passmgr.json \
-		-hotpath-out BENCH_hotpath.json
-	$(GO) run ./cmd/epre loadgen -out BENCH_serve.json
-
-# Hot-path allocation report alone, in short mode (quick regression
-# probe: a few optimizer runs per level, pooled vs pool-disabled).
-bench-hotpath:
-	$(GO) run ./cmd/epre bench -out /dev/null -passmgr-out '' -requests 8 \
-		-concurrency 4 -parallel 2 -hotpath-out BENCH_hotpath.json -hotpath-iters 3
-
-# Hot-path smoke, part of `check`: one measurement iteration per level,
-# report discarded.  The run exits nonzero unless the pooled and
-# pool-ablated pipelines emit byte-identical ILOC at every level, so
-# this is the determinism assertion, not a timing measurement —
-# numbers land in BENCH_hotpath.json via `make bench-hotpath`.
-bench-hotpath-smoke:
-	$(GO) run ./cmd/epre bench -out /dev/null -passmgr-out '' -requests 1 \
-		-concurrency 1 -hotpath-out /dev/null -hotpath-iters 1
+	for w in suite-opt serve-miss serve-cached; do \
+		bash perfbench/run.sh --workload $$w --seconds 15 --trace 0 || exit 1; \
+	done
 
 # Serve-tier smoke, part of `check`: a tiny loadgen replay through the
 # single, batch and warm-restart scenarios with response verification
 # on — every served ILOC must be byte-identical to a direct in-process
 # core optimization, across the memory-cache, batch and disk-warmed
-# paths, with zero request errors.  Report discarded; numbers land in
-# BENCH_serve.json via `make bench`.
+# paths, with zero request errors.  No report is written.
 bench-serve-smoke:
-	$(GO) run ./cmd/epre loadgen -out '' -requests 24 -corpus-n 6 \
+	$(GO) run ./cmd/epre loadgen -requests 24 -corpus-n 6 \
 		-workers 4 -batch 6
-	$(GO) run ./cmd/epre loadgen -out '' -requests 16 -corpus suite \
+	$(GO) run ./cmd/epre loadgen -requests 16 -corpus suite \
 		-workers 4 -batch 4

@@ -11,14 +11,13 @@ import (
 
 // TestLoadgenWritesReport: the loadgen subcommand runs its in-process
 // scenario suite (single, batch, warm-restart) over a tiny corpus with
-// verification on, and writes the BENCH_serve.json schema with the
-// fields the acceptance criteria read: batch speedup, first-pass hit
-// rate after a restart, zero errors.
+// verification on, and writes a JSON report carrying the batch
+// speedup, the first-pass hit rate after a restart, and zero errors.
 func TestLoadgenWritesReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	out := filepath.Join(t.TempDir(), "BENCH_serve.json")
+	out := filepath.Join(t.TempDir(), "report.json")
 	code, stdout, stderr := runEpre(t, "loadgen",
 		"-out", out, "-requests", "24", "-corpus-n", "6", "-workers", "4", "-batch", "6")
 	if code != 0 {
@@ -107,7 +106,7 @@ func TestLoadgenOpenLoop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	out := filepath.Join(t.TempDir(), "BENCH_serve.json")
+	out := filepath.Join(t.TempDir(), "report.json")
 	t0 := time.Now()
 	code, _, stderr := runEpre(t, "loadgen",
 		"-out", out, "-requests", "8", "-corpus-n", "2", "-workers", "2",

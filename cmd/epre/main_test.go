@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"sort"
@@ -46,7 +45,7 @@ func TestHelpGolden(t *testing.T) {
 	for _, want := range []string{
 		"epre compile", "epre opt", "epre run", "epre lint",
 		"epre table1", "epre levels", "-discipline", "-strict-ssa",
-		"epre serve", "epre bench", "-parallel",
+		"epre serve", "epre loadgen", "-parallel",
 	} {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("help missing %q:\n%s", want, stdout)
@@ -55,9 +54,11 @@ func TestHelpGolden(t *testing.T) {
 }
 
 func TestUnknownCommand(t *testing.T) {
-	code, _, stderr := runEpre(t, "frobnicate")
-	if code != 2 || !strings.Contains(stderr, "unknown command") {
-		t.Errorf("code=%d stderr=%q", code, stderr)
+	for _, cmd := range []string{"frobnicate", "bench"} {
+		code, _, stderr := runEpre(t, cmd)
+		if code != 2 || !strings.Contains(stderr, "unknown command") {
+			t.Errorf("%s: code=%d stderr=%q", cmd, code, stderr)
+		}
 	}
 }
 
@@ -125,121 +126,6 @@ func TestTable1ParallelFlag(t *testing.T) {
 	}
 	if serial != par {
 		t.Errorf("parallel table1 differs from serial:\n--- serial ---\n%s--- parallel ---\n%s", serial, par)
-	}
-}
-
-// TestBenchWritesReport: the bench subcommand produces a parseable
-// BENCH_serve.json with the serve and table1 sections filled in.
-func TestBenchWritesReport(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	dir := t.TempDir()
-	out := filepath.Join(dir, "BENCH_serve.json")
-	passMgrOut := filepath.Join(dir, "BENCH_passmgr.json")
-	hotpathOut := filepath.Join(dir, "BENCH_hotpath.json")
-	code, stdout, stderr := runEpre(t, "bench",
-		"-out", out, "-passmgr-out", passMgrOut,
-		"-hotpath-out", hotpathOut, "-hotpath-iters", "1",
-		"-requests", "8", "-concurrency", "4", "-parallel", "2")
-	if code != 0 {
-		t.Fatalf("bench failed: %s", stderr)
-	}
-	if !strings.Contains(stdout, "report written to") {
-		t.Errorf("missing summary:\n%s", stdout)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep struct {
-		PipelineVersion string `json:"pipeline_version"`
-		Serve           struct {
-			Requests       int     `json:"requests"`
-			RequestsPerSec float64 `json:"requests_per_sec"`
-			CacheMisses    int64   `json:"cache_misses"`
-			Errors         int64   `json:"errors"`
-		} `json:"serve"`
-		Table1 struct {
-			Speedup   float64 `json:"speedup"`
-			Identical bool    `json:"identical_output"`
-		} `json:"table1"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("report is not JSON: %v\n%s", err, data)
-	}
-	if rep.PipelineVersion == "" || rep.Serve.Requests != 8 || rep.Serve.RequestsPerSec <= 0 {
-		t.Errorf("implausible report: %+v", rep)
-	}
-	if rep.Serve.Errors != 0 {
-		t.Errorf("bench saw %d errors", rep.Serve.Errors)
-	}
-	if !rep.Table1.Identical {
-		t.Error("parallel table1 output not identical to serial")
-	}
-
-	pmData, err := os.ReadFile(passMgrOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pm struct {
-		Levels []struct {
-			Level string `json:"level"`
-		} `json:"levels"`
-		Total struct {
-			Cached struct {
-				Dom uint64 `json:"dom"`
-			} `json:"cached_builds"`
-			Uncached struct {
-				Dom uint64 `json:"dom"`
-			} `json:"uncached_builds"`
-			DomReductionPct float64 `json:"dom_reduction_pct"`
-		} `json:"total"`
-	}
-	if err := json.Unmarshal(pmData, &pm); err != nil {
-		t.Fatalf("passmgr report is not JSON: %v\n%s", err, pmData)
-	}
-	if len(pm.Levels) != 4 {
-		t.Errorf("passmgr report has %d levels, want 4", len(pm.Levels))
-	}
-	if pm.Total.Uncached.Dom == 0 || pm.Total.DomReductionPct < 50 {
-		t.Errorf("implausible passmgr totals: %+v", pm.Total)
-	}
-
-	hpData, err := os.ReadFile(hotpathOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hp struct {
-		Routine string `json:"routine"`
-		Iters   int    `json:"iters"`
-		Levels  []struct {
-			Level  string `json:"level"`
-			Pooled struct {
-				NsPerOp     float64 `json:"ns_per_op"`
-				AllocsPerOp float64 `json:"allocs_per_op"`
-			} `json:"pooled"`
-			PoolDisabled struct {
-				AllocsPerOp float64 `json:"allocs_per_op"`
-			} `json:"pool_disabled"`
-			AllocReductionPct float64 `json:"alloc_reduction_pct"`
-			IdenticalOutput   bool    `json:"identical_output"`
-		} `json:"levels"`
-	}
-	if err := json.Unmarshal(hpData, &hp); err != nil {
-		t.Fatalf("hotpath report is not JSON: %v\n%s", err, hpData)
-	}
-	if hp.Routine == "" || hp.Iters != 1 || len(hp.Levels) != 4 {
-		t.Errorf("implausible hotpath report: routine=%q iters=%d levels=%d",
-			hp.Routine, hp.Iters, len(hp.Levels))
-	}
-	for _, row := range hp.Levels {
-		if !row.IdenticalOutput {
-			t.Errorf("hotpath %s: pooled output differs from ablated", row.Level)
-		}
-		if row.Pooled.NsPerOp <= 0 || row.Pooled.AllocsPerOp <= 0 || row.PoolDisabled.AllocsPerOp <= 0 {
-			t.Errorf("hotpath %s: empty measurement: %+v", row.Level, row)
-		}
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // profileFlags carries the -cpuprofile/-memprofile options shared by
-// the measurement subcommands (table1, bench).  The profiles are the
+// the measurement subcommand table1.  The profiles are the
 // standard pprof formats: `go tool pprof <binary> <file>` reads them.
 type profileFlags struct {
 	cpu *string

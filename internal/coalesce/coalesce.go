@@ -125,8 +125,7 @@ func coalesceRound(f *ir.Func, ac *analysis.Cache, g *interference, st *Stats) b
 	// Build interference: at each definition of r, r interferes with
 	// everything live after the instruction; for a copy d ← s, d does
 	// not interfere with s on account of this def.
-	live := dataflow.GetScratch(f.NumRegs())
-	defer dataflow.PutScratch(live)
+	live := dataflow.NewBitSet(f.NumRegs())
 	for _, b := range f.Blocks {
 		live.CopyFrom(lv.LiveOut[b.ID])
 		for i := len(b.Instrs) - 1; i >= 0; i-- {

@@ -77,6 +77,37 @@ b2:
 	}
 }
 
+// TestUndefinedEntryUseEveryConfig: a verified function whose entry
+// block reads a never-defined register optimizes at every level under
+// every GVN×PRE backend pair, and the undefined read still yields 0.
+func TestUndefinedEntryUseEveryConfig(t *testing.T) {
+	p, err := ir.ParseProgramString(`
+func main(r1) {
+b0:
+    enter(r1)
+    add r1, r2 => r3
+    ret r3
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, level := range append([]core.Level{core.LevelNone}, core.Levels...) {
+		for _, g := range core.GVNBackends {
+			for _, pb := range core.PREBackends {
+				out, err := core.OptimizeWith(p, level, core.OptimizeOptions{GVN: g, PRE: pb})
+				if err != nil {
+					t.Fatalf("%s/%s/%s: %v", level, g, pb, err)
+				}
+				v, err := interp.NewMachine(out).Call("main", interp.IntVal(5))
+				if err != nil || v.I != 5 {
+					t.Errorf("%s/%s/%s: main(5) = %v, %v; want 5\n%s", level, g, pb, v.I, err, out)
+				}
+			}
+		}
+	}
+}
+
 // TestNormalizeEnforcesRule checks that after Normalize, no
 // expression-name register is live across a block boundary.
 func TestNormalizeEnforcesRule(t *testing.T) {

@@ -428,7 +428,7 @@ type PassInfo struct {
 
 // OptimizeOptions tune OptimizeWith beyond the level itself.  The zero
 // value reproduces plain Optimize: background context, serial, no
-// instrumentation, shared analyses, single pipeline sweep.
+// instrumentation, the paper's GVN and PRE backends.
 type OptimizeOptions struct {
 	// Ctx, when non-nil, is checked between passes and plumbed into
 	// any checked-mode differential interpretation; optimization stops
@@ -445,15 +445,6 @@ type OptimizeOptions struct {
 	// be called from multiple goroutines concurrently when Workers > 1
 	// and must be safe for that.
 	OnPass func(PassInfo)
-	// FreshAnalyses gives every pass a brand-new analysis cache,
-	// reproducing the pre-cache behavior where each pass rebuilt its
-	// own dominators and liveness.  Used by benchmarks to measure the
-	// cache's effect; the optimized output is identical either way.
-	FreshAnalyses bool
-	// TailFixpoint re-runs the baseline tail after the level's normal
-	// sequence until no tail pass reports a change (bounded by
-	// MaxTailRounds).  The default single sweep matches the paper.
-	TailFixpoint bool
 	// GVN selects the value-numbering backend filling the pipeline's
 	// GVN slot at the reassociation levels.  The zero value is GVNAWZ,
 	// the paper's configuration.
@@ -463,9 +454,6 @@ type OptimizeOptions struct {
 	// value is PREDrechsler, the paper's configuration.
 	PRE PREBackend
 }
-
-// MaxTailRounds bounds OptimizeOptions.TailFixpoint iteration.
-const MaxTailRounds = 8
 
 func (o OptimizeOptions) ctx() context.Context {
 	if o.Ctx != nil {
@@ -495,16 +483,13 @@ func OptimizeFunc(f *ir.Func, level Level) error {
 
 func optimizeFunc(ctx context.Context, f *ir.Func, level Level, opts OptimizeOptions) error {
 	pc := &PassContext{Ctx: ctx, Func: f, Analyses: analysis.NewCache(f)}
-	runPass := func(name string) (bool, error) {
+	for _, name := range PassNamesWith(level, opts.GVN, opts.PRE) {
 		if err := ctx.Err(); err != nil {
-			return false, fmt.Errorf("before pass %s: %w", name, err)
+			return fmt.Errorf("before pass %s: %w", name, err)
 		}
 		p, err := PassByName(name)
 		if err != nil {
-			return false, err
-		}
-		if opts.FreshAnalyses {
-			pc.Analyses = analysis.NewCache(f)
+			return err
 		}
 		before := pc.Analyses.Counts()
 		start := time.Now()
@@ -522,29 +507,7 @@ func optimizeFunc(ctx context.Context, f *ir.Func, level Level, opts OptimizeOpt
 		// verified invariants; skip re-verification.
 		if changed {
 			if err := ir.Verify(f); err != nil {
-				return changed, fmt.Errorf("after pass %s: %w", name, err)
-			}
-		}
-		return changed, nil
-	}
-
-	for _, name := range PassNamesWith(level, opts.GVN, opts.PRE) {
-		if _, err := runPass(name); err != nil {
-			return err
-		}
-	}
-	if opts.TailFixpoint && level != LevelNone {
-		for round := 0; round < MaxTailRounds; round++ {
-			anyChanged := false
-			for _, name := range baselineTail() {
-				changed, err := runPass(name)
-				if err != nil {
-					return err
-				}
-				anyChanged = anyChanged || changed
-			}
-			if !anyChanged {
-				break
+				return fmt.Errorf("after pass %s: %w", name, err)
 			}
 		}
 	}

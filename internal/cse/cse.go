@@ -48,7 +48,6 @@ func RunDominatorWith(f *ir.Func, ac *analysis.Cache) Stats {
 	var st Stats
 	st.RemovedBlocks = ac.RemoveUnreachable()
 	u := dataflow.BuildUniverse(f)
-	defer u.Release()
 	canon := CanonicalDsts(f, u)
 	dom := ac.DomTree()
 	n := u.NumExprs()
@@ -137,7 +136,6 @@ func RunAvailWith(f *ir.Func, ac *analysis.Cache) Stats {
 	var st Stats
 	st.RemovedBlocks = ac.RemoveUnreachable()
 	u := dataflow.BuildUniverse(f)
-	defer u.Release()
 	canon := CanonicalDsts(f, u)
 	n := u.NumExprs()
 	nb := len(f.Blocks)

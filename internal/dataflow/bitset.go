@@ -25,8 +25,7 @@ func NewBitSet(n int) *BitSet {
 // by three bulk allocations (the headers, one flat word array, and the
 // pointer table) instead of nb separate NewBitSet calls.  The members
 // are ordinary BitSets in every observable way; their word slices are
-// disjoint views of the shared backing, so even handing individual
-// members to PutScratch is safe.
+// disjoint views of the shared backing.
 func NewBitSetFamily(nb, n int) []*BitSet {
 	w := (n + 63) / 64
 	if w == 0 {

@@ -56,42 +56,6 @@ func TestUnionDiff(t *testing.T) {
 	}
 }
 
-func TestScratchPoolRoundTrip(t *testing.T) {
-	if !PoolEnabled() {
-		t.Fatal("pool disabled at test start")
-	}
-	s := GetScratch(100)
-	if s.Len() != 100 || !s.Empty() {
-		t.Fatalf("GetScratch: len=%d empty=%v", s.Len(), s.Empty())
-	}
-	s.Set(42)
-	PutScratch(s)
-	// A recycled set must come back empty regardless of what the
-	// previous borrower left in it.
-	r := GetScratch(100)
-	if !r.Empty() {
-		t.Fatalf("recycled scratch not empty: %v", r)
-	}
-	PutScratch(r)
-	PutScratch(nil) // must be a no-op
-}
-
-func TestScratchPoolDisabled(t *testing.T) {
-	prev := SetPoolEnabled(false)
-	defer SetPoolEnabled(prev)
-	if PoolEnabled() {
-		t.Fatal("PoolEnabled after disable")
-	}
-	s := GetScratch(64)
-	if s.Len() != 64 || !s.Empty() {
-		t.Fatalf("disabled GetScratch: len=%d empty=%v", s.Len(), s.Empty())
-	}
-	PutScratch(s) // dropped, not pooled
-	if SetPoolEnabled(false) {
-		t.Error("SetPoolEnabled reported the pool enabled; want disabled")
-	}
-}
-
 func benchSets(n int) (*BitSet, *BitSet) {
 	a, b := NewBitSet(n), NewBitSet(n)
 	for i := 0; i < n; i += 3 {
@@ -135,22 +99,4 @@ func BenchmarkBitSetReset(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		x.Reset(1024)
 	}
-}
-
-// BenchmarkScratchPool measures a borrow/return round trip against a
-// fresh allocation of the same size.
-func BenchmarkScratchPool(b *testing.B) {
-	b.Run("pooled", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s := GetScratch(1024)
-			PutScratch(s)
-		}
-	})
-	b.Run("fresh", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = NewBitSet(1024)
-		}
-	})
 }

@@ -139,8 +139,7 @@ func BuildUniverse(f *ir.Func) *Universe {
 		}
 	}
 	usedBy := func(r ir.Reg) []int32 { return usedByFlat[offs[r]:offs[r+1]] }
-	loads := GetScratch(n)
-	defer PutScratch(loads)
+	loads := NewBitSet(n)
 	for i, isLd := range u.IsLoad {
 		if isLd {
 			loads.Set(i)
@@ -148,16 +147,15 @@ func BuildUniverse(f *ir.Func) *Universe {
 	}
 
 	nb := len(f.Blocks)
-	u.Transp = make([]*BitSet, nb)
-	u.AntLoc = make([]*BitSet, nb)
-	u.Comp = make([]*BitSet, nb)
-	killed := GetScratch(n) // expressions killed so far in this block
-	defer PutScratch(killed)
+	u.Transp = NewBitSetFamily(nb, n)
+	u.AntLoc = NewBitSetFamily(nb, n)
+	u.Comp = NewBitSetFamily(nb, n)
+	killed := NewBitSet(n) // expressions killed so far in this block
 	for _, b := range f.Blocks {
-		transp := GetScratch(n)
+		transp := u.Transp[b.ID]
 		transp.SetAll()
-		antloc := GetScratch(n)
-		comp := GetScratch(n)
+		antloc := u.AntLoc[b.ID]
+		comp := u.Comp[b.ID]
 		killed.Reset(n)
 
 		kill := func(e int) {
@@ -182,9 +180,6 @@ func BuildUniverse(f *ir.Func) *Universe {
 				}
 			}
 		}
-		u.Transp[b.ID] = transp
-		u.AntLoc[b.ID] = antloc
-		u.Comp[b.ID] = comp
 	}
 	return u
 }
@@ -201,19 +196,6 @@ func mustKey(in *ir.Instr) ExprKey {
 
 // NumExprs returns the size of the universe.
 func (u *Universe) NumExprs() int { return len(u.Keys) }
-
-// Release returns the universe's local-property sets to the scratch
-// pool.  The owning pass calls it once it is done with the universe;
-// afterwards the universe must not be used.  Universes that are never
-// Released (tests, diagnostics) are simply collected as garbage.
-func (u *Universe) Release() {
-	for i := range u.Transp {
-		PutScratch(u.Transp[i])
-		PutScratch(u.AntLoc[i])
-		PutScratch(u.Comp[i])
-		u.Transp[i], u.AntLoc[i], u.Comp[i] = nil, nil, nil
-	}
-}
 
 // MakeInstr materializes expression e into destination register dst,
 // allocated in the universe's function arena.

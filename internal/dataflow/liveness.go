@@ -66,8 +66,7 @@ func ComputeLiveness(f *ir.Func) *Liveness {
 	// Iterate to fixed point in postorder (reverse RPO) for speed.
 	// One scratch vector serves every block and every round.
 	rpo := cfg.ReversePostorder(f)
-	in := GetScratch(nr)
-	defer PutScratch(in)
+	in := NewBitSet(nr)
 	for changed := true; changed; {
 		changed = false
 		for i := len(rpo) - 1; i >= 0; i-- {

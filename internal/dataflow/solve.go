@@ -47,20 +47,19 @@ func meetInto(dst *BitSet, neighbors []*ir.Block, sets []*BitSet, meet Meet) {
 
 // SolveForward iterates a forward bitvector problem to fixpoint over
 // the reachable blocks in reverse postorder.  in and out are
-// block-ID-indexed vectors (as produced by one borrower.perBlock call
+// block-ID-indexed vectors (as produced by one NewBitSetFamily call
 // per direction); the caller seeds out according to the fixpoint it
 // wants (full for MeetAll, empty for MeetAny).  Each step meets the
 // predecessors' out-sets into in[b.ID], then calls transfer to compute
-// the block's new out-set into dst — a pooled scratch vector the
-// callback must fully overwrite.  Iteration stops when no out-set
-// changes.  All blocks named by Preds edges must be present in rpo
+// the block's new out-set into dst — one vector shared by every step,
+// which the callback must fully overwrite.  Iteration stops when no
+// out-set changes.  All blocks named by Preds edges must be present in rpo
 // (run analysis.Cache.RemoveUnreachable first).
 func SolveForward(rpo []*ir.Block, meet Meet, in, out []*BitSet, transfer func(b *ir.Block, in, dst *BitSet)) {
 	if len(rpo) == 0 {
 		return
 	}
-	dst := GetScratch(out[rpo[0].ID].Len())
-	defer PutScratch(dst)
+	dst := NewBitSet(out[rpo[0].ID].Len())
 	for changed := true; changed; {
 		changed = false
 		for _, b := range rpo {
@@ -82,8 +81,7 @@ func SolveBackward(rpo []*ir.Block, meet Meet, out, in []*BitSet, transfer func(
 	if len(rpo) == 0 {
 		return
 	}
-	dst := GetScratch(in[rpo[0].ID].Len())
-	defer PutScratch(dst)
+	dst := NewBitSet(in[rpo[0].ID].Len())
 	for changed := true; changed; {
 		changed = false
 		for i := len(rpo) - 1; i >= 0; i-- {

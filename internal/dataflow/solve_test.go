@@ -51,21 +51,11 @@ func universeFor(t *testing.T, src string) (*ir.Func, *dataflow.Universe, map[st
 	t.Helper()
 	f := ir.MustParseFunc(src)
 	u := dataflow.BuildUniverse(f)
-	t.Cleanup(u.Release)
 	byName := map[string]*ir.Block{}
 	for _, b := range f.Blocks {
 		byName[b.Name] = b
 	}
 	return f, u, byName
-}
-
-// perBlock allocates one plain (unpooled) vector per block.
-func perBlock(nb, n int) []*dataflow.BitSet {
-	sets := make([]*dataflow.BitSet, nb)
-	for i := range sets {
-		sets[i] = dataflow.NewBitSet(n)
-	}
-	return sets
 }
 
 func TestSolveForwardAvailability(t *testing.T) {
@@ -74,7 +64,7 @@ func TestSolveForwardAvailability(t *testing.T) {
 	rpo := cfg.ReversePostorder(f)
 	nb := len(f.Blocks)
 
-	in, out := perBlock(nb, n), perBlock(nb, n)
+	in, out := dataflow.NewBitSetFamily(nb, n), dataflow.NewBitSetFamily(nb, n)
 	for _, b := range f.Blocks {
 		if b != f.Entry() {
 			out[b.ID].SetAll() // GFP seed for a must problem
@@ -110,7 +100,7 @@ func TestSolveBackwardAnticipability(t *testing.T) {
 	rpo := cfg.ReversePostorder(f)
 	nb := len(f.Blocks)
 
-	in, out := perBlock(nb, n), perBlock(nb, n)
+	in, out := dataflow.NewBitSetFamily(nb, n), dataflow.NewBitSetFamily(nb, n)
 	for _, b := range f.Blocks {
 		in[b.ID].SetAll()
 	}
@@ -147,7 +137,7 @@ func TestSolveBackwardMeetAny(t *testing.T) {
 	rpo := cfg.ReversePostorder(f)
 	nb := len(f.Blocks)
 
-	in, out := perBlock(nb, n), perBlock(nb, n)
+	in, out := dataflow.NewBitSetFamily(nb, n), dataflow.NewBitSetFamily(nb, n)
 	dataflow.SolveBackward(rpo, dataflow.MeetAny, out, in,
 		func(b *ir.Block, bout, dst *dataflow.BitSet) {
 			dst.CopyFrom(bout)

@@ -101,7 +101,6 @@ func RunWith(f *ir.Func, ac *analysis.Cache) Stats {
 	st.RemovedBlocks = ac.RemoveUnreachable()
 	st.EdgesSplit = cfg.SplitCriticalEdges(f)
 	u := dataflow.BuildUniverse(f)
-	defer u.Release()
 	n := u.NumExprs()
 	st.Exprs = n
 	if n == 0 {
@@ -110,13 +109,11 @@ func RunWith(f *ir.Func, ac *analysis.Cache) Stats {
 	rpo := ac.RPO()
 	nb := len(f.Blocks)
 
-	var bw dataflow.Borrower
-	defer bw.Release()
-	tmp := bw.Get(n)
+	tmp := dataflow.NewBitSet(n)
 
 	// Down-safety: anticipated expressions (backward, all-paths).
-	antin := bw.PerBlock(nb, n)
-	antout := bw.PerBlock(nb, n)
+	antin := dataflow.NewBitSetFamily(nb, n)
+	antout := dataflow.NewBitSetFamily(nb, n)
 	for _, b := range f.Blocks {
 		antin[b.ID].SetAll()
 	}
@@ -129,8 +126,8 @@ func RunWith(f *ir.Func, ac *analysis.Cache) Stats {
 
 	// Availability under the earliest-placement fiction (forward,
 	// all-paths): a down-safe entry point counts as a computation.
-	avin := bw.PerBlock(nb, n)
-	avout := bw.PerBlock(nb, n)
+	avin := dataflow.NewBitSetFamily(nb, n)
+	avout := dataflow.NewBitSetFamily(nb, n)
 	for _, b := range f.Blocks {
 		avout[b.ID].SetAll()
 	}
@@ -142,15 +139,15 @@ func RunWith(f *ir.Func, ac *analysis.Cache) Stats {
 		})
 
 	// The earliest down-safe frontier.
-	earliest := bw.PerBlock(nb, n)
+	earliest := dataflow.NewBitSetFamily(nb, n)
 	for _, b := range f.Blocks {
 		earliest[b.ID].AndNotOf(antin[b.ID], avin[b.ID])
 	}
 
 	// Postponability (forward, all-paths): slide insertions down until
 	// a use is about to be passed.
-	pin := bw.PerBlock(nb, n)
-	pout := bw.PerBlock(nb, n)
+	pin := dataflow.NewBitSetFamily(nb, n)
+	pout := dataflow.NewBitSetFamily(nb, n)
 	for _, b := range f.Blocks {
 		pout[b.ID].SetAll()
 	}
@@ -164,8 +161,8 @@ func RunWith(f *ir.Func, ac *analysis.Cache) Stats {
 	// frontier = EARLIEST ∪ PIN: the points still allowed to hold the
 	// insertion.  LATEST keeps the ones that cannot slide any further:
 	// the block uses e itself, or some successor has left the frontier.
-	frontier := bw.PerBlock(nb, n)
-	latest := bw.PerBlock(nb, n)
+	frontier := dataflow.NewBitSetFamily(nb, n)
+	latest := dataflow.NewBitSetFamily(nb, n)
 	for _, b := range f.Blocks {
 		fr := frontier[b.ID]
 		fr.CopyFrom(earliest[b.ID])
@@ -184,8 +181,8 @@ func RunWith(f *ir.Func, ac *analysis.Cache) Stats {
 
 	// Isolation pruning (backward, any-path): is the temporary used on
 	// some path after the block?
-	uin := bw.PerBlock(nb, n)
-	uout := bw.PerBlock(nb, n)
+	uin := dataflow.NewBitSetFamily(nb, n)
+	uout := dataflow.NewBitSetFamily(nb, n)
 	dataflow.SolveBackward(rpo, dataflow.MeetAny, uout, uin,
 		func(b *ir.Block, out, dst *dataflow.BitSet) {
 			dst.CopyFrom(out)
@@ -196,9 +193,9 @@ func RunWith(f *ir.Func, ac *analysis.Cache) Stats {
 	// Insert and replace decisions per block.  An expression whose only
 	// latest point is isolated (LATEST ∖ USEDOUT) keeps its original
 	// occurrence and gets no temp traffic at all.
-	insertHere := bw.PerBlock(nb, n)
-	replaceHere := bw.PerBlock(nb, n)
-	interesting := bw.Get(n)
+	insertHere := dataflow.NewBitSetFamily(nb, n)
+	replaceHere := dataflow.NewBitSetFamily(nb, n)
+	interesting := dataflow.NewBitSet(n)
 	for _, b := range f.Blocks {
 		ins := insertHere[b.ID]
 		ins.CopyFrom(latest[b.ID])
@@ -240,7 +237,7 @@ func RunWith(f *ir.Func, ac *analysis.Cache) Stats {
 	// at kills, so occurrences past the first kill stay untouched (they
 	// are not upward-exposed and the equations made no promise about
 	// them — any redundancy there is re-exposed to the next round).
-	hValid := bw.Get(n)
+	hValid := dataflow.NewBitSet(n)
 	for _, b := range f.Blocks {
 		hValid.CopyFrom(replaceHere[b.ID])
 		hValid.Intersect(interesting)

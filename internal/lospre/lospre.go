@@ -142,7 +142,6 @@ func runWith(f *ir.Func, ac *analysis.Cache, forcedBudgetTrips int) Stats {
 	st.RemovedBlocks = ac.RemoveUnreachable()
 	st.EdgesSplit = cfg.SplitCriticalEdges(f)
 	u := dataflow.BuildUniverse(f)
-	defer u.Release()
 	n := u.NumExprs()
 	st.Exprs = n
 	if n == 0 {
@@ -152,13 +151,10 @@ func runWith(f *ir.Func, ac *analysis.Cache, forcedBudgetTrips int) Stats {
 	nb := len(f.Blocks)
 	nr := f.NumRegs()
 
-	var bw dataflow.Borrower
-	defer bw.Release()
-
 	// Down-safety (anticipability), needed to pin the non-speculatable
 	// expressions to classical placement.
-	antin := bw.PerBlock(nb, n)
-	antout := bw.PerBlock(nb, n)
+	antin := dataflow.NewBitSetFamily(nb, n)
+	antout := dataflow.NewBitSetFamily(nb, n)
 	for _, b := range f.Blocks {
 		antin[b.ID].SetAll()
 	}
@@ -172,7 +168,7 @@ func runWith(f *ir.Func, ac *analysis.Cache, forcedBudgetTrips int) Stats {
 	// Definite assignment of registers (forward, all-paths): an
 	// insertion may only be placed where the expression's operands are
 	// certainly defined, or checked mode would reject the output.
-	defs := bw.PerBlock(nb, nr)
+	defs := dataflow.NewBitSetFamily(nb, nr)
 	for _, b := range f.Blocks {
 		set := defs[b.ID]
 		for _, inID := range b.Instrs {
@@ -187,8 +183,8 @@ func runWith(f *ir.Func, ac *analysis.Cache, forcedBudgetTrips int) Stats {
 			}
 		}
 	}
-	defin := bw.PerBlock(nb, nr)
-	defout := bw.PerBlock(nb, nr)
+	defin := dataflow.NewBitSetFamily(nb, nr)
+	defout := dataflow.NewBitSetFamily(nb, nr)
 	for _, b := range f.Blocks {
 		defout[b.ID].SetAll()
 	}
@@ -221,10 +217,10 @@ func runWith(f *ir.Func, ac *analysis.Cache, forcedBudgetTrips int) Stats {
 
 	// Per-expression placement decisions, accumulated and applied in
 	// one rewrite pass at the end.
-	transformed := bw.Get(n)
-	navail := bw.PerBlock(nb, n) // N(b) on the sink side: h valid at entry
-	topIns := make([][]int, nb)  // insertions at block top (edge, single-pred side)
-	botIns := make([][]int, nb)  // insertions before the terminator
+	transformed := dataflow.NewBitSet(n)
+	navail := dataflow.NewBitSetFamily(nb, n) // N(b) on the sink side: h valid at entry
+	topIns := make([][]int, nb)               // insertions at block top (edge, single-pred side)
+	botIns := make([][]int, nb)               // insertions before the terminator
 	g := newMincut(2 + 3*nb)
 	mark := make([]bool, 2+3*nb)
 
@@ -343,7 +339,7 @@ func runWith(f *ir.Func, ac *analysis.Cache, forcedBudgetTrips int) Stats {
 	// cut proved h valid the occurrence becomes a copy; elsewhere it
 	// recomputes through h so downstream labels stay honest (the Comp
 	// forcing assumed exactly this).
-	hValid := bw.Get(n)
+	hValid := dataflow.NewBitSet(n)
 	for _, b := range f.Blocks {
 		hValid.CopyFrom(navail[b.ID])
 		kept := make([]ir.InstrID, 0, len(b.Instrs))

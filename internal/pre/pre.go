@@ -102,7 +102,6 @@ func RunWith(f *ir.Func, ac *analysis.Cache) Stats {
 	st.RemovedBlocks = ac.RemoveUnreachable()
 	st.EdgesSplit = cfg.SplitCriticalEdges(f)
 	u := dataflow.BuildUniverse(f)
-	defer u.Release()
 	n := u.NumExprs()
 	st.Exprs = n
 	if n == 0 {
@@ -111,17 +110,13 @@ func RunWith(f *ir.Func, ac *analysis.Cache) Stats {
 	rpo := ac.RPO()
 	nb := len(f.Blocks)
 
-	// All dataflow vectors below are function-local: they come from the
-	// scratch pool and go back wholesale when the run finishes.  One
-	// extra vector (tmp) absorbs every per-iteration intermediate that
-	// used to be a fresh Copy.
-	var bw borrower
-	defer bw.release()
-	tmp := bw.get(n)
+	// One vector (tmp) absorbs every per-iteration intermediate, so the
+	// fixpoint loops below allocate nothing.
+	tmp := dataflow.NewBitSet(n)
 
 	// --- Anticipability (backward) ---
-	antin := bw.perBlock(nb, n)
-	antout := bw.perBlock(nb, n)
+	antin := dataflow.NewBitSetFamily(nb, n)
+	antout := dataflow.NewBitSetFamily(nb, n)
 	for _, b := range f.Blocks {
 		antin[b.ID].SetAll()
 	}
@@ -149,8 +144,8 @@ func RunWith(f *ir.Func, ac *analysis.Cache) Stats {
 	}
 
 	// --- Availability (forward) ---
-	avin := bw.perBlock(nb, n)
-	avout := bw.perBlock(nb, n)
+	avin := dataflow.NewBitSetFamily(nb, n)
+	avout := dataflow.NewBitSetFamily(nb, n)
 	for _, b := range f.Blocks {
 		if b != f.Entry() {
 			avout[b.ID].SetAll()
@@ -191,7 +186,7 @@ func RunWith(f *ir.Func, ac *analysis.Cache) Stats {
 			edges = append(edges, edge{b, s})
 		}
 	}
-	earliest := bw.perEdge(len(edges), n)
+	earliest := dataflow.NewBitSetFamily(len(edges), n)
 	for ei, e := range edges {
 		set := earliest[ei]
 		set.CopyFrom(antin[e.to.ID])
@@ -208,15 +203,15 @@ func RunWith(f *ir.Func, ac *analysis.Cache) Stats {
 	// The virtual entry edge gives LATERIN(entry) = EARLIEST(v→entry) =
 	// ANTIN(entry), so nothing in the entry block is ever deleted and
 	// no insertion lands before the procedure starts.
-	laterin := bw.perBlock(nb, n)
+	laterin := dataflow.NewBitSetFamily(nb, n)
 	for _, b := range f.Blocks {
 		laterin[b.ID].SetAll()
 	}
-	later := bw.perEdge(len(edges), n)
+	later := dataflow.NewBitSetFamily(len(edges), n)
 	for ei := range edges {
 		later[ei].SetAll()
 	}
-	recompute := bw.perBlock(nb, n)
+	recompute := dataflow.NewBitSetFamily(nb, n)
 	for changed := true; changed; {
 		changed = false
 		for ei, e := range edges {
@@ -246,13 +241,13 @@ func RunWith(f *ir.Func, ac *analysis.Cache) Stats {
 	}
 
 	// --- INSERT / DELETE ---
-	insert := bw.perEdge(len(edges), n)
+	insert := dataflow.NewBitSetFamily(len(edges), n)
 	for ei, e := range edges {
 		set := insert[ei]
 		set.CopyFrom(later[ei])
 		set.Subtract(laterin[e.to.ID])
 	}
-	del := bw.perBlock(nb, n)
+	del := dataflow.NewBitSetFamily(nb, n)
 	for _, b := range f.Blocks {
 		set := del[b.ID]
 		set.CopyFrom(u.AntLoc[b.ID])
@@ -281,7 +276,7 @@ func RunWith(f *ir.Func, ac *analysis.Cache) Stats {
 	defer ac.ReturnRegs(temp)
 	modeA := ac.BorrowBools(n)
 	defer ac.ReturnBools(modeA)
-	interesting := bw.get(n)
+	interesting := dataflow.NewBitSet(n)
 	for ei := range edges {
 		interesting.Union(insert[ei])
 	}
@@ -344,7 +339,7 @@ func RunWith(f *ir.Func, ac *analysis.Cache) Stats {
 	}
 
 	// --- Rewrite original computations ---
-	hValid := bw.get(n)
+	hValid := dataflow.NewBitSet(n)
 	for _, b := range f.Blocks {
 		hValid.CopyFrom(del[b.ID])
 		hValid.Intersect(interesting)
@@ -496,42 +491,4 @@ func canonicalDsts(f *ir.Func, u *dataflow.Universe, ac *analysis.Cache) []ir.Re
 		}
 	}
 	return canon
-}
-
-// borrower tracks the scratch vectors one PRE run draws from the
-// shared pool so release can hand every one of them back at once.
-// Only the vectors — the actual allocation churn — are pooled; the
-// small per-block/per-edge pointer tables are not worth the
-// bookkeeping.
-type borrower struct {
-	borrowed []*dataflow.BitSet
-}
-
-// get borrows one empty capacity-n vector.
-func (bw *borrower) get(n int) *dataflow.BitSet {
-	s := dataflow.GetScratch(n)
-	bw.borrowed = append(bw.borrowed, s)
-	return s
-}
-
-// perBlock returns a block-indexed family of empty capacity-n vectors.
-// Families are bulk-allocated (dataflow.NewBitSetFamily) rather than
-// pooled: one PRE round holds several families at once — more sets
-// than the pool retains across GC cycles — so pooling them mostly
-// missed.  Bulk families die with the run instead of being released.
-func (bw *borrower) perBlock(nb, n int) []*dataflow.BitSet {
-	return dataflow.NewBitSetFamily(nb, n)
-}
-
-// perEdge borrows an edge-indexed family of empty capacity-n vectors.
-func (bw *borrower) perEdge(ne, n int) []*dataflow.BitSet {
-	return bw.perBlock(ne, n)
-}
-
-// release returns every borrowed vector to the pool.
-func (bw *borrower) release() {
-	for _, s := range bw.borrowed {
-		dataflow.PutScratch(s)
-	}
-	bw.borrowed = nil
 }

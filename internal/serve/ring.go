@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"sort"
 	"strconv"
 )
@@ -12,7 +14,7 @@ import (
 const DefaultVnodes = 128
 
 // Ring is a consistent-hash ring over server peers.  Each peer owns the
-// arc of XXH64 key-hash space that precedes its virtual-node positions;
+// arc of ringHash key space that precedes its virtual-node positions;
 // Owner maps a cache key to the peer responsible for it.  Every peer
 // builds its ring from the same `-peers` list, so all peers agree on
 // ownership, and adding or removing one peer remaps only the keys on
@@ -57,7 +59,7 @@ func NewRing(nodes []string, vnodes int) *Ring {
 	r.points = make([]ringPoint, 0, len(uniq)*vnodes)
 	for ni, n := range uniq {
 		for v := 0; v < vnodes; v++ {
-			h := xxhash64String(n + "#" + strconv.Itoa(v))
+			h := ringHash(n + "#" + strconv.Itoa(v))
 			r.points = append(r.points, ringPoint{hash: h, node: int32(ni), vnode: int32(v)})
 		}
 	}
@@ -83,7 +85,7 @@ func (r *Ring) Owner(key string) string {
 	if r == nil || len(r.points) == 0 {
 		return ""
 	}
-	h := xxhash64String(key)
+	h := ringHash(key)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0
@@ -97,4 +99,12 @@ func (r *Ring) Nodes() []string {
 		return nil
 	}
 	return append([]string(nil), r.nodes...)
+}
+
+// ringHash places a cache key or vnode label on the ring: the first 8
+// bytes of its SHA-256, big-endian.  Any well-mixed 64-bit hash works;
+// SHA-256 is the one the cache keys already use.
+func ringHash(s string) uint64 {
+	sum := sha256.Sum256([]byte(s))
+	return binary.BigEndian.Uint64(sum[:8])
 }

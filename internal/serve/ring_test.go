@@ -6,32 +6,6 @@ import (
 	"testing"
 )
 
-// TestXXHash64Vectors pins the from-scratch XXH64 against published
-// reference values (seed 0): the empty input, short tails below one
-// 8-byte lane, a 4-byte lane, and an input long enough to run the
-// 32-byte stripe loop.
-func TestXXHash64Vectors(t *testing.T) {
-	vectors := []struct {
-		in   string
-		want uint64
-	}{
-		{"", 0xef46db3751d8e999},
-		{"a", 0xd24ec4f1a98c6e5b},
-		{"as", 0x1c330fb2d66be179},
-		{"asd", 0x631c37ce72a97393},
-		{"asdf", 0x415872f599cea71e},
-		{"The quick brown fox jumps over the lazy dog", 0x0b242d361fda71bc},
-	}
-	for _, v := range vectors {
-		if got := xxhash64([]byte(v.in)); got != v.want {
-			t.Errorf("xxhash64(%q) = %#016x, want %#016x", v.in, got, v.want)
-		}
-		if got := xxhash64String(v.in); got != v.want {
-			t.Errorf("xxhash64String(%q) = %#016x, want %#016x", v.in, got, v.want)
-		}
-	}
-}
-
 func ringKeys(n int, seed int64) []string {
 	rng := rand.New(rand.NewSource(seed))
 	keys := make([]string, n)

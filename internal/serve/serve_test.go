@@ -387,6 +387,33 @@ func TestCheckedMode(t *testing.T) {
 	}
 }
 
+// TestUndefinedEntryUseServed: verified ILOC whose entry block reads a
+// never-defined register is answered with 200 at the default level
+// (reassociation, which builds SSA) instead of taking the server down.
+func TestUndefinedEntryUseServed(t *testing.T) {
+	s := newServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const src = `program globalsize=0
+func main(r1) {
+b0:
+    enter(r1)
+    add r1, r2 => r3
+    ret r3
+}
+`
+	code, out, raw := postOptimize(t, ts, OptimizeRequest{
+		Source: src, Lang: "iloc", Run: &RunSpec{Fn: "main", Args: []string{"5"}},
+	})
+	if code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, raw)
+	}
+	if out.Run == nil || out.Run.Result != "5" {
+		t.Errorf("run result: %+v", out.Run)
+	}
+}
+
 // TestBadRequests: malformed body, unknown level, broken source.
 func TestBadRequests(t *testing.T) {
 	s := newServer(t, Config{})

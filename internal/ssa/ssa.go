@@ -129,19 +129,16 @@ func BuildWith(f *ir.Func, opt BuildOptions, ac *analysis.Cache) {
 	// in the undo log rather than per-register stacks, so renaming
 	// allocates nothing per register.
 	tops := make([]ir.Reg, nr)
-	var undef ir.Reg // lazily created zero register for undefined uses
+	// undef is the lazily created zero register for undefined uses.  Its
+	// definition is inserted into the entry block only after renaming,
+	// because renaming rewrites that block's instruction slice in place.
+	var undef ir.Reg
 
 	top := func(v ir.Reg) ir.Reg {
 		s := tops[v]
 		if s == ir.NoReg {
 			if undef == ir.NoReg {
 				undef = f.NewReg()
-				entry := f.Entry()
-				pos := 0
-				if entry.Instr(0).Op == ir.OpEnter {
-					pos = 1
-				}
-				entry.InsertAt(pos, f.NewLoadI(undef, 0))
 			}
 			return undef
 		}
@@ -227,6 +224,14 @@ func BuildWith(f *ir.Func, opt BuildOptions, ac *analysis.Cache) {
 		undoLog = undoLog[:undoMark]
 	}
 	rename(f.Entry())
+	if undef != ir.NoReg {
+		entry := f.Entry()
+		pos := 0
+		if entry.Instr(0).Op == ir.OpEnter {
+			pos = 1
+		}
+		entry.InsertAt(pos, f.NewLoadI(undef, 0))
+	}
 	// Renaming rewrites instruction slices in place; record the code
 	// mutation so cached liveness is rebuilt.
 	f.MarkCodeMutated()

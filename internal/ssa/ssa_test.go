@@ -153,6 +153,35 @@ func TestBuildWithoutPruning(t *testing.T) {
 	}
 }
 
+// TestBuildUndefinedUseInEntry: a use of a never-defined register in
+// the entry block gets the zero register, whose definition lands in the
+// same block that renaming walks.
+func TestBuildUndefinedUseInEntry(t *testing.T) {
+	for _, opt := range []ssa.BuildOptions{{Prune: true, FoldCopies: true}, {}} {
+		f := ir.MustParseFunc(`
+func main(r1) {
+b0:
+    enter(r1)
+    add r1, r2 => r3
+    ret r3
+}
+`)
+		ssa.Build(f, opt)
+		if err := ir.Verify(f); err != nil {
+			t.Fatal(err)
+		}
+		checkSSAInvariants(t, f)
+		m := interp.NewMachine(&ir.Program{Funcs: []*ir.Func{f.Clone()}})
+		v, err := m.Call("main", interp.IntVal(5))
+		if err != nil {
+			t.Fatalf("%v\n%s", err, f)
+		}
+		if v.I != 5 {
+			t.Errorf("main(5) = %d, want 5 (undefined r2 reads as 0)\n%s", v.I, f)
+		}
+	}
+}
+
 func TestDestructRoundTrip(t *testing.T) {
 	for _, in := range [][2]int64{{1, 2}, {50, 50}, {200, 0}} {
 		f := ir.MustParseFunc(loopFunc)

@@ -2,6 +2,7 @@ package suite
 
 import (
 	"bufio"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"os"
@@ -11,16 +12,13 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/core"
+	"repro/internal/ir"
 )
 
-// levelHashes optimizes every suite routine at every Table 1 level and
+// levelHashes optimizes every given routine at every Table 1 level and
 // returns the sha256 of each optimized program's ILOC text, keyed
 // "routine level".
-func levelHashes(t *testing.T, opts core.OptimizeOptions) map[string]string {
-	return levelHashesOf(t, All(), opts)
-}
-
-func levelHashesOf(t *testing.T, routines []Routine, opts core.OptimizeOptions) map[string]string {
+func levelHashes(t *testing.T, routines []Routine) map[string]string {
 	t.Helper()
 	out := map[string]string{}
 	for _, r := range routines {
@@ -29,7 +27,7 @@ func levelHashesOf(t *testing.T, routines []Routine, opts core.OptimizeOptions) 
 			t.Fatalf("%s: %v", r.Name, err)
 		}
 		for _, level := range core.Levels {
-			opt, err := core.OptimizeWith(prog, level, opts)
+			opt, err := core.Optimize(prog, level)
 			if err != nil {
 				t.Fatalf("%s at %s: %v", r.Name, level, err)
 			}
@@ -54,7 +52,7 @@ func levelHashesOf(t *testing.T, routines []Routine, opts core.OptimizeOptions) 
 // the optimizer.
 func TestGoldenLevelOutputs(t *testing.T) {
 	if os.Getenv("EPRE_UPDATE_GOLDEN") != "" {
-		got := levelHashes(t, core.OptimizeOptions{})
+		got := levelHashes(t, All())
 		keys := make([]string, 0, len(got))
 		for k := range got {
 			keys = append(keys, k)
@@ -93,7 +91,7 @@ func TestGoldenLevelOutputs(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	got := levelHashes(t, core.OptimizeOptions{})
+	got := levelHashes(t, All())
 	if len(got) != len(want) {
 		t.Errorf("golden file has %d entries, run produced %d", len(want), len(got))
 	}
@@ -109,14 +107,46 @@ func TestGoldenLevelOutputs(t *testing.T) {
 	}
 }
 
+// cachePerPassHashes is levelHashes with every pass given a brand-new
+// analysis cache, the way each pass rebuilt its own dominators and
+// liveness before the shared cache existed.
+func cachePerPassHashes(t *testing.T, routines []Routine) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	for _, r := range routines {
+		prog, err := r.Compile()
+		if err != nil {
+			t.Fatalf("%s: %v", r.Name, err)
+		}
+		for _, level := range core.Levels {
+			opt := prog.Clone()
+			for _, f := range opt.Funcs {
+				for _, name := range core.PassNames(level) {
+					p, err := core.PassByName(name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					p.Run(&core.PassContext{Ctx: context.Background(), Func: f, Analyses: analysis.NewCache(f)})
+					if err := ir.Verify(f); err != nil {
+						t.Fatalf("%s at %s, after %s: %v", r.Name, level, name, err)
+					}
+				}
+			}
+			sum := sha256.Sum256([]byte(opt.String()))
+			out[r.Name+" "+string(level)] = hex.EncodeToString(sum[:])
+		}
+	}
+	return out
+}
+
 // TestAnalysisCacheDomReduction is the refactor's quantitative
 // acceptance gate: over a full table run (every routine, every level),
 // the shared analysis cache must cut dominator-tree constructions by at
-// least half against the cache-per-pass (FreshAnalyses) baseline — and
-// produce byte-identical output while doing it.  The reduction comes
-// from reuse across passes: reassociation's SSA build constructs the
-// dominator tree, and gvn's build finds it still valid because nothing
-// structural changed in between.
+// least half against the cache-per-pass baseline — and produce
+// byte-identical output while doing it.  The reduction comes from reuse
+// across passes: reassociation's SSA build constructs the dominator
+// tree, and gvn's build finds it still valid because nothing structural
+// changed in between.
 func TestAnalysisCacheDomReduction(t *testing.T) {
 	// The halving bound was calibrated on the Mini-Fortran family.  The
 	// fuzzer-promoted gen routines mutate the CFG on more passes
@@ -132,13 +162,16 @@ func TestAnalysisCacheDomReduction(t *testing.T) {
 		}
 	}
 	before := analysis.GlobalBuilds()
-	cachedHashes := levelHashesOf(t, minift, core.OptimizeOptions{})
+	cachedHashes := levelHashes(t, minift)
 	cached := analysis.GlobalBuilds().Sub(before)
 
 	before = analysis.GlobalBuilds()
-	uncachedHashes := levelHashesOf(t, minift, core.OptimizeOptions{FreshAnalyses: true})
+	uncachedHashes := cachePerPassHashes(t, minift)
 	uncached := analysis.GlobalBuilds().Sub(before)
 
+	if len(uncachedHashes) != len(cachedHashes) {
+		t.Errorf("cached run produced %d outputs, cache-per-pass run %d", len(cachedHashes), len(uncachedHashes))
+	}
 	for key, h := range cachedHashes {
 		if uncachedHashes[key] != h {
 			t.Errorf("%s: cached and uncached outputs differ", key)

@@ -83,9 +83,8 @@ func RunRoutineCtx(ctx context.Context, r Routine, level core.Level) (int64, err
 }
 
 // RunRoutineOpts is RunRoutineCtx with full optimizer options — the
-// hook for per-pass instrumentation (OnPass) and cache ablation
-// (FreshAnalyses) in the table harness and the bench tool.  The given
-// ctx overrides opts.Ctx.
+// hook for per-pass instrumentation (OnPass) and backend selection in
+// the table harness.  The given ctx overrides opts.Ctx.
 func RunRoutineOpts(ctx context.Context, r Routine, level core.Level, opts core.OptimizeOptions) (int64, error) {
 	prog, err := r.Compile()
 	if err != nil {
@@ -148,8 +147,7 @@ func Table1Ctx(ctx context.Context, workers int) ([]Table1Row, error) {
 
 // Table1Opts is Table1Ctx with full optimizer options: an OnPass hook
 // observes every pass application of the whole table run (it must be
-// concurrency-safe when workers > 1), and FreshAnalyses ablates the
-// shared analysis cache for baseline measurements.
+// concurrency-safe when workers > 1), and GVN/PRE select the backends.
 func Table1Opts(ctx context.Context, workers int, opts core.OptimizeOptions) ([]Table1Row, error) {
 	routines := All()
 	rows := make([]Table1Row, len(routines))
