@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -17,8 +18,9 @@ import (
 
 // levelHashes optimizes every given routine at every Table 1 level and
 // returns the sha256 of each optimized program's ILOC text, keyed
-// "routine level".
-func levelHashes(t *testing.T, routines []Routine) map[string]string {
+// "routine level".  Each extra PRE backend adds one entry per level
+// whose pipeline has a PRE slot, keyed "routine level pre=backend".
+func levelHashes(t *testing.T, routines []Routine, extraPRE ...core.PREBackend) map[string]string {
 	t.Helper()
 	out := map[string]string{}
 	for _, r := range routines {
@@ -27,23 +29,42 @@ func levelHashes(t *testing.T, routines []Routine) map[string]string {
 			t.Fatalf("%s: %v", r.Name, err)
 		}
 		for _, level := range core.Levels {
-			opt, err := core.Optimize(prog, level)
-			if err != nil {
-				t.Fatalf("%s at %s: %v", r.Name, level, err)
+			key := r.Name + " " + string(level)
+			out[key] = optimizedHash(t, key, prog, level, core.OptimizeOptions{})
+			for _, b := range extraPRE {
+				if slices.Contains(core.PassNamesWith(level, core.GVNAWZ, b), b.PassName()) {
+					bkey := key + " pre=" + string(b)
+					out[bkey] = optimizedHash(t, bkey, prog, level, core.OptimizeOptions{PRE: b})
+				}
 			}
-			sum := sha256.Sum256([]byte(opt.String()))
-			out[r.Name+" "+string(level)] = hex.EncodeToString(sum[:])
 		}
 	}
 	return out
 }
 
+// optimizedHash is the sha256 of prog's ILOC text optimized at level;
+// key names the entry in failure messages.
+func optimizedHash(t *testing.T, key string, prog *ir.Program, level core.Level, opts core.OptimizeOptions) string {
+	t.Helper()
+	opt, err := core.OptimizeWith(prog, level, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", key, err)
+	}
+	sum := sha256.Sum256([]byte(opt.String()))
+	return hex.EncodeToString(sum[:])
+}
+
+// goldenPRE are the non-default PRE backends the golden file also pins.
+var goldenPRE = []core.PREBackend{core.PRELCM, core.PRELospre}
+
 // TestGoldenLevelOutputs pins the optimizer's output byte-for-byte: the
 // sha256 of every (routine, level) optimized program must match
 // testdata/golden_levels.txt, which was generated immediately before
-// the pass-manager refactor.  Any cache-staleness bug — a pass consuming
-// dominators or liveness its predecessor invalidated — shows up here as
-// a hash mismatch long before it corrupts a measured table.
+// the pass-manager refactor; the lcm and lospre backends are pinned the
+// same way at every level with a PRE slot.  Any cache-staleness bug — a
+// pass consuming dominators or liveness its predecessor invalidated —
+// shows up here as a hash mismatch long before it corrupts a measured
+// table.
 //
 // Running with EPRE_UPDATE_GOLDEN=1 rewrites the golden file from the
 // current optimizer output instead of comparing.  Adding a routine is
@@ -52,7 +73,7 @@ func levelHashes(t *testing.T, routines []Routine) map[string]string {
 // the optimizer.
 func TestGoldenLevelOutputs(t *testing.T) {
 	if os.Getenv("EPRE_UPDATE_GOLDEN") != "" {
-		got := levelHashes(t, All())
+		got := levelHashes(t, All(), goldenPRE...)
 		keys := make([]string, 0, len(got))
 		for k := range got {
 			keys = append(keys, k)
@@ -61,6 +82,7 @@ func TestGoldenLevelOutputs(t *testing.T) {
 		var sb strings.Builder
 		sb.WriteString("# sha256 of the optimized ILOC text per (routine, level), pinned at the\n")
 		sb.WriteString("# pass-manager refactor so cached analyses provably change nothing.\n")
+		sb.WriteString("# Keys ending pre=<backend> pin the non-default PRE backends.\n")
 		for _, k := range keys {
 			sb.WriteString(k + " " + got[k] + "\n")
 		}
@@ -83,15 +105,16 @@ func TestGoldenLevelOutputs(t *testing.T) {
 			continue
 		}
 		fields := strings.Fields(line)
-		if len(fields) != 3 {
+		if len(fields) < 3 || len(fields) > 4 {
 			t.Fatalf("malformed golden line: %q", line)
 		}
-		want[fields[0]+" "+fields[1]] = fields[2]
+		last := len(fields) - 1
+		want[strings.Join(fields[:last], " ")] = fields[last]
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	got := levelHashes(t, All())
+	got := levelHashes(t, All(), goldenPRE...)
 	if len(got) != len(want) {
 		t.Errorf("golden file has %d entries, run produced %d", len(want), len(got))
 	}
