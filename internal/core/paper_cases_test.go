@@ -334,8 +334,8 @@ func foo(y: int, z: int): int {
 	}
 
 	// Figure 9: PRE removes them and hoists the invariants.
-	st := pre.RunToFixpoint(f)
-	if st.Deleted == 0 && st.Rewritten == 0 {
+	st := pre.RunToFixpoint(context.Background(), f, analysis.NewCache(f), pre.Drechsler)
+	if st.Deleted+st.Replaced+st.Rewritten == 0 {
 		t.Errorf("Figure 9: PRE found nothing: %+v\n%s", st, f)
 	}
 

@@ -19,8 +19,6 @@ import (
 	"repro/internal/dce"
 	"repro/internal/gvn"
 	"repro/internal/ir"
-	"repro/internal/lcm"
-	"repro/internal/lospre"
 	"repro/internal/lvn"
 	"repro/internal/peephole"
 	"repro/internal/pre"
@@ -111,17 +109,17 @@ type PREBackend string
 
 const (
 	// PREDrechsler is the paper's backend: the Drechsler–Stadel
-	// edge-placement variant of Morel–Renvoise PRE (internal/pre),
+	// edge-placement variant of Morel–Renvoise PRE (pre.Drechsler),
 	// with the Mode A naming discipline.  The zero value of PREBackend
 	// behaves as PREDrechsler everywhere.
 	PREDrechsler PREBackend = "drechsler"
 	// PRELCM is Knoop–Rüthing–Steffen lazy code motion
-	// (internal/lcm): computationally optimal like Drechsler–Stadel
+	// (pre.LCM): computationally optimal like Drechsler–Stadel
 	// but additionally lifetime-optimal — insertions are postponed to
 	// the latest down-safe points, minimizing temp live ranges.
 	PRELCM PREBackend = "lcm"
 	// PRELospre is speculative PRE as a per-expression minimum cut
-	// (internal/lospre): it may insert on paths that never computed
+	// (pre.Lospre): it may insert on paths that never computed
 	// the expression when the frequency model says that is cheaper,
 	// restricted to operations that cannot trap.
 	PRELospre PREBackend = "lospre"
@@ -273,13 +271,13 @@ func AllPasses() []Pass {
 			return Normalize(pc.Func).Changed()
 		}},
 		{"pre", nil, func(pc *PassContext) bool {
-			return pre.RunToFixpointWith(pc.Func, pc.Analyses).Mutated()
+			return pre.RunToFixpoint(pc.Ctx, pc.Func, pc.Analyses, pre.Drechsler).Mutated()
 		}},
 		{"pre-lcm", nil, func(pc *PassContext) bool {
-			return lcm.RunToFixpointWith(pc.Func, pc.Analyses).Mutated()
+			return pre.RunToFixpoint(pc.Ctx, pc.Func, pc.Analyses, pre.LCM).Mutated()
 		}},
 		{"pre-lospre", nil, func(pc *PassContext) bool {
-			return lospre.RunToFixpointWith(pc.Func, pc.Analyses).Mutated()
+			return pre.RunToFixpoint(pc.Ctx, pc.Func, pc.Analyses, pre.Lospre).Mutated()
 		}},
 		// gvn, reassoc and strength rebuild the function through an
 		// SSA round-trip, which renames registers wholesale even when

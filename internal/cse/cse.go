@@ -14,9 +14,10 @@
 // demonstrate the containment.
 //
 // Both transformations use the same naming-discipline deletion as PRE
-// Mode A: an expression is only removed when its occurrences share one
-// canonical destination with no other definitions and no non-local
-// uses, so deleting the instruction leaves every reader correct.
+// Mode A (pre.CanonicalDsts): an expression is only removed when its
+// occurrences share one canonical destination with no other
+// definitions and no non-local uses, so deleting the instruction leaves
+// every reader correct.
 package cse
 
 import (
@@ -24,6 +25,7 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/dataflow"
 	"repro/internal/ir"
+	"repro/internal/pre"
 )
 
 // Stats reports removals.
@@ -48,7 +50,8 @@ func RunDominatorWith(f *ir.Func, ac *analysis.Cache) Stats {
 	var st Stats
 	st.RemovedBlocks = ac.RemoveUnreachable()
 	u := dataflow.BuildUniverse(f)
-	canon := CanonicalDsts(f, u)
+	canon := pre.CanonicalDsts(f, u, ac)
+	defer ac.ReturnRegs(canon)
 	dom := ac.DomTree()
 	n := u.NumExprs()
 
@@ -72,7 +75,7 @@ func RunDominatorWith(f *ir.Func, ac *analysis.Cache) Stats {
 				}
 			}
 			kept = append(kept, inID)
-			killUpdate(u, local, in)
+			u.KillScan(local, in.Dst, in.Op.WritesMemory())
 		}
 		b.Instrs = kept
 		for _, c := range dom.Children(b) {
@@ -136,46 +139,12 @@ func RunAvailWith(f *ir.Func, ac *analysis.Cache) Stats {
 	var st Stats
 	st.RemovedBlocks = ac.RemoveUnreachable()
 	u := dataflow.BuildUniverse(f)
-	canon := CanonicalDsts(f, u)
-	n := u.NumExprs()
-	nb := len(f.Blocks)
-	rpo := ac.RPO()
-
-	avin := make([]*dataflow.BitSet, nb)
-	avout := make([]*dataflow.BitSet, nb)
-	for _, b := range f.Blocks {
-		avin[b.ID] = dataflow.NewBitSet(n)
-		avout[b.ID] = dataflow.NewBitSet(n)
-		if b != f.Entry() {
-			avout[b.ID].SetAll()
-		} else {
-			avout[b.ID].CopyFrom(u.Comp[b.ID])
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, b := range rpo {
-			in := avin[b.ID]
-			if len(b.Preds) == 0 {
-				in.ClearAll()
-			} else {
-				in.SetAll()
-				for _, p := range b.Preds {
-					in.Intersect(avout[p.ID])
-				}
-			}
-			out := in.Copy()
-			out.Intersect(u.Transp[b.ID])
-			out.Union(u.Comp[b.ID])
-			if !out.Equal(avout[b.ID]) {
-				avout[b.ID].CopyFrom(out)
-				changed = true
-			}
-		}
-	}
+	canon := pre.CanonicalDsts(f, u, ac)
+	defer ac.ReturnRegs(canon)
+	avin, _ := u.Availability(ac.RPO())
 
 	for _, b := range f.Blocks {
-		avail := avin[b.ID].Copy()
+		avail := avin[b.ID]
 		kept := b.Instrs[:0]
 		for _, inID := range b.Instrs {
 			in := b.Fn.Instr(inID)
@@ -189,7 +158,7 @@ func RunAvailWith(f *ir.Func, ac *analysis.Cache) Stats {
 				}
 			}
 			kept = append(kept, inID)
-			killUpdate(u, avail, in)
+			u.KillScan(avail, in.Dst, in.Op.WritesMemory())
 		}
 		b.Instrs = kept
 	}
@@ -198,93 +167,4 @@ func RunAvailWith(f *ir.Func, ac *analysis.Cache) Stats {
 		f.MarkCodeMutated()
 	}
 	return st
-}
-
-// killUpdate clears expressions invalidated by in: loads on memory
-// writes, and anything whose operand in defines.
-func killUpdate(u *dataflow.Universe, set *dataflow.BitSet, in *ir.Instr) {
-	n := u.NumExprs()
-	if in.Op.WritesMemory() {
-		for e := 0; e < n; e++ {
-			if u.IsLoad[e] {
-				set.Clear(e)
-			}
-		}
-	}
-	if in.Dst == ir.NoReg {
-		return
-	}
-	for e := 0; e < n; e++ {
-		if k := u.Keys[e]; k.A == in.Dst || k.B == in.Dst {
-			set.Clear(e)
-		}
-	}
-}
-
-// CanonicalDsts finds the naming-discipline canonical destination per
-// expression: all occurrences share one dst, the dst has no other
-// defs, is not an operand of its own expression, and has no cross-block
-// (non-local) uses.  Deleting such an occurrence is always safe when
-// the value is already in the register.
-func CanonicalDsts(f *ir.Func, u *dataflow.Universe) []ir.Reg {
-	n := u.NumExprs()
-	canon := make([]ir.Reg, n)
-	for i := range canon {
-		canon[i] = ir.Reg(-1)
-	}
-	defCount := make([]int, f.NumRegs())
-	exprDefCount := make([]int, n)
-	f.ForEachInstr(func(b *ir.Block, i int, in *ir.Instr) {
-		if in.Op == ir.OpEnter {
-			for _, p := range in.Args {
-				defCount[p]++
-			}
-			return
-		}
-		if in.Dst != ir.NoReg {
-			defCount[in.Dst]++
-		}
-		if k, ok := dataflow.KeyOf(in); ok {
-			if e, found := u.Index[k]; found {
-				exprDefCount[e]++
-				switch {
-				case canon[e] == ir.Reg(-1):
-					canon[e] = in.Dst
-				case canon[e] != in.Dst:
-					canon[e] = ir.NoReg
-				}
-			}
-		}
-	})
-	nonLocal := make([]bool, f.NumRegs())
-	defined := make([]int, f.NumRegs())
-	gen := 0
-	for _, b := range f.Blocks {
-		gen++
-		for _, inID := range b.Instrs {
-			in := b.Fn.Instr(inID)
-			if in.Op != ir.OpEnter {
-				for _, a := range in.Args {
-					if defined[a] != gen {
-						nonLocal[a] = true
-					}
-				}
-			}
-			if in.Dst != ir.NoReg {
-				defined[in.Dst] = gen
-			}
-		}
-	}
-	for e := 0; e < n; e++ {
-		t := canon[e]
-		if t == ir.Reg(-1) || t == ir.NoReg {
-			canon[e] = ir.NoReg
-			continue
-		}
-		k := u.Keys[e]
-		if defCount[t] != exprDefCount[e] || k.A == t || k.B == t || nonLocal[t] {
-			canon[e] = ir.NoReg
-		}
-	}
-	return canon
 }

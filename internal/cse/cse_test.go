@@ -1,8 +1,10 @@
 package cse_test
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/cse"
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -91,7 +93,7 @@ func removals(t *testing.T, src string, scheme string) int {
 		cse.RunAvail(f)
 		after = f.InstrCount()
 	case "pre":
-		pre.RunToFixpoint(f)
+		pre.RunToFixpoint(context.Background(), f, analysis.NewCache(f), pre.Drechsler)
 		// PRE inserts as well as deletes; count deletions net of
 		// insertions by comparing computation counts is messy — use
 		// static delta and allow negatives.
@@ -148,7 +150,7 @@ func TestHierarchy(t *testing.T) {
 	// PRE handles the partial case: the else-path dynamic count drops.
 	f := ir.MustParseFunc(diamondPartial)
 	_, elseBefore := run(t, f, 0, 7)
-	pre.RunToFixpoint(f)
+	pre.RunToFixpoint(context.Background(), f, analysis.NewCache(f), pre.Drechsler)
 	_, elseAfterRaw := run(t, f, 0, 7)
 	// PRE's Mode B may add copies; measure computations by also
 	// checking the then path never lengthens beyond +copies.

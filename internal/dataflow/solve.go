@@ -2,11 +2,11 @@ package dataflow
 
 import "repro/internal/ir"
 
-// This file hosts the generic unidirectional bitvector solvers used by
-// the alternate redundancy-elimination backends (internal/lcm,
-// internal/lospre).  internal/pre keeps its hand-rolled loops: its
-// equations are edge-based and its output is golden-pinned, so it is
-// deliberately not migrated onto these entry points.
+// This file hosts the generic unidirectional bitvector solvers every
+// bitvector problem of the redundancy-elimination passes (internal/pre's
+// three placement strategies, internal/cse's AVAIL scheme) is posed on,
+// and the two classical problems they share, anticipability and
+// availability.
 
 // Meet selects the confluence operator of a dataflow problem.
 type Meet int
@@ -94,4 +94,46 @@ func SolveBackward(rpo []*ir.Block, meet Meet, out, in []*BitSet, transfer func(
 			}
 		}
 	}
+}
+
+// Anticipability solves the backward all-paths problem
+//
+//	ANTIN(b)  = ANTLOC(b) ∪ (ANTOUT(b) ∩ TRANSP(b))
+//	ANTOUT(b) = ⋂ ANTIN(succ)                      (∅ at exits)
+//
+// over the blocks of rpo (see SolveForward) and returns both
+// block-ID-indexed families.
+func (u *Universe) Anticipability(rpo []*ir.Block) (antin, antout []*BitSet) {
+	nb, n := len(u.Fn.Blocks), u.NumExprs()
+	antin, antout = NewBitSetFamily(nb, n), NewBitSetFamily(nb, n)
+	for _, set := range antin {
+		set.SetAll()
+	}
+	SolveBackward(rpo, MeetAll, antout, antin, func(b *ir.Block, out, dst *BitSet) {
+		dst.CopyFrom(out)
+		dst.Intersect(u.Transp[b.ID])
+		dst.Union(u.AntLoc[b.ID])
+	})
+	return antin, antout
+}
+
+// Availability solves the forward all-paths problem
+//
+//	AVIN(b)  = ⋂ AVOUT(pred)                       (∅ at entry)
+//	AVOUT(b) = COMP(b) ∪ (AVIN(b) ∩ TRANSP(b))
+//
+// over the blocks of rpo (see SolveForward) and returns both
+// block-ID-indexed families.
+func (u *Universe) Availability(rpo []*ir.Block) (avin, avout []*BitSet) {
+	nb, n := len(u.Fn.Blocks), u.NumExprs()
+	avin, avout = NewBitSetFamily(nb, n), NewBitSetFamily(nb, n)
+	for _, set := range avout {
+		set.SetAll()
+	}
+	SolveForward(rpo, MeetAll, avin, avout, func(b *ir.Block, in, dst *BitSet) {
+		dst.CopyFrom(in)
+		dst.Intersect(u.Transp[b.ID])
+		dst.Union(u.Comp[b.ID])
+	})
+	return avin, avout
 }

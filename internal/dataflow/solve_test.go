@@ -60,24 +60,7 @@ func universeFor(t *testing.T, src string) (*ir.Func, *dataflow.Universe, map[st
 
 func TestSolveForwardAvailability(t *testing.T) {
 	f, u, byName := universeFor(t, solveDiamond)
-	n := u.NumExprs()
-	rpo := cfg.ReversePostorder(f)
-	nb := len(f.Blocks)
-
-	in, out := dataflow.NewBitSetFamily(nb, n), dataflow.NewBitSetFamily(nb, n)
-	for _, b := range f.Blocks {
-		if b != f.Entry() {
-			out[b.ID].SetAll() // GFP seed for a must problem
-		} else {
-			out[b.ID].CopyFrom(u.Comp[b.ID])
-		}
-	}
-	dataflow.SolveForward(rpo, dataflow.MeetAll, in, out,
-		func(b *ir.Block, bin, dst *dataflow.BitSet) {
-			dst.CopyFrom(bin)
-			dst.Intersect(u.Transp[b.ID])
-			dst.Union(u.Comp[b.ID])
-		})
+	in, out := u.Availability(cfg.ReversePostorder(f))
 
 	k, _ := dataflow.KeyOf(f.NewInstr(ir.OpAdd, 99, 1, 2))
 	e := u.Index[k]
@@ -96,20 +79,7 @@ func TestSolveForwardAvailability(t *testing.T) {
 
 func TestSolveBackwardAnticipability(t *testing.T) {
 	f, u, byName := universeFor(t, solveDiamond)
-	n := u.NumExprs()
-	rpo := cfg.ReversePostorder(f)
-	nb := len(f.Blocks)
-
-	in, out := dataflow.NewBitSetFamily(nb, n), dataflow.NewBitSetFamily(nb, n)
-	for _, b := range f.Blocks {
-		in[b.ID].SetAll()
-	}
-	dataflow.SolveBackward(rpo, dataflow.MeetAll, out, in,
-		func(b *ir.Block, bout, dst *dataflow.BitSet) {
-			dst.CopyFrom(bout)
-			dst.Intersect(u.Transp[b.ID])
-			dst.Union(u.AntLoc[b.ID])
-		})
+	in, out := u.Anticipability(cfg.ReversePostorder(f))
 
 	k, _ := dataflow.KeyOf(f.NewInstr(ir.OpAdd, 99, 1, 2))
 	e := u.Index[k]

@@ -1,8 +1,10 @@
 package gvn_test
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/dataflow"
 	"repro/internal/gvn"
 	"repro/internal/interp"
@@ -91,7 +93,7 @@ b0:
 
 	// And PRE can now delete the duplicate.
 	before := f.InstrCount()
-	pre.RunToFixpoint(f)
+	pre.RunToFixpoint(context.Background(), f, analysis.NewCache(f), pre.Drechsler)
 	if f.InstrCount() >= before {
 		t.Errorf("PRE removed nothing after GVN: %d -> %d\n%s", before, f.InstrCount(), f)
 	}

@@ -221,8 +221,8 @@ func f(ac *Cache, n int) {
 // determinism checks (the cfgwrite check applies to them regardless).
 func TestPassPackageDenylist(t *testing.T) {
 	for pkg, want := range map[string]bool{
-		"internal/lcm":     true,
-		"internal/lospre":  true,
+		"internal/cse":     true,
+		"internal/gvn":     true,
 		"internal/pre":     true,
 		"internal/newpass": true, // hypothetical future backend: covered by default
 		"internal/core":    false,
@@ -237,10 +237,10 @@ func TestPassPackageDenylist(t *testing.T) {
 	}
 
 	// The determinism checks really fire in the newly covered packages…
-	src := `package lospre
+	src := `package pre
 import "time"
 func f() time.Time { return time.Now() }`
-	wantChecks(t, lintSrc(t, "internal/lospre", src), "timenow")
+	wantChecks(t, lintSrc(t, "internal/pre", src), "timenow")
 
 	// …and really stay off in cmd/ even for map-order sinks.
 	src2 := `package main
@@ -253,13 +253,13 @@ func f(m map[string]int) {
 	wantChecks(t, lintSrc(t, "cmd/epre", src2))
 }
 
-// TestMapOrderInsertionPointMap is the fixture the lcm/lospre
-// backends motivated: both keep per-block insertion-point maps, and
+// TestMapOrderInsertionPointMap is the fixture the lcm and lospre
+// strategies motivated: both keep per-block insertion points, and
 // draining one into the instruction stream without sorting would make
 // the emitted order depend on map iteration.  The unsorted drain must
 // be flagged; the canonical collect-keys-sort-iterate drain must pass.
 func TestMapOrderInsertionPointMap(t *testing.T) {
-	src := `package lcm
+	src := `package pre
 func drain(insertAt map[*Block][]*Instr) []*Instr {
 	var out []*Instr
 	for _, instrs := range insertAt {
@@ -267,9 +267,9 @@ func drain(insertAt map[*Block][]*Instr) []*Instr {
 	}
 	return out
 }`
-	wantChecks(t, lintSrc(t, "internal/lcm", src), "maporder")
+	wantChecks(t, lintSrc(t, "internal/pre", src), "maporder")
 
-	src2 := `package lcm
+	src2 := `package pre
 import "sort"
 func drain(insertAt map[int][]*Instr) []*Instr {
 	keys := make([]int, 0, len(insertAt))
@@ -283,7 +283,7 @@ func drain(insertAt map[int][]*Instr) []*Instr {
 	}
 	return out
 }`
-	wantChecks(t, lintSrc(t, "internal/lcm", src2))
+	wantChecks(t, lintSrc(t, "internal/pre", src2))
 }
 
 // TestIRConstructFlagged pins the arena invariant the refactor

@@ -1,17 +1,19 @@
-package pre_test
+package pre
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/cfg"
 	"repro/internal/coalesce"
 	"repro/internal/dce"
-	"repro/internal/gvn"
 	"repro/internal/interp"
 	"repro/internal/ir"
-	"repro/internal/pre"
 )
 
+// run interprets fn with integer arguments and returns its result and
+// the number of operations executed.
 func run(t *testing.T, f *ir.Func, fn string, args ...int64) (int64, int64) {
 	t.Helper()
 	vals := make([]interp.Value, len(args))
@@ -26,11 +28,29 @@ func run(t *testing.T, f *ir.Func, fn string, args ...int64) (int64, int64) {
 	return v.I, m.Steps
 }
 
-// TestSection2IfExample reproduces the paper's first §2 figure: x+y
-// computed in the then-arm and again after the join.  PRE must insert
-// on the else path and delete the join computation, so the then path
-// gets shorter and the else path stays the same length.
-func TestSection2IfExample(t *testing.T) {
+// cleanup removes the compensation copies LCM and lospre leave behind;
+// like the paper's pipeline, they rely on coalescing for that.
+func cleanup(f *ir.Func) {
+	dce.Run(f)
+	coalesce.Run(f)
+	cfg.RemoveEmptyBlocks(f)
+	dce.Run(f)
+}
+
+// fixpoint runs a strategy to its fixpoint with a fresh analysis cache.
+func fixpoint(f *ir.Func, s Strategy) Stats {
+	return RunToFixpoint(context.Background(), f, analysis.NewCache(f), s)
+}
+
+// once runs a single round of a strategy with a fresh analysis cache.
+func once(f *ir.Func, s Strategy) Stats {
+	return s.round(f, analysis.NewCache(f))
+}
+
+// TestCancelledContextRunsNoRound: the driver checks its context before
+// every round, so a context that is already done leaves every strategy
+// with zero rounds and the function's code untouched.
+func TestCancelledContextRunsNoRound(t *testing.T) {
 	const src = `
 func f(r1, r2) {
 b0:
@@ -47,315 +67,20 @@ b3:
     ret r3
 }
 `
-	f := ir.MustParseFunc(src)
-	wantThen, thenBefore := run(t, f, "f", 1, 2)
-	wantElse, elseBefore := run(t, f, "f", 0, 2)
-
-	st := pre.Run(f)
-	if err := ir.Verify(f); err != nil {
-		t.Fatal(err)
-	}
-	gotThen, thenAfter := run(t, f, "f", 1, 2)
-	gotElse, elseAfter := run(t, f, "f", 0, 2)
-	if gotThen != wantThen || gotElse != wantElse {
-		t.Fatalf("semantics changed: (%d,%d) vs (%d,%d)", gotThen, gotElse, wantThen, wantElse)
-	}
-	if thenAfter >= thenBefore {
-		t.Errorf("then path should shorten: %d -> %d\n%s", thenBefore, thenAfter, f)
-	}
-	if elseAfter > elseBefore {
-		t.Errorf("else path lengthened: %d -> %d\n%s", elseBefore, elseAfter, f)
-	}
-	if st.Inserted == 0 || st.Deleted+st.Rewritten == 0 {
-		t.Errorf("stats show no motion: %+v", st)
-	}
-}
-
-// TestSection2LoopInvariant reproduces the paper's second §2 figure:
-// x+y inside a loop, available along the back edge but not from the
-// preheader.  PRE must hoist it.
-func TestSection2LoopInvariant(t *testing.T) {
-	const src = `
-func f(r1, r2, r3) {
-b0:
-    enter(r1, r2, r3)
-    loadI 0 => r4
-    loadI 0 => r5
-    jump -> b1
-b1:
-    add r1, r2 => r6
-    add r4, r6 => r4
-    loadI 1 => r7
-    add r5, r7 => r5
-    cmpLT r5, r3 => r8
-    cbr r8 -> b1, b2
-b2:
-    ret r4
-}
-`
-	f := ir.MustParseFunc(src)
-	want, before := run(t, f, "f", 3, 4, 10)
-	pre.RunToFixpoint(f)
-	if err := ir.Verify(f); err != nil {
-		t.Fatal(err)
-	}
-	got, after := run(t, f, "f", 3, 4, 10)
-	if got != want {
-		t.Fatalf("semantics changed: %d vs %d", got, want)
-	}
-	if after >= before {
-		t.Errorf("loop invariant not hoisted: %d -> %d ops\n%s", before, after, f)
-	}
-	// The add must now execute once, not ten times: at least 9 ops saved.
-	if before-after < 9 {
-		t.Errorf("expected ≥9 ops saved, got %d\n%s", before-after, f)
-	}
-}
-
-// TestChainedHoisting checks the Figure 9 effect: a two-level
-// invariant chain (r0+1 then (r0+1)+r1) fully hoists via iteration.
-func TestChainedHoisting(t *testing.T) {
-	const src = `
-func f(r1, r2, r3) {
-b0:
-    enter(r1, r2, r3)
-    loadI 0 => r4
-    loadI 0 => r5
-    jump -> b1
-b1:
-    loadI 1 => r6
-    add r1, r6 => r7
-    add r7, r2 => r8
-    add r4, r8 => r4
-    loadI 1 => r9
-    add r5, r9 => r5
-    cmpLT r5, r3 => r10
-    cbr r10 -> b1, b2
-b2:
-    ret r4
-}
-`
-	f := ir.MustParseFunc(src)
-	want, _ := run(t, f, "f", 3, 4, 10)
-	// GVN first, as the paper's pipeline does: the naming discipline is
-	// what lets iterated PRE hoist the chain without compensation
-	// copies pinning it.
-	gvn.Run(f)
-	st := pre.RunToFixpoint(f)
-	if err := ir.Verify(f); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := run(t, f, "f", 3, 4, 10)
-	if got != want {
-		t.Fatalf("semantics changed: %d vs %d", got, want)
-	}
-	t.Logf("rounds: %d", st.Rounds)
-	// Count remaining adds in loop blocks (blocks inside natural loops).
-	adds := loopOpCount(f, ir.OpAdd)
-	// Only the two accumulator updates (r4 and r5) may remain.
-	if adds > 2 {
-		t.Errorf("loop still has %d adds, want ≤2\n%s", adds, f)
-	}
-}
-
-// loopOpCount counts occurrences of op inside natural loops.
-func loopOpCount(f *ir.Func, op ir.Op) int {
-	dom := cfg.BuildDomTree(f)
-	li := cfg.FindLoops(f, dom)
-	n := 0
-	for _, b := range f.Blocks {
-		if li.Depth(b) == 0 {
-			continue
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, s := range map[string]Strategy{"drechsler": Drechsler, "lcm": LCM, "lospre": Lospre} {
+		f := ir.MustParseFunc(src)
+		gen := f.CodeGeneration()
+		st := RunToFixpoint(ctx, f, analysis.NewCache(f), s)
+		if st.Rounds != 0 || st.Mutated() {
+			t.Errorf("%s: cancelled context ran %d rounds: %+v", name, st.Rounds, st)
 		}
-		for _, inID := range b.Instrs {
-			in := b.Fn.Instr(inID)
-			if in.Op == op {
-				n++
-			}
+		if f.CodeGeneration() != gen {
+			t.Errorf("%s: cancelled context mutated the function", name)
 		}
-	}
-	return n
-}
-
-// TestNeverLengthensPath is the paper's key safety property: for every
-// input (hence every path), PRE must not increase the dynamic count.
-func TestNeverLengthensPath(t *testing.T) {
-	cases := []string{
-		// Diamond with partially redundant expr.
-		`
-func f(r1, r2) {
-b0:
-    enter(r1, r2)
-    cbr r1 -> b1, b2
-b1:
-    add r1, r2 => r3
-    mul r3, r3 => r4
-    jump -> b3
-b2:
-    loadI 1 => r4
-    jump -> b3
-b3:
-    add r1, r2 => r5
-    add r4, r5 => r6
-    ret r6
-}
-`,
-		// Expression used only on one side (must NOT be hoisted into
-		// the other path).
-		`
-func f(r1, r2) {
-b0:
-    enter(r1, r2)
-    cbr r1 -> b1, b2
-b1:
-    mul r2, r2 => r3
-    ret r3
-b2:
-    loadI 0 => r4
-    ret r4
-}
-`,
-	}
-	// PRE's guarantee concerns *computations*: the compensation copies
-	// of Mode B are bookkeeping that coalescing removes (the paper
-	// relies on the same cleanup, §3.2).  Measure with the cleanup.
-	for ci, src := range cases {
-		for _, arg := range []int64{0, 1} {
-			f := ir.MustParseFunc(src)
-			want, before := run(t, f, "f", arg, 5)
-			pre.RunToFixpoint(f)
-			dce.Run(f)
-			coalesce.Run(f)
-			cfg.RemoveEmptyBlocks(f)
-			got, after := run(t, f, "f", arg, 5)
-			if got != want {
-				t.Errorf("case %d arg %d: semantics changed", ci, arg)
-			}
-			if after > before {
-				t.Errorf("case %d arg %d: path lengthened %d -> %d\n%s", ci, arg, before, after, f)
-			}
+		if st := fixpoint(f, s); !st.Changed() {
+			t.Errorf("%s: live context found nothing on the §2 diamond: %+v", name, st)
 		}
-	}
-}
-
-// TestLoadsNotHoistedPastStores: a load inside a loop that contains a
-// store to an unknown address must stay put.
-func TestLoadsNotHoistedPastStores(t *testing.T) {
-	const src = `
-func f(r1, r2, r3) {
-b0:
-    enter(r1, r2, r3)
-    loadI 0 => r4
-    loadI 0 => r5
-    jump -> b1
-b1:
-    ldw [r1] => r6
-    add r4, r6 => r4
-    stw r4 => [r2]
-    loadI 1 => r7
-    add r5, r7 => r5
-    cmpLT r5, r3 => r8
-    cbr r8 -> b1, b2
-b2:
-    ret r4
-}
-`
-	f := ir.MustParseFunc(src)
-	pre.RunToFixpoint(f)
-	if err := ir.Verify(f); err != nil {
-		t.Fatal(err)
-	}
-	// The ldw must still be inside the loop, since the stw kills it.
-	if loopOpCount(f, ir.OpLoadW) == 0 {
-		t.Errorf("load was moved out of the loop despite the store\n%s", f)
-	}
-	// Semantics: aliased addresses r1 == r2.
-	prog := &ir.Program{Funcs: []*ir.Func{f.Clone()}, GlobalSize: 64}
-	m := interp.NewMachine(prog)
-	m.WriteInt64(8, 5)
-	v, err := m.Call("f", interp.IntVal(8), interp.IntVal(8), interp.IntVal(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// s starts 0; iteration i: s += mem[8]; mem[8] = s.
-	// i1: s=5, mem=5; i2: s=10, mem=10; i3: s=20; i4: s=40.
-	if v.I != 40 {
-		t.Errorf("aliasing semantics broken: got %d, want 40", v.I)
-	}
-}
-
-// TestLoadHoistedWhenSafe: with no stores in the loop, a loop-invariant
-// load hoists like any expression (redundant load elimination).
-func TestLoadHoistedWhenSafe(t *testing.T) {
-	const src = `
-func f(r1, r3) {
-b0:
-    enter(r1, r3)
-    loadI 0 => r4
-    loadI 0 => r5
-    jump -> b1
-b1:
-    ldw [r1] => r6
-    add r4, r6 => r4
-    loadI 1 => r7
-    add r5, r7 => r5
-    cmpLT r5, r3 => r8
-    cbr r8 -> b1, b2
-b2:
-    ret r4
-}
-`
-	f := ir.MustParseFunc(src)
-	prog := &ir.Program{Funcs: []*ir.Func{f.Clone()}, GlobalSize: 64}
-	m := interp.NewMachine(prog)
-	m.WriteInt64(8, 7)
-	v, _ := m.Call("f", interp.IntVal(8), interp.IntVal(5))
-	before := m.Steps
-
-	pre.RunToFixpoint(f)
-	prog2 := &ir.Program{Funcs: []*ir.Func{f.Clone()}, GlobalSize: 64}
-	m2 := interp.NewMachine(prog2)
-	m2.WriteInt64(8, 7)
-	v2, err := m2.Call("f", interp.IntVal(8), interp.IntVal(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.I != v2.I {
-		t.Fatalf("semantics changed: %d vs %d", v.I, v2.I)
-	}
-	if m2.Steps >= before {
-		t.Errorf("invariant load not hoisted: %d -> %d\n%s", before, m2.Steps, f)
-	}
-}
-
-// TestFullyRedundantSameBlock: PRE's Mode A scan removes block-local
-// recomputation under the naming discipline.
-func TestFullyRedundantSameBlock(t *testing.T) {
-	const src = `
-func f(r1, r2) {
-b0:
-    enter(r1, r2)
-    add r1, r2 => r3
-    mul r3, r3 => r4
-    add r1, r2 => r3
-    add r4, r3 => r5
-    ret r5
-}
-`
-	f := ir.MustParseFunc(src)
-	want, _ := run(t, f, "f", 3, 4)
-	pre.Run(f)
-	got, _ := run(t, f, "f", 3, 4)
-	if got != want {
-		t.Fatalf("semantics changed: %d vs %d", got, want)
-	}
-	adds := 0
-	for _, id := range f.Entry().Instrs {
-		if f.Instr(id).Op == ir.OpAdd {
-			adds++
-		}
-	}
-	if adds != 2 { // r1+r2 once, r4+r3 once
-		t.Errorf("local redundancy not removed: %d adds\n%s", adds, f)
 	}
 }

@@ -1,8 +1,10 @@
 package reassoc_test
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/pre"
@@ -109,7 +111,7 @@ b2:
 // applyPRE runs the PRE pass used by the pipelines.
 func applyPRE(t *testing.T, f *ir.Func) {
 	t.Helper()
-	pre.RunToFixpoint(f)
+	pre.RunToFixpoint(context.Background(), f, analysis.NewCache(f), pre.Drechsler)
 	if err := ir.Verify(f); err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -265,6 +266,45 @@ func TestPoolSkipsExpired(t *testing.T) {
 	case <-ran:
 		t.Error("expired job ran anyway")
 	default:
+	}
+}
+
+// TestPoolContainsPanic: a panicking job on a one-worker pool is
+// reported as ErrJobPanicked, through Do and DoWait alike, and the same
+// worker goes on to run the next job normally.
+func TestPoolContainsPanic(t *testing.T) {
+	p := NewPool(1, 0)
+	defer p.Close()
+	ctx := context.Background()
+	boom := func(ctx context.Context) { panic("boom") }
+	if err := p.Do(ctx, boom); !errors.Is(err, ErrJobPanicked) {
+		t.Errorf("Do: want ErrJobPanicked, got %v", err)
+	}
+	if err := p.DoWait(ctx, boom); !errors.Is(err, ErrJobPanicked) {
+		t.Errorf("DoWait: want ErrJobPanicked, got %v", err)
+	}
+	ran := false
+	if err := p.Do(ctx, func(ctx context.Context) { ran = true }); err != nil || !ran {
+		t.Errorf("next job after a panic: err=%v ran=%v", err, ran)
+	}
+}
+
+// TestStatusFor pins the serving-error → HTTP status mapping.
+func TestStatusFor(t *testing.T) {
+	for _, tc := range []struct {
+		err  error
+		want int
+	}{
+		{ErrQueueFull, http.StatusServiceUnavailable},
+		{ErrPoolClosed, http.StatusServiceUnavailable},
+		{context.DeadlineExceeded, http.StatusGatewayTimeout},
+		{fmt.Errorf("before pass pre: %w", context.Canceled), http.StatusGatewayTimeout},
+		{fmt.Errorf("%w: boom", ErrJobPanicked), http.StatusInternalServerError},
+		{errors.New("after pass gvn: bad"), http.StatusUnprocessableEntity},
+	} {
+		if got := statusFor(tc.err); got != tc.want {
+			t.Errorf("statusFor(%v) = %d, want %d", tc.err, got, tc.want)
+		}
 	}
 }
 

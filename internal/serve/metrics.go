@@ -22,6 +22,7 @@ type Metrics struct {
 	errors      expvar.Int // requests that failed (bad input, pass error)
 	timeouts    expvar.Int // requests that hit their deadline
 	rejected    expvar.Int // requests shed because the queue was full
+	jobPanics   expvar.Int // pool jobs that panicked (contained, answered 500)
 	inFlight    expvar.Int // requests currently being handled
 
 	batchRequests expvar.Int // POST /optimize/batch requests received
@@ -57,6 +58,7 @@ func NewMetrics(queueDepth func() int64) *Metrics {
 	m.top.Set("errors", &m.errors)
 	m.top.Set("timeouts", &m.timeouts)
 	m.top.Set("rejected", &m.rejected)
+	m.top.Set("job_panics", &m.jobPanics)
 	m.top.Set("in_flight", &m.inFlight)
 	m.top.Set("batch_requests", &m.batchRequests)
 	m.top.Set("batch_items", &m.batchItems)

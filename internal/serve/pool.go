@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -14,12 +15,16 @@ var (
 	ErrQueueFull = errors.New("serve: worker queue full")
 	// ErrPoolClosed is returned by Do after Close.
 	ErrPoolClosed = errors.New("serve: pool closed")
+	// ErrJobPanicked is wrapped by the error Do and DoWait return when
+	// the job panicked; the worker recovers and keeps serving.
+	ErrJobPanicked = errors.New("serve: job panicked")
 )
 
 type poolJob struct {
 	ctx  context.Context
 	fn   func(ctx context.Context)
 	done chan struct{}
+	err  error // set before done closes when fn panicked
 }
 
 // Pool is a bounded worker pool with a bounded admission queue: at most
@@ -31,7 +36,7 @@ type poolJob struct {
 type Pool struct {
 	mu      sync.RWMutex
 	closed  bool
-	jobs    chan poolJob
+	jobs    chan *poolJob
 	quit    chan struct{}
 	wg      sync.WaitGroup
 	senders sync.WaitGroup
@@ -47,7 +52,7 @@ func NewPool(workers, queue int) *Pool {
 	if queue < 0 {
 		queue = 0
 	}
-	p := &Pool{jobs: make(chan poolJob, workers+queue), quit: make(chan struct{})}
+	p := &Pool{jobs: make(chan *poolJob, workers+queue), quit: make(chan struct{})}
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go p.worker()
@@ -60,19 +65,30 @@ func (p *Pool) worker() {
 	for j := range p.jobs {
 		p.queued.Add(-1)
 		if j.ctx.Err() == nil {
-			j.fn(j.ctx)
+			j.run()
 		}
 		close(j.done)
 	}
 }
 
+// run calls the job's function, turning a panic into the job's error.
+func (j *poolJob) run() {
+	defer func() {
+		if v := recover(); v != nil {
+			j.err = fmt.Errorf("%w: %v", ErrJobPanicked, v)
+		}
+	}()
+	j.fn(j.ctx)
+}
+
 // Do submits fn and waits for it to finish.  It returns ErrQueueFull
 // immediately when the queue is at capacity, ErrPoolClosed after Close,
-// and ctx.Err() if the context expires before fn completes (fn itself
-// is expected to watch ctx and return early; if it is still queued it
-// will be skipped).
+// an error wrapping ErrJobPanicked when fn panicked, and ctx.Err() if
+// the context expires before fn completes (fn itself is expected to
+// watch ctx and return early; if it is still queued it will be
+// skipped).
 func (p *Pool) Do(ctx context.Context, fn func(ctx context.Context)) error {
-	j := poolJob{ctx: ctx, fn: fn, done: make(chan struct{})}
+	j := &poolJob{ctx: ctx, fn: fn, done: make(chan struct{})}
 
 	p.mu.RLock()
 	if p.closed {
@@ -91,7 +107,7 @@ func (p *Pool) Do(ctx context.Context, fn func(ctx context.Context)) error {
 
 	select {
 	case <-j.done:
-		return nil
+		return j.err
 	case <-ctx.Done():
 		return ctx.Err()
 	}
@@ -100,11 +116,11 @@ func (p *Pool) Do(ctx context.Context, fn func(ctx context.Context)) error {
 // DoWait submits fn like Do, but blocks for a queue slot instead of
 // shedding with ErrQueueFull — the admission policy for work that has
 // already been admitted once at a coarser granularity (each item of an
-// accepted batch request).  It still returns ErrPoolClosed after Close
-// and ctx.Err() if the context expires while waiting for a slot or for
-// fn to complete.
+// accepted batch request).  It still returns ErrPoolClosed after Close,
+// an error wrapping ErrJobPanicked when fn panicked, and ctx.Err() if
+// the context expires while waiting for a slot or for fn to complete.
 func (p *Pool) DoWait(ctx context.Context, fn func(ctx context.Context)) error {
-	j := poolJob{ctx: ctx, fn: fn, done: make(chan struct{})}
+	j := &poolJob{ctx: ctx, fn: fn, done: make(chan struct{})}
 
 	p.mu.RLock()
 	if p.closed {
@@ -131,7 +147,7 @@ func (p *Pool) DoWait(ctx context.Context, fn func(ctx context.Context)) error {
 	}
 	select {
 	case <-j.done:
-		return nil
+		return j.err
 	case <-ctx.Done():
 		return ctx.Err()
 	}

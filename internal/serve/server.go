@@ -390,6 +390,9 @@ func (s *Server) serveLocal(ctx context.Context, spec *reqSpec, admitted bool) (
 			perr = s.pool.Do(ctx, job)
 		}
 		if perr != nil {
+			if errors.Is(perr, ErrJobPanicked) {
+				s.metrics.jobPanics.Add(1)
+			}
 			return nil, perr
 		}
 		if !ran {

@@ -175,8 +175,9 @@ func relay(w http.ResponseWriter, status int, hdr http.Header, body []byte, owne
 }
 
 // failStatus maps a serving error onto its transport status and
-// counters: load shedding → 503, deadline → 504, anything else → 422
-// (the request was well-formed but the optimization failed).
+// counters: load shedding → 503, deadline → 504, a panicking job → 500,
+// anything else → 422 (the request was well-formed but the
+// optimization failed).
 func (s *Server) failStatus(w http.ResponseWriter, err error) {
 	switch status := statusFor(err); status {
 	case http.StatusServiceUnavailable:
@@ -199,6 +200,8 @@ func statusFor(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return http.StatusGatewayTimeout
+	case errors.Is(err, ErrJobPanicked):
+		return http.StatusInternalServerError
 	default:
 		return http.StatusUnprocessableEntity
 	}

@@ -9,8 +9,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/core"
-	"repro/internal/lcm"
-	"repro/internal/lospre"
 	"repro/internal/pre"
 )
 
@@ -22,9 +20,9 @@ type PreCompareStat struct {
 	// drechsler, at block boundaries for lcm/lospre), summed over
 	// functions and fixpoint rounds.
 	Inserted int
-	// Eliminated counts original computations the backend removed or
-	// rewrote into copies: Deleted+Rewritten for drechsler (Mode A
-	// removals plus Mode B copy rewrites), Replaced for lcm and lospre.
+	// Eliminated counts original computations the backend removed
+	// outright (Mode A deletions) or turned into copies from the
+	// temporary: Stats.Deleted+Stats.Replaced.
 	Eliminated int
 	// Dyn is the routine's dynamic operation count optimized at the
 	// partial level with this backend, validated against the reference
@@ -48,6 +46,13 @@ type PreCompareRow struct {
 	Lospre    PreCompareStat
 }
 
+// preStrategy maps each PRE backend to its placement strategy.
+var preStrategy = map[core.PREBackend]pre.Strategy{
+	core.PREDrechsler: pre.Drechsler,
+	core.PRELCM:       pre.LCM,
+	core.PRELospre:    pre.Lospre,
+}
+
 // stat returns the row's entry for a backend.
 func (r *PreCompareRow) stat(b core.PREBackend) *PreCompareStat {
 	switch b {
@@ -63,40 +68,14 @@ func (r *PreCompareRow) stat(b core.PREBackend) *PreCompareStat {
 // routine so all three see the identical input form.
 func preCompareRow(ctx context.Context, r Routine) (PreCompareRow, error) {
 	row := PreCompareRow{Name: r.Name}
-	normalize, err := core.PassByName("normalize")
-	if err != nil {
-		return row, err
-	}
 	for _, backend := range core.PREBackends {
-		st := row.stat(backend)
-
-		// Static effect at the PRE position: normalize first, exactly
-		// as the partial pipeline does before its PRE slot.
-		prog, err := r.Compile()
+		s, err := preStatic(ctx, r, backend)
 		if err != nil {
-			return row, fmt.Errorf("%s: %w", r.Name, err)
+			return row, err
 		}
-		for _, f := range prog.Funcs {
-			if err := ctx.Err(); err != nil {
-				return row, err
-			}
-			ac := analysis.NewCache(f)
-			normalize.Run(&core.PassContext{Ctx: ctx, Func: f, Analyses: ac})
-			switch backend {
-			case core.PRELCM:
-				s := lcm.RunToFixpointWith(f, ac)
-				st.Inserted += s.Inserted
-				st.Eliminated += s.Replaced
-			case core.PRELospre:
-				s := lospre.RunToFixpointWith(f, ac)
-				st.Inserted += s.Inserted
-				st.Eliminated += s.Replaced
-			default:
-				s := pre.RunToFixpointWith(f, ac)
-				st.Inserted += s.Inserted
-				st.Eliminated += s.Deleted + s.Rewritten
-			}
-		}
+		st := row.stat(backend)
+		st.Inserted = s.Inserted
+		st.Eliminated = s.Deleted + s.Replaced
 
 		// End-to-end effect: the whole partial pipeline with this
 		// backend in the PRE slot, checked against the reference.
@@ -107,6 +86,36 @@ func preCompareRow(ctx context.Context, r Routine) (PreCompareRow, error) {
 		st.Dyn = n
 	}
 	return row, nil
+}
+
+// preStatic is one backend's static effect on a routine at the PRE
+// position: every function is normalized first, exactly as the partial
+// pipeline does before its PRE slot, then run to the PRE fixpoint.  The
+// counts are summed over functions.
+func preStatic(ctx context.Context, r Routine, backend core.PREBackend) (pre.Stats, error) {
+	var sum pre.Stats
+	normalize, err := core.PassByName("normalize")
+	if err != nil {
+		return sum, err
+	}
+	prog, err := r.Compile()
+	if err != nil {
+		return sum, fmt.Errorf("%s: %w", r.Name, err)
+	}
+	for _, f := range prog.Funcs {
+		if err := ctx.Err(); err != nil {
+			return sum, err
+		}
+		ac := analysis.NewCache(f)
+		normalize.Run(&core.PassContext{Ctx: ctx, Func: f, Analyses: ac})
+		s := pre.RunToFixpoint(ctx, f, ac, preStrategy[backend])
+		sum.Inserted += s.Inserted
+		sum.Deleted += s.Deleted
+		sum.Replaced += s.Replaced
+		sum.Rewritten += s.Rewritten
+		sum.Rounds += s.Rounds
+	}
+	return sum, nil
 }
 
 // PreCompare measures every suite routine with all three PRE backends,
