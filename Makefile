@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check build test race vet fmt lint fuzz fuzz-smoke bench perfbench-test bench-serve-smoke
+.PHONY: check build test race vet fmt lint fuzz fuzz-smoke bench perfbench-test
 
-check: fmt vet lint build test race fuzz-smoke perfbench-test bench-serve-smoke
+check: fmt vet lint build test race fuzz-smoke perfbench-test
 
 build:
 	$(GO) build ./...
@@ -36,12 +36,13 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# Short fuzz sessions over the parser round-trip corpus and the PL/0
-# front end (not part of `check`; the committed seeds already run under
-# plain `go test`).
+# Short fuzz sessions over the parser round-trip corpus, the PL/0
+# front end and the service's two optimization endpoints (not part of
+# `check`; the seeds already run under plain `go test`).
 fuzz:
 	$(GO) test ./internal/ir/ -fuzz FuzzParseRoundTrip -fuzztime 30s
 	$(GO) test ./internal/pl0/ -fuzz FuzzPL0Parse -fuzztime 30s
+	$(GO) test ./internal/serve/ -fuzz FuzzHandlers -fuzztime 30s
 
 # Differential-fuzzing smoke test, part of `check`: 200 generated
 # programs at fixed seeds, every optimization level interpreted
@@ -72,14 +73,3 @@ bench:
 	for w in suite-opt serve-miss serve-cached; do \
 		bash perfbench/run.sh --workload $$w --seconds 15 --trace 0 || exit 1; \
 	done
-
-# Serve-tier smoke, part of `check`: a tiny loadgen replay through the
-# single, batch and warm-restart scenarios with response verification
-# on — every served ILOC must be byte-identical to a direct in-process
-# core optimization, across the memory-cache, batch and disk-warmed
-# paths, with zero request errors.  No report is written.
-bench-serve-smoke:
-	$(GO) run ./cmd/epre loadgen -requests 24 -corpus-n 6 \
-		-workers 4 -batch 6
-	$(GO) run ./cmd/epre loadgen -requests 16 -corpus suite \
-		-workers 4 -batch 4

@@ -11,7 +11,6 @@
 //	epre serve [-addr :8080]                       # optimization service
 //	epre table1 [-parallel N]                      # the paper's Table 1
 //	epre table2                                    # the paper's Table 2
-//	epre loadgen [-out report.json]                # corpus replay load test
 //	epre fuzz [-seed 1] [-n 200] [-level all]      # differential fuzzing
 //	epre example                                   # Figures 2–10 walkthrough
 //	epre levels                                    # list levels and passes
@@ -62,8 +61,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return cmdLint(args[1:], stdout, stderr)
 	case "serve":
 		err = cmdServe(args[1:], stderr)
-	case "loadgen":
-		err = cmdLoadgen(args[1:], stdout)
 	case "fuzz":
 		err = cmdFuzz(args[1:], stdout)
 	case "table1":
@@ -114,14 +111,6 @@ func usage(w io.Writer) {
                      compare the drechsler, lcm and lospre PRE backends
                      per routine: static insert/eliminate counts at the
                      PRE position and dynamic ops at the partial level
-  epre loadgen [-out report.json] [-addr URL] [-requests N]
-               [-workers N] [-qps R] [-batch N] [-level L]
-               [-corpus progen|suite] [-corpus-seed N] [-corpus-n N]
-               [-seed N] [-verify=false]
-                     deterministic corpus replay against the service:
-                     single/batch/warm-restart scenarios (or one
-                     scenario against -addr), HDR latency histograms
-                     and counter deltas (JSON report with -out)
   epre fuzz [-seed N] [-n N] [-level L|all] [-workers N] [-shrink]
             [-artifact-dir DIR] [-per-pass] [-gvn-diff] [-pre-diff]
             [-call-heavy] [-timeout 5m] [-stats]

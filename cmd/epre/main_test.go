@@ -45,7 +45,7 @@ func TestHelpGolden(t *testing.T) {
 	for _, want := range []string{
 		"epre compile", "epre opt", "epre run", "epre lint",
 		"epre table1", "epre levels", "-discipline", "-strict-ssa",
-		"epre serve", "epre loadgen", "-parallel",
+		"epre serve", "-parallel",
 	} {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("help missing %q:\n%s", want, stdout)
@@ -54,7 +54,7 @@ func TestHelpGolden(t *testing.T) {
 }
 
 func TestUnknownCommand(t *testing.T) {
-	for _, cmd := range []string{"frobnicate", "bench"} {
+	for _, cmd := range []string{"frobnicate", "bench", "loadgen"} {
 		code, _, stderr := runEpre(t, cmd)
 		if code != 2 || !strings.Contains(stderr, "unknown command") {
 			t.Errorf("%s: code=%d stderr=%q", cmd, code, stderr)

@@ -23,7 +23,6 @@ func cmdServe(args []string, stderr io.Writer) error {
 	cacheSize := fs.Int("cache", 256, "result cache capacity, entries")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-request deadline")
 	drain := fs.Duration("drain", 10*time.Second, "graceful shutdown budget")
-	optParallel := fs.Int("opt-parallel", 1, "function-level parallelism inside one optimization")
 	maxBatch := fs.Int("max-batch", 256, "maximum items per /optimize/batch request")
 	cacheDir := fs.String("cache-dir", "", "persistent content-addressed result store directory (empty = memory only)")
 	diskBytes := fs.Int64("disk-cache-bytes", 0, "on-disk store byte budget (0 = unlimited)")
@@ -59,7 +58,6 @@ func cmdServe(args []string, stderr io.Writer) error {
 		CacheSize:      *cacheSize,
 		Timeout:        *timeout,
 		DrainTimeout:   *drain,
-		OptWorkers:     *optParallel,
 		MaxBatch:       *maxBatch,
 		CacheDir:       *cacheDir,
 		DiskCacheBytes: *diskBytes,

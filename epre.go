@@ -143,20 +143,6 @@ func (p *Program) Optimize(level Level) (*Program, error) {
 	return &Program{prog: out}, nil
 }
 
-// OptimizeParallel is Optimize under a context with function-level
-// parallelism: up to workers functions are transformed concurrently
-// (workers <= 1 is serial, values above GOMAXPROCS are clamped).  The
-// result is byte-identical to Optimize's — functions are optimized
-// independently either way.  When ctx is cancelled the optimization
-// stops with an error wrapping ctx.Err().
-func (p *Program) OptimizeParallel(ctx context.Context, level Level, workers int) (*Program, error) {
-	out, err := core.OptimizeWith(p.prog, level, core.OptimizeOptions{Ctx: ctx, Workers: workers})
-	if err != nil {
-		return nil, err
-	}
-	return &Program{prog: out}, nil
-}
-
 // OptimizeChecked is Optimize with every pass application sandwiched
 // between semantic checks: structural verification, the dataflow/SSA
 // def-use verifier, and translation validation by differential

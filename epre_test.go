@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	epre "repro"
+	"repro/internal/core"
+	"repro/internal/minift"
 )
 
 const quickSrc = `
@@ -191,22 +193,16 @@ func TestCompileErrorsSurface(t *testing.T) {
 	}
 }
 
-func TestOptimizeParallel(t *testing.T) {
-	p := epre.MustCompile(quickSrc)
-	serial, err := p.Optimize(epre.LevelDist)
+// TestOptimizeCancelled: a dead context stops the optimizer behind
+// Program.Optimize with an error wrapping the context error.
+func TestOptimizeCancelled(t *testing.T) {
+	prog, err := minift.Compile(quickSrc)
 	if err != nil {
 		t.Fatal(err)
-	}
-	par, err := p.OptimizeParallel(context.Background(), epre.LevelDist, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.ILOC() != par.ILOC() {
-		t.Error("OptimizeParallel output differs from Optimize")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := p.OptimizeParallel(ctx, epre.LevelDist, 8); !errors.Is(err, context.Canceled) {
+	if _, err := core.OptimizeWith(prog, core.LevelDist, core.OptimizeOptions{Ctx: ctx}); !errors.Is(err, context.Canceled) {
 		t.Errorf("want context.Canceled, got %v", err)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"sync"
 	"time"
 
@@ -425,23 +424,15 @@ type PassInfo struct {
 }
 
 // OptimizeOptions tune OptimizeWith beyond the level itself.  The zero
-// value reproduces plain Optimize: background context, serial, no
+// value reproduces plain Optimize: background context, no
 // instrumentation, the paper's GVN and PRE backends.
 type OptimizeOptions struct {
 	// Ctx, when non-nil, is checked between passes and plumbed into
 	// any checked-mode differential interpretation; optimization stops
 	// with an error wrapping ctx.Err() once it is done.
 	Ctx context.Context
-	// Workers bounds function-level parallelism: up to Workers
-	// functions are optimized concurrently, each running the full pass
-	// sequence on its own function.  Values <= 1 mean serial; values
-	// above GOMAXPROCS are clamped to it.  The result is byte-identical
-	// to the serial run — functions are optimized independently in both
-	// cases and the output order is the program's function order.
-	Workers int
-	// OnPass, when non-nil, observes every pass application.  It may
-	// be called from multiple goroutines concurrently when Workers > 1
-	// and must be safe for that.
+	// OnPass, when non-nil, observes every pass application, in
+	// program function order and pass order, on the calling goroutine.
 	OnPass func(PassInfo)
 	// GVN selects the value-numbering backend filling the pipeline's
 	// GVN slot at the reassociation levels.  The zero value is GVNAWZ,
@@ -458,20 +449,6 @@ func (o OptimizeOptions) ctx() context.Context {
 		return o.Ctx
 	}
 	return context.Background()
-}
-
-func (o OptimizeOptions) workers(nfuncs int) int {
-	w := o.Workers
-	if max := runtime.GOMAXPROCS(0); w > max {
-		w = max
-	}
-	if w > nfuncs {
-		w = nfuncs
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // OptimizeFunc applies a level's pass sequence to one function.
@@ -525,72 +502,22 @@ func Optimize(p *ir.Program, level Level) (*ir.Program, error) {
 	return OptimizeWith(p, level, OptimizeOptions{})
 }
 
-// OptimizeWith is Optimize with a context, optional function-level
-// parallelism and per-pass instrumentation; see OptimizeOptions.
+// OptimizeWith is Optimize with a context, backend selection and
+// per-pass instrumentation; see OptimizeOptions.  Functions are
+// optimized one after another on the calling goroutine; callers that
+// want parallelism run independent programs concurrently.
 func OptimizeWith(p *ir.Program, level Level, opts OptimizeOptions) (*ir.Program, error) {
 	ctx := opts.ctx()
 	if CheckEnabled() {
 		// Checked mode validates whole-program snapshots around every
-		// pass, so it stays serial at pass granularity.
+		// pass.
 		return checkedOptimizeStrict(ctx, p, level, opts.GVN, opts.PRE)
 	}
 	out := p.Clone()
-	workers := opts.workers(len(out.Funcs))
-	if workers <= 1 {
-		for _, f := range out.Funcs {
-			if err := optimizeFunc(ctx, f, level, opts); err != nil {
-				return nil, fmt.Errorf("%s: %w", f.Name, err)
-			}
-		}
-		return out, nil
-	}
-
-	// Fixed worker pool: exactly `workers` goroutines drain a function
-	// channel, so a 10,000-function program never spawns 10,000
-	// goroutines, and dispatch stops at the first error instead of
-	// feeding work that will be thrown away.
-	var (
-		wg       sync.WaitGroup
-		work     = make(chan *ir.Func)
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	failed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return firstErr != nil
-	}
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for f := range work {
-				if failed() {
-					continue // drain remaining work without running it
-				}
-				if err := optimizeFunc(ctx, f, level, opts); err != nil {
-					fail(fmt.Errorf("%s: %w", f.Name, err))
-				}
-			}
-		}()
-	}
 	for _, f := range out.Funcs {
-		if failed() {
-			break
+		if err := optimizeFunc(ctx, f, level, opts); err != nil {
+			return nil, fmt.Errorf("%s: %w", f.Name, err)
 		}
-		work <- f
-	}
-	close(work)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
 	}
 	return out, nil
 }

@@ -2,9 +2,9 @@ package progen
 
 // Corpus renders n deterministic programs as canonical ILOC text by
 // sweeping the ForSeed configuration space from the given seed — the
-// workload exporter behind `epre loadgen`, which replays a corpus
-// against the optimization service.  Same (seed, n) → same corpus,
-// byte for byte, across processes and platforms.
+// workload the service tests and benchmarks replay against the
+// optimization service.  Same (seed, n) → same corpus, byte for byte,
+// across processes and platforms.
 func Corpus(seed uint64, n int) []string {
 	if n <= 0 {
 		return nil

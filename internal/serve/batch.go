@@ -94,8 +94,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		results[i].Index = i
 		spec, err := s.prepare(&req.Items[i])
 		if err != nil {
-			results[i].Error = err.Error()
-			results[i].Status = http.StatusBadRequest
+			s.failItem(&results[i], http.StatusBadRequest, err)
 			continue
 		}
 		specs[i] = spec
@@ -162,16 +161,15 @@ func (s *Server) serveBatchItem(ctx context.Context, spec *reqSpec, out *BatchIt
 			return
 		}
 	}
+	s.failItem(out, statusFor(err), err)
+}
+
+// failItem counts a failed batch item and records its error and the
+// status it would have received as a single request.
+func (s *Server) failItem(out *BatchItemResult, status int, err error) {
+	s.countFailure(status)
 	out.Error = err.Error()
-	out.Status = statusFor(err)
-	switch out.Status {
-	case http.StatusServiceUnavailable:
-		s.metrics.rejected.Add(1)
-	case http.StatusGatewayTimeout:
-		s.metrics.timeouts.Add(1)
-	default:
-		s.metrics.errors.Add(1)
-	}
+	out.Status = status
 }
 
 // forwardSubBatch sends the given items to their ring owner as one

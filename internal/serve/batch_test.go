@@ -139,12 +139,15 @@ func TestBatchColdDedup(t *testing.T) {
 }
 
 // TestBatchItemIsolation: one broken item fails alone with its own
-// status; its siblings still succeed; the batch itself is a 200.
+// status; its siblings still succeed; the batch itself is a 200.  Each
+// item rejected at validation counts once in `errors`, as the same
+// request sent alone would.
 func TestBatchItemIsolation(t *testing.T) {
 	s := newServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
+	errorsBefore := s.Metrics().Get("errors")
 	code, out, raw := postBatch(t, ts, BatchRequest{Items: []OptimizeRequest{
 		{Source: batchSrc(0), Level: "dist"},
 		{Source: "func broken("},              // parse error
@@ -161,6 +164,9 @@ func TestBatchItemIsolation(t *testing.T) {
 		if out.Items[i].Error == "" || out.Items[i].Status != http.StatusBadRequest {
 			t.Errorf("bad item %d: error=%q status=%d, want a 400", i, out.Items[i].Error, out.Items[i].Status)
 		}
+	}
+	if d := s.Metrics().Get("errors") - errorsBefore; d != 2 {
+		t.Errorf("errors rose by %d, want 2 (one per bad item)", d)
 	}
 }
 

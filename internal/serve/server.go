@@ -20,6 +20,8 @@
 //   - pool (pool.go): a bounded worker pool with a bounded admission
 //     queue; single requests beyond capacity are shed with 503, batch
 //     items block for a slot instead (the batch was already admitted).
+//     Every optimization runs serially on one pool worker, under the
+//     pool's panic recovery; parallelism is across requests only.
 //
 // Everything runs under per-request context deadlines plumbed through
 // the optimizer, the checker and the interpreter; counters for every
@@ -56,11 +58,6 @@ type Config struct {
 	Timeout time.Duration
 	// DrainTimeout bounds graceful shutdown (default 10s).
 	DrainTimeout time.Duration
-	// OptWorkers is the function-level parallelism within a single
-	// optimization (core.OptimizeOptions.Workers; default 1, serial —
-	// with many concurrent requests, request-level parallelism already
-	// saturates the pool).
-	OptWorkers int
 	// MaxBatch bounds the item count of one /optimize/batch request
 	// (default 256).
 	MaxBatch int
@@ -104,9 +101,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 10 * time.Second
-	}
-	if c.OptWorkers <= 0 {
-		c.OptWorkers = 1
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 256
@@ -440,11 +434,10 @@ func (s *Server) optimize(ctx context.Context, spec *reqSpec) (*cachedResult, er
 		return &cachedResult{iloc: out.String(), staticOps: out.InstrCount(), diags: msgs, prog: out}, nil
 	}
 	out, err := core.OptimizeWith(spec.prog, spec.level, core.OptimizeOptions{
-		Ctx:     ctx,
-		Workers: s.cfg.OptWorkers,
-		OnPass:  s.metrics.ObservePass,
-		GVN:     spec.gvn,
-		PRE:     spec.pre,
+		Ctx:    ctx,
+		OnPass: s.metrics.ObservePass,
+		GVN:    spec.gvn,
+		PRE:    spec.pre,
 	})
 	if err != nil {
 		return nil, err

@@ -174,26 +174,34 @@ func relay(w http.ResponseWriter, status int, hdr http.Header, body []byte, owne
 	w.Write(body)
 }
 
-// failStatus maps a serving error onto its transport status and
-// counters: load shedding → 503, deadline → 504, a panicking job → 500,
-// anything else → 422 (the request was well-formed but the
-// optimization failed).
+// failStatus answers a serving error with its transport status (see
+// statusFor); a shed request also gets a Retry-After hint.
 func (s *Server) failStatus(w http.ResponseWriter, err error) {
-	switch status := statusFor(err); status {
+	status := statusFor(err)
+	if status == http.StatusServiceUnavailable {
+		w.Header().Set("Retry-After", "1")
+	}
+	s.fail(w, status, err)
+}
+
+// countFailure bumps the counter for one failed request or batch item:
+// load shedding → rejected, deadline → timeouts, anything else →
+// errors.  Both endpoints count through it.
+func (s *Server) countFailure(status int) {
+	switch status {
 	case http.StatusServiceUnavailable:
 		s.metrics.rejected.Add(1)
-		w.Header().Set("Retry-After", "1")
-		s.failQuiet(w, status, err)
 	case http.StatusGatewayTimeout:
 		s.metrics.timeouts.Add(1)
-		s.failQuiet(w, status, err)
 	default:
-		s.fail(w, status, err)
+		s.metrics.errors.Add(1)
 	}
 }
 
 // statusFor classifies a serving error (shared with the batch
-// endpoint's per-item statuses).
+// endpoint's per-item statuses): load shedding → 503, deadline → 504,
+// a panicking job → 500, anything else → 422 (the request was
+// well-formed but the optimization failed).
 func statusFor(err error) int {
 	switch {
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrPoolClosed):
@@ -320,14 +328,9 @@ func parseArgs(specs []string) ([]interp.Value, error) {
 	return vals, nil
 }
 
+// fail counts a failed request and writes its error response.
 func (s *Server) fail(w http.ResponseWriter, status int, err error) {
-	s.metrics.errors.Add(1)
-	s.failQuiet(w, status, err)
-}
-
-// failQuiet writes an error response without bumping the error counter
-// (load shedding and timeouts have their own counters).
-func (s *Server) failQuiet(w http.ResponseWriter, status int, err error) {
+	s.countFailure(status)
 	writeJSON(w, status, errorResponse{Error: err.Error()})
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/core"
@@ -175,32 +174,11 @@ func gvnCompareRow(ctx context.Context, r Routine) (GVNCompareRow, error) {
 // extra congruences first — with ties broken by name, so the table is
 // canonical for any worker count.
 func GVNCompare(ctx context.Context, workers int) ([]GVNCompareRow, error) {
-	routines := All()
-	rows := make([]GVNCompareRow, len(routines))
-	errs := make([]error, len(routines))
-
-	if workers <= 1 {
-		for i, r := range routines {
-			rows[i], errs[i] = gvnCompareRow(ctx, r)
-		}
-	} else {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, workers)
-		for i, r := range routines {
-			wg.Add(1)
-			go func(i int, r Routine) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				rows[i], errs[i] = gvnCompareRow(ctx, r)
-			}(i, r)
-		}
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	rows, err := measureAll(workers, func(r Routine) (GVNCompareRow, error) {
+		return gvnCompareRow(ctx, r)
+	})
+	if err != nil {
+		return nil, err
 	}
 	sort.SliceStable(rows, func(i, j int) bool {
 		if rows[i].Merged != rows[j].Merged {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/core"
@@ -123,32 +122,11 @@ func preStatic(ctx context.Context, r Routine, backend core.PREBackend) (pre.Sta
 // serial).  Rows sort by name, so the table is canonical for any
 // worker count.
 func PreCompare(ctx context.Context, workers int) ([]PreCompareRow, error) {
-	routines := All()
-	rows := make([]PreCompareRow, len(routines))
-	errs := make([]error, len(routines))
-
-	if workers <= 1 {
-		for i, r := range routines {
-			rows[i], errs[i] = preCompareRow(ctx, r)
-		}
-	} else {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, workers)
-		for i, r := range routines {
-			wg.Add(1)
-			go func(i int, r Routine) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				rows[i], errs[i] = preCompareRow(ctx, r)
-			}(i, r)
-		}
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	rows, err := measureAll(workers, func(r Routine) (PreCompareRow, error) {
+		return preCompareRow(ctx, r)
+	})
+	if err != nil {
+		return nil, err
 	}
 	sort.SliceStable(rows, func(i, j int) bool { return rows[i].Name < rows[j].Name })
 	return rows, nil

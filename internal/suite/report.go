@@ -6,7 +6,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/interp"
@@ -149,32 +148,11 @@ func Table1Ctx(ctx context.Context, workers int) ([]Table1Row, error) {
 // observes every pass application of the whole table run (it must be
 // concurrency-safe when workers > 1), and GVN/PRE select the backends.
 func Table1Opts(ctx context.Context, workers int, opts core.OptimizeOptions) ([]Table1Row, error) {
-	routines := All()
-	rows := make([]Table1Row, len(routines))
-	errs := make([]error, len(routines))
-
-	if workers <= 1 {
-		for i, r := range routines {
-			rows[i], errs[i] = table1Row(ctx, r, opts)
-		}
-	} else {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, workers)
-		for i, r := range routines {
-			wg.Add(1)
-			go func(i int, r Routine) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				rows[i], errs[i] = table1Row(ctx, r, opts)
-			}(i, r)
-		}
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	rows, err := measureAll(workers, func(r Routine) (Table1Row, error) {
+		return table1Row(ctx, r, opts)
+	})
+	if err != nil {
+		return nil, err
 	}
 	// The paper presents Table 1 sorted by the "new" column, largest
 	// combined contribution first; ties break by name so the order is

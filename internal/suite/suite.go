@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -118,6 +119,41 @@ func All() []Routine {
 	out := append([]Routine(nil), registry...)
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
+}
+
+// measureAll computes one row per suite routine, fanning the routines
+// out across up to workers goroutines (workers <= 1 is serial).  Rows
+// land in a slice indexed by routine, so they are identical for any
+// worker count; the error is the first failing routine's, in suite
+// order.  Callers sort the rows themselves.
+func measureAll[R any](workers int, row func(Routine) (R, error)) ([]R, error) {
+	routines := All()
+	rows := make([]R, len(routines))
+	errs := make([]error, len(routines))
+	if workers <= 1 {
+		for i, r := range routines {
+			rows[i], errs[i] = row(r)
+		}
+	} else {
+		var wg sync.WaitGroup
+		sem := make(chan struct{}, workers)
+		for i, r := range routines {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sem <- struct{}{}
+				defer func() { <-sem }()
+				rows[i], errs[i] = row(r)
+			}()
+		}
+		wg.Wait()
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return rows, nil
 }
 
 // ByName returns the named routine.
