@@ -1,11 +1,15 @@
 package epre
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/interp"
+	"repro/internal/ir"
 	"repro/internal/minift"
 	"repro/internal/reassoc"
 	"repro/internal/regalloc"
@@ -26,6 +30,8 @@ import (
 //	BenchmarkPeepholeOrdering  — §5.2: mul→shift before vs after
 //	                             reassociation
 //	BenchmarkAblation*         — design-choice ablations from DESIGN.md
+//	BenchmarkBaselineTail      — per-pass time and bytes of the §4.1
+//	                             baseline tail
 //
 // Wall-clock numbers measure the optimizer itself; the paper's actual
 // metric is the reported dynops/expansion value.
@@ -389,6 +395,53 @@ func BenchmarkOptimizerSpeed(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkBaselineTail measures the baseline tail's passes (§4.1) one
+// at a time: every suite routine's functions are carried through the
+// distribution pipeline, and each of sccp, peephole, dce and coalesce
+// runs, with its own fresh analysis cache, on the functions exactly as
+// the pipeline hands them to it.  One op is one sweep of the suite;
+// B/op is the bytes a pass allocates per sweep.
+func BenchmarkBaselineTail(b *testing.B) {
+	var funcs []*ir.Func
+	for _, r := range suite.All() {
+		prog, err := r.Compile()
+		if err != nil {
+			b.Fatal(err)
+		}
+		funcs = append(funcs, prog.Funcs...)
+	}
+	ctx := context.Background()
+	measured := []string{"sccp", "peephole", "dce", "coalesce"}
+	for _, name := range core.PassNames(core.LevelDist) {
+		p, err := core.PassByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i := slices.Index(measured, name); i >= 0 {
+			measured[i] = "" // the tail's second dce is not measured again
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				work := make([]*ir.Func, len(funcs))
+				caches := make([]*analysis.Cache, len(funcs))
+				for range b.N {
+					b.StopTimer()
+					for j, f := range funcs {
+						work[j] = f.Clone()
+						caches[j] = analysis.NewCache(work[j])
+					}
+					b.StartTimer()
+					for j, f := range work {
+						p.Run(&core.PassContext{Ctx: ctx, Func: f, Analyses: caches[j]})
+					}
+				}
+			})
+		}
+		for _, f := range funcs {
+			p.Run(&core.PassContext{Ctx: ctx, Func: f, Analyses: analysis.NewCache(f)})
+		}
 	}
 }
 

@@ -6,6 +6,9 @@
 package coalesce
 
 import (
+	"math/bits"
+	"slices"
+
 	"repro/internal/analysis"
 	"repro/internal/dataflow"
 	"repro/internal/ir"
@@ -39,44 +42,93 @@ func RunWith(f *ir.Func, ac *analysis.Cache) Stats {
 		}
 	}
 	g := &interference{pairs: make(map[uint64]struct{})}
+	var c candidates
 	for {
 		st.Rounds++
-		merged := coalesceRound(f, ac, g, &st)
+		merged := coalesceRound(f, ac, &c, g, &st)
 		if !merged {
 			return st
 		}
 	}
 }
 
-// interference is a sparse symmetric adjacency over registers: a hash
-// set of packed register pairs answers membership, and an index-linked
-// edge list drives neighbor iteration.  Edges live in two flat arrays
-// (to, next) threaded through per-register head indices, so adding an
-// edge never allocates beyond the amortized growth of those arrays —
-// per-register append slices would pay a grow-allocation per register
-// instead.  All storage survives round over round (reset, not
-// reallocated).
+// candidates is the set of copy-related registers — every Dst and
+// source of a copy — numbered densely in register order.  Only they can
+// ever merge, so interference, liveness tracking and the union-find
+// range over candidate indices alone.  Membership is one bit per
+// register and index(r) is a rank query: the members counted in earlier
+// words (rank) plus those below r in its own word.  The whole map costs
+// under two bits per register, so the pass's own state does not grow with
+// register numbers no copy names.  All storage survives round over
+// round.
+type candidates struct {
+	words []uint64
+	rank  []int32  // members in the words before each word, plus one
+	regs  []ir.Reg // index → register; regs[0] stands for "none"
+}
+
+// reset collects f's copy-related registers.
+func (c *candidates) reset(f *ir.Func) {
+	n := (f.NumRegs() + 63) / 64
+	c.words = slices.Grow(c.words[:0], n)[:n]
+	c.rank = slices.Grow(c.rank[:0], n)[:n]
+	clear(c.words)
+	for _, b := range f.Blocks {
+		for _, inID := range b.Instrs {
+			if in := b.Fn.Instr(inID); in.Op == ir.OpCopy {
+				c.words[in.Dst>>6] |= 1 << (in.Dst & 63)
+				c.words[in.Args[0]>>6] |= 1 << (in.Args[0] & 63)
+			}
+		}
+	}
+	c.regs = append(c.regs[:0], ir.NoReg)
+	for i, w := range c.words {
+		c.rank[i] = int32(len(c.regs))
+		for ; w != 0; w &= w - 1 {
+			c.regs = append(c.regs, ir.Reg(i*64+bits.TrailingZeros64(w)))
+		}
+	}
+}
+
+// index returns r's candidate index in 1..len(regs)-1, or 0 when r is
+// not a candidate.
+func (c *candidates) index(r ir.Reg) int {
+	w, bit := c.words[r>>6], uint64(1)<<(r&63)
+	if w&bit == 0 {
+		return 0
+	}
+	return int(c.rank[r>>6]) + bits.OnesCount64(w&(bit-1))
+}
+
+// interference is a sparse symmetric adjacency over candidate
+// indices: a hash set of packed index pairs answers membership, and an
+// index-linked edge list drives neighbor iteration.  Edges live in two
+// flat arrays (to, next) threaded through per-candidate head indices,
+// so adding an edge never allocates beyond the amortized growth of
+// those arrays — per-candidate append slices would pay a
+// grow-allocation per candidate instead.  All storage survives round
+// over round (reset, not reallocated).
 type interference struct {
 	pairs map[uint64]struct{}
-	head  []int32 // first edge index per register, -1 when none
-	to    []ir.Reg
+	head  []int32 // first edge index per candidate, -1 when none
+	to    []int32
 	next  []int32
 }
 
-func pairKey(a, b ir.Reg) uint64 {
+func pairKey(a, b int) uint64 {
 	if a > b {
 		a, b = b, a
 	}
 	return uint64(a)<<32 | uint64(b)
 }
 
-// reset empties the graph and re-dimensions it for nr registers.
-func (g *interference) reset(nr int) {
+// reset empties the graph and re-dimensions it for n candidates.
+func (g *interference) reset(n int) {
 	clear(g.pairs)
-	if cap(g.head) < nr {
-		g.head = make([]int32, nr)
+	if cap(g.head) < n {
+		g.head = make([]int32, n)
 	} else {
-		g.head = g.head[:nr]
+		g.head = g.head[:n]
 	}
 	for i := range g.head {
 		g.head[i] = -1
@@ -85,7 +137,7 @@ func (g *interference) reset(nr int) {
 	g.next = g.next[:0]
 }
 
-func (g *interference) add(a, b ir.Reg) {
+func (g *interference) add(a, b int) {
 	if a == b {
 		return
 	}
@@ -94,15 +146,15 @@ func (g *interference) add(a, b ir.Reg) {
 		return
 	}
 	g.pairs[k] = struct{}{}
-	g.to = append(g.to, b)
+	g.to = append(g.to, int32(b))
 	g.next = append(g.next, g.head[a])
 	g.head[a] = int32(len(g.to) - 1)
-	g.to = append(g.to, a)
+	g.to = append(g.to, int32(a))
 	g.next = append(g.next, g.head[b])
 	g.head[b] = int32(len(g.to) - 1)
 }
 
-func (g *interference) has(a, b ir.Reg) bool {
+func (g *interference) has(a, b int) bool {
 	_, ok := g.pairs[pairKey(a, b)]
 	return ok
 }
@@ -110,24 +162,33 @@ func (g *interference) has(a, b ir.Reg) bool {
 // union merges b's adjacency into a's (conservative after coalescing).
 // New edges are appended past the end of b's chain, so the traversal
 // never revisits them.
-func (g *interference) union(a, b ir.Reg) {
+func (g *interference) union(a, b int) {
 	for e := g.head[b]; e >= 0; e = g.next[e] {
-		if n := g.to[e]; n != a {
+		if n := int(g.to[e]); n != a {
 			g.add(a, n)
 		}
 	}
 }
 
-func coalesceRound(f *ir.Func, ac *analysis.Cache, g *interference, st *Stats) bool {
+func coalesceRound(f *ir.Func, ac *analysis.Cache, c *candidates, g *interference, st *Stats) bool {
 	lv := ac.Liveness()
-	g.reset(f.NumRegs())
+	c.reset(f)
+	n := len(c.regs)
+	g.reset(n)
 
 	// Build interference: at each definition of r, r interferes with
 	// everything live after the instruction; for a copy d ← s, d does
-	// not interfere with s on account of this def.
-	live := dataflow.NewBitSet(f.NumRegs())
+	// not interfere with s on account of this def.  live holds the
+	// live candidates only.
+	live := dataflow.NewBitSet(n)
 	for _, b := range f.Blocks {
-		live.CopyFrom(lv.LiveOut[b.ID])
+		liveOut := lv.LiveOut[b.ID]
+		live.ClearAll()
+		for k := 1; k < n; k++ {
+			if liveOut.Has(int(c.regs[k])) {
+				live.Set(k)
+			}
+		}
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
 			in := b.Instr(i)
 			defs := in.Args
@@ -137,39 +198,52 @@ func coalesceRound(f *ir.Func, ac *analysis.Cache, g *interference, st *Stats) b
 					defs = []ir.Reg{in.Dst}
 				}
 			}
-			for _, d := range defs {
-				skip := ir.NoReg
-				if in.Op == ir.OpCopy {
-					skip = in.Args[0]
-				}
-				live.ForEach(func(l int) {
-					if ir.Reg(l) != skip {
-						g.add(d, ir.Reg(l))
-					}
-				})
+			skip := 0
+			if in.Op == ir.OpCopy {
+				skip = c.index(in.Args[0])
 			}
 			for _, d := range defs {
-				live.Clear(int(d))
+				if dc := c.index(d); dc != 0 {
+					live.ForEach(func(l int) {
+						if l != skip {
+							g.add(dc, l)
+						}
+					})
+				}
+			}
+			for _, d := range defs {
+				if dc := c.index(d); dc != 0 {
+					live.Clear(dc)
+				}
 			}
 			if in.Op != ir.OpEnter {
 				for _, a := range in.Args {
-					live.Set(int(a))
+					if k := c.index(a); k != 0 {
+						live.Set(k)
+					}
 				}
 			}
 		}
 	}
 
-	// Union-find over registers so multiple merges compose in one round.
-	parent := make([]ir.Reg, f.NumRegs())
+	// Union-find over candidates so multiple merges compose in one
+	// round; rename maps any register to its merged name.
+	parent := make([]int, n)
 	for i := range parent {
-		parent[i] = ir.Reg(i)
+		parent[i] = i
 	}
-	var find func(r ir.Reg) ir.Reg
-	find = func(r ir.Reg) ir.Reg {
-		if parent[r] != r {
-			parent[r] = find(parent[r])
+	var find func(k int) int
+	find = func(k int) int {
+		if parent[k] != k {
+			parent[k] = find(parent[k])
 		}
-		return parent[r]
+		return parent[k]
+	}
+	rename := func(r ir.Reg) ir.Reg {
+		if k := c.index(r); k != 0 {
+			return c.regs[find(k)]
+		}
+		return r
 	}
 
 	merged := false
@@ -179,7 +253,7 @@ func coalesceRound(f *ir.Func, ac *analysis.Cache, g *interference, st *Stats) b
 			if in.Op != ir.OpCopy {
 				continue
 			}
-			d, s := find(in.Dst), find(in.Args[0])
+			d, s := find(c.index(in.Dst)), find(c.index(in.Args[0]))
 			if d == s {
 				continue // already merged; copy removed below
 			}
@@ -220,10 +294,10 @@ func coalesceRound(f *ir.Func, ac *analysis.Cache, g *interference, st *Stats) b
 		for _, inID := range b.Instrs {
 			in := b.Fn.Instr(inID)
 			for i, a := range in.Args {
-				in.Args[i] = find(a)
+				in.Args[i] = rename(a)
 			}
 			if in.Dst != ir.NoReg {
-				in.Dst = find(in.Dst)
+				in.Dst = rename(in.Dst)
 			}
 			if in.Op == ir.OpCopy && in.Dst == in.Args[0] {
 				st.Coalesced++
@@ -234,7 +308,7 @@ func coalesceRound(f *ir.Func, ac *analysis.Cache, g *interference, st *Stats) b
 		b.Instrs = kept
 	}
 	for i, p := range f.Params {
-		f.Params[i] = find(p)
+		f.Params[i] = rename(p)
 	}
 	// The register rewrites above bypass the Block helpers.
 	f.MarkCodeMutated()

@@ -1,0 +1,100 @@
+package core_test
+
+import (
+	"context"
+	"fmt"
+	"runtime"
+	"strings"
+	"testing"
+
+	"repro/internal/analysis"
+	"repro/internal/core"
+	"repro/internal/dataflow"
+	"repro/internal/ir"
+)
+
+// diamondChain renders a function of n if/else diamonds in sequence,
+// 3n+4 blocks in all.  Each diamond header recomputes a foldable
+// constant chain (2+3, then ×2) and branches on a non-constant compare;
+// both arms update an accumulator through copies, and the exit branch
+// tests a constant compare.
+func diamondChain(n int) string {
+	var sb strings.Builder
+	sb.WriteString("func f(r1) {\nb0:\n    enter(r1)\n    loadI 2 => r2\n    loadI 3 => r3\n    copy r1 => r4\n    jump -> b1\n")
+	for i := range n {
+		h, r := 3*i+1, 10+10*i
+		fmt.Fprintf(&sb, "b%d:\n    add r2, r3 => r%d\n    mul r%d, r2 => r%d\n    add r%d, r1 => r%d\n    cmpLT r4, r%d => r%d\n    cbr r%d -> b%d, b%d\n",
+			h, r, r, r+1, r+1, r+2, r+2, r+3, r+3, h+1, h+2)
+		fmt.Fprintf(&sb, "b%d:\n    copy r4 => r%d\n    add r%d, r%d => r4\n    jump -> b%d\n",
+			h+1, r+4, r+4, r+1, h+3)
+		fmt.Fprintf(&sb, "b%d:\n    copy r%d => r%d\n    sub r4, r%d => r%d\n    copy r%d => r4\n    jump -> b%d\n",
+			h+2, r+1, r+5, r+5, r+6, r+6, h+3)
+	}
+	e := 3*n + 1
+	fmt.Fprintf(&sb, "b%d:\n    cmpGT r3, r2 => r5\n    cbr r5 -> b%d, b%d\nb%d:\n    ret r4\nb%d:\n    ret r1\n}\n",
+		e, e+1, e+2, e+1, e+2)
+	return sb.String()
+}
+
+// allocated reports the bytes fn allocates on the heap.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestTailPassStateIgnoresUnusedRegisters pads a 25-block function with
+// 20000 register numbers no instruction mentions — the sparse numbering
+// SSA round trips leave behind — and runs SCCP and coalescing on it.
+// The output must be byte-identical to the unpadded run, and the bytes
+// the pass allocates must stay within a bound that state sized by
+// f.NumRegs() exceeds.  The liveness coalescing consumes is an analysis
+// sized by f.NumRegs() for every client, so its builds are subtracted.
+// SCCP's bound leaves room for its one borrowed int per register (the
+// dense index; in a pipeline the analysis arena recycles it), against
+// the blocks × registers lattice cells it would otherwise need.
+func TestTailPassStateIgnoresUnusedRegisters(t *testing.T) {
+	const pad = 20000
+	src := diamondChain(7)
+	for _, tc := range []struct {
+		pass  string
+		bound uint64
+	}{
+		{"sccp", 1 << 20},
+		{"coalesce", 64 << 10},
+	} {
+		t.Run(tc.pass, func(t *testing.T) {
+			p, err := core.PassByName(tc.pass)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func(f *ir.Func) (mutated bool) {
+				return p.Run(&core.PassContext{Ctx: context.Background(), Func: f, Analyses: analysis.NewCache(f)})
+			}
+			plain := ir.MustParseFunc(src)
+			if !run(plain) {
+				t.Fatalf("%s changed nothing on the test function", tc.pass)
+			}
+
+			padded := ir.MustParseFunc(src)
+			for range pad {
+				padded.NewReg()
+			}
+			livenessBytes := allocated(func() { dataflow.ComputeLiveness(padded) })
+			builds := analysis.GlobalBuilds()
+			total := allocated(func() { run(padded) })
+			liveness := analysis.GlobalBuilds().Sub(builds).Liveness * livenessBytes
+
+			if got, want := padded.String(), plain.String(); got != want {
+				t.Fatalf("padding changed the output:\n%s\nwant:\n%s", got, want)
+			}
+			t.Logf("%s: %d bytes allocated, %d of them in %d liveness builds", tc.pass, total, liveness, liveness/livenessBytes)
+			if own := total - liveness; own > tc.bound {
+				t.Errorf("%s allocated %d bytes beyond liveness (%d total) on %d blocks × %d registers, bound %d",
+					tc.pass, own, total, len(padded.Blocks), padded.NumRegs(), tc.bound)
+			}
+		})
+	}
+}

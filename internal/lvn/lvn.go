@@ -211,9 +211,14 @@ func runBlock(f *ir.Func, b *ir.Block, st *Stats) {
 
 // tryFold evaluates in when all operand value numbers are constants.
 func (s *state) tryFold(f *ir.Func, in *ir.Instr) (*ir.Instr, bool) {
-	ints := make([]int64, len(in.Args))
-	floats := make([]float64, len(in.Args))
-	isF := make([]bool, len(in.Args))
+	n := len(in.Args)
+	if n > 2 {
+		return nil, false // pure ops take at most two operands
+	}
+	// Fixed-size scratch keeps the per-instruction probe allocation-free.
+	var ints [2]int64
+	var floats [2]float64
+	var isF [2]bool
 	for i, a := range in.Args {
 		c, ok := s.constOf(s.valueOf(a))
 		if !ok {
@@ -221,7 +226,7 @@ func (s *state) tryFold(f *ir.Func, in *ir.Instr) (*ir.Instr, bool) {
 		}
 		ints[i], floats[i], isF[i] = c.i, c.f, c.isFloat
 	}
-	iv, fv, isFloat, ok := sccp.Fold(in.Op, ints, floats, isF)
+	iv, fv, isFloat, ok := sccp.Fold(in.Op, ints[:n], floats[:n], isF[:n])
 	if !ok {
 		return nil, false
 	}

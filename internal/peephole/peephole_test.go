@@ -210,3 +210,43 @@ b1:
 		t.Errorf("got %d, want 7", got.I)
 	}
 }
+
+// runAllocs is testing.AllocsPerRun of peephole.Run on the one-block
+// function src, restoring the block before every run so each run
+// rewrites the same code.
+func runAllocs(src string) float64 {
+	f := ir.MustParseFunc(src)
+	b := f.Blocks[0]
+	ids := append([]ir.InstrID(nil), b.Instrs...)
+	saved := make([]ir.Instr, len(ids))
+	for i, id := range ids {
+		saved[i] = *f.Instr(id)
+	}
+	return testing.AllocsPerRun(100, func() {
+		b.Instrs = append(b.Instrs[:0], ids...)
+		for i, id := range ids {
+			*f.Instr(id) = saved[i]
+		}
+		peephole.Run(f, peephole.Options{})
+	})
+}
+
+// TestFoldingAllocatesNothing: constant folding adds no allocation to
+// a peephole run.  The same block runs with constant operands (three
+// folds) and with unknown ones (no fold); the only allocation either
+// makes is the block's rebuilt instruction list.
+func TestFoldingAllocatesNothing(t *testing.T) {
+	const body = `
+    mul r2, r3 => r4
+    add r4, r2 => r5
+    sub r5, r3 => r6
+    add r6, r1 => r7
+    ret r7
+}
+`
+	folding := runAllocs("func f(r1) {\nb0:\n    enter(r1)\n    loadI 6 => r2\n    loadI 7 => r3" + body)
+	plain := runAllocs("func f(r1) {\nb0:\n    enter(r1)\n    copy r1 => r2\n    copy r1 => r3" + body)
+	if folding != plain || plain > 1 {
+		t.Errorf("peephole.Run allocates %v times per run on a folding block, %v without folds; want both ≤ 1 and equal", folding, plain)
+	}
+}

@@ -2,17 +2,22 @@
 // branches, the first pass of the paper's baseline optimization
 // sequence (§4.1, citing Wegman and Zadeck).
 //
-// The implementation is a conditional constant propagation over the
-// CFG: a lattice value (⊤ unvisited / constant / ⊥) is tracked for
-// every register at every block entry, blocks are processed from a
-// worklist, and branch edges are marked executable only when the
-// branch condition does not rule them out.  Instructions whose results
-// are constant are rewritten to loadI/loadF; conditional branches with
-// constant conditions become jumps and unreachable code is removed.
+// The implementation is a dense conditional constant propagation over
+// the CFG, not Wegman and Zadeck's sparse SSA algorithm: a lattice value
+// (⊤ unvisited / constant / ⊥) is tracked at every block entry for each
+// register some instruction names — registers are renumbered densely
+// first, so the state does not grow with unused register numbers —
+// blocks are processed from a LIFO worklist, and branch edges are
+// marked executable only when the branch condition does not rule them
+// out.  A φ meets all of its operands, ignoring which edge each comes
+// from.  Instructions whose results are constant are rewritten to
+// loadI/loadF; conditional branches with constant conditions become
+// jumps and unreachable code is removed.
 package sccp
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/analysis"
 	"repro/internal/ir"
@@ -88,7 +93,35 @@ func RunWith(f *ir.Func, ac *analysis.Cache) Stats {
 	var st Stats
 	st.BlocksRemoved = ac.RemoveUnreachable()
 	nb := len(f.Blocks)
-	nr := f.NumRegs()
+
+	// Dense local numbering: every register an instruction names gets a
+	// slot in 1..nr-1 (slot 0 stands for NoReg and is never read), and
+	// every CFG edge b→s a slot in b's run of edgeBase.  A register no
+	// instruction mentions is never read or written, so states hold
+	// cells only for the registers the function touches.
+	local := ac.BorrowInts(f.NumRegs())
+	defer ac.ReturnInts(local)
+	nr := 1
+	edgeBase := make([]int, nb+1)
+	for _, b := range f.Blocks {
+		edgeBase[b.ID+1] = len(b.Succs)
+		for _, instrID := range b.Instrs {
+			instr := b.Fn.Instr(instrID)
+			if instr.Dst != ir.NoReg && local[instr.Dst] == 0 {
+				local[instr.Dst] = nr
+				nr++
+			}
+			for _, a := range instr.Args {
+				if local[a] == 0 {
+					local[a] = nr
+					nr++
+				}
+			}
+		}
+	}
+	for i := range nb {
+		edgeBase[i+1] += edgeBase[i]
+	}
 
 	// One backing array holds every block's entry state; out is a
 	// single reused evaluation buffer (its contents are dead once the
@@ -99,7 +132,7 @@ func RunWith(f *ir.Func, ac *analysis.Cache) Stats {
 		in[i] = backing[i*nr : (i+1)*nr : (i+1)*nr]
 	}
 	out := make(state, nr)
-	edgeExec := map[[2]int]bool{}
+	edgeExec := make([]bool, edgeBase[nb])
 	blockSeen := make([]bool, nb)
 
 	work := []*ir.Block{f.Entry()}
@@ -111,13 +144,15 @@ func RunWith(f *ir.Func, ac *analysis.Cache) Stats {
 		var condVal value
 		for _, instrID := range b.Instrs {
 			instr := b.Fn.Instr(instrID)
-			condVal = evalInstr(instr, out)
+			condVal = evalInstr(instr, out, local)
 		}
 		t := b.Terminator()
 		push := func(s *ir.Block) {
-			key := [2]int{b.ID, s.ID}
-			changedEdge := !edgeExec[key]
-			edgeExec[key] = true
+			// A repeated successor shares its first occurrence's slot,
+			// so the edge b→s is one flag however often s is listed.
+			e := edgeBase[b.ID] + slices.Index(b.Succs, s)
+			changedEdge := !edgeExec[e]
+			edgeExec[e] = true
 			if in[s.ID].meetInto(out) || changedEdge || !blockSeen[s.ID] {
 				blockSeen[s.ID] = true
 				work = append(work, s)
@@ -145,7 +180,7 @@ func RunWith(f *ir.Func, ac *analysis.Cache) Stats {
 		copy(out, in[b.ID])
 		for i, instrID := range b.Instrs {
 			instr := b.Fn.Instr(instrID)
-			evalInstr(instr, out)
+			evalInstr(instr, out, local)
 			// Copies are never rewritten: re-materializing a constant
 			// at each copy would undo PRE's hoisting of loadI out of
 			// loops (the copy is the coalescer's business).  Constant
@@ -154,7 +189,7 @@ func RunWith(f *ir.Func, ac *analysis.Cache) Stats {
 				instr.Op == ir.OpPhi || instr.Op == ir.OpCopy {
 				continue
 			}
-			v := out[instr.Dst]
+			v := out[local[instr.Dst]]
 			if !v.isConst() {
 				continue
 			}
@@ -166,7 +201,7 @@ func RunWith(f *ir.Func, ac *analysis.Cache) Stats {
 			st.Folded++
 		}
 		if t := b.Terminator(); t != nil && t.Op == ir.OpCBr {
-			v := out[t.Args[0]]
+			v := out[local[t.Args[0]]]
 			if v.kind == consti {
 				keep := b.Succs[0]
 				drop := b.Succs[1]
@@ -199,18 +234,19 @@ func RunWith(f *ir.Func, ac *analysis.Cache) Stats {
 // evalInstr updates the state with the effect of one instruction and
 // returns the value of the register tested by a trailing cbr (i.e. the
 // last defined value; callers only use it for the branch condition).
-func evalInstr(in *ir.Instr, s state) value {
+// local maps each register to its slot in s.
+func evalInstr(in *ir.Instr, s state, local []int) value {
 	bot := value{kind: bottom}
 	set := func(v value) value {
 		if in.Dst != ir.NoReg {
-			s[in.Dst] = v
+			s[local[in.Dst]] = v
 		}
 		return v
 	}
 	switch in.Op {
 	case ir.OpEnter:
 		for _, a := range in.Args {
-			s[a] = bot
+			s[local[a]] = bot
 		}
 		return bot
 	case ir.OpLoadI:
@@ -218,19 +254,19 @@ func evalInstr(in *ir.Instr, s state) value {
 	case ir.OpLoadF:
 		return set(value{kind: constf, f: in.FImm})
 	case ir.OpCopy:
-		return set(s[in.Args[0]])
+		return set(s[local[in.Args[0]]])
 	case ir.OpPhi:
 		// φ inputs are per-edge; a flow-insensitive approximation
 		// meets all of them (correct, though weaker than SSA SCCP).
 		v := value{kind: top}
 		for _, a := range in.Args {
-			v = meet(v, s[a])
+			v = meet(v, s[local[a]])
 		}
 		return set(v)
 	case ir.OpCall, ir.OpLoadW, ir.OpLoadD, ir.OpLoadS:
 		return set(bot)
 	case ir.OpCBr:
-		return s[in.Args[0]]
+		return s[local[in.Args[0]]]
 	case ir.OpJump, ir.OpRet, ir.OpStoreW, ir.OpStoreD, ir.OpStoreS:
 		return bot
 	}
@@ -246,7 +282,7 @@ func evalInstr(in *ir.Instr, s state) value {
 	allConst := true
 	anyBottom := false
 	for i, a := range in.Args {
-		args[i] = s[a]
+		args[i] = s[local[a]]
 		if !args[i].isConst() {
 			allConst = false
 		}
@@ -368,9 +404,16 @@ func foldOp(op ir.Op, a []value) (value, bool) {
 }
 
 // Fold exposes constant evaluation of a single pure instruction whose
-// operands are the given constant lattice values; peephole reuses it.
+// operands are the given constant lattice values; peephole and lvn call
+// it once per instruction.  Pure operators take at most two operands,
+// so the operands live in a fixed-size stack buffer and the call
+// allocates nothing; more operands never fold.
 func Fold(op ir.Op, ints []int64, floats []float64, isFloat []bool) (int64, float64, bool, bool) {
-	args := make([]value, len(ints))
+	var argbuf [2]value
+	if len(ints) > len(argbuf) {
+		return 0, 0, false, false
+	}
+	args := argbuf[:len(ints)]
 	for i := range args {
 		if isFloat[i] {
 			args[i] = value{kind: constf, f: floats[i]}

@@ -233,3 +233,54 @@ b0:
 		t.Errorf("sqrt of constant not folded\n%s", f)
 	}
 }
+
+// TestFoldAllocatesNothing: peephole and lvn call Fold once per
+// instruction, so it must not allocate.
+func TestFoldAllocatesNothing(t *testing.T) {
+	ints := []int64{6, 7}
+	floats := []float64{0, 0}
+	isFloat := []bool{false, false}
+	var got int64
+	allocs := testing.AllocsPerRun(100, func() {
+		got, _, _, _ = sccp.Fold(ir.OpMul, ints, floats, isFloat)
+	})
+	if got != 42 {
+		t.Fatalf("Fold(mul 6, 7) = %d, want 42", got)
+	}
+	if allocs != 0 {
+		t.Errorf("Fold allocated %v times per call, want 0", allocs)
+	}
+}
+
+// TestRepeatedSuccessor: a cbr whose two targets coincide lists one
+// successor twice, and the propagation must treat both entries as the
+// one edge b0→b1.
+func TestRepeatedSuccessor(t *testing.T) {
+	const src = `
+func f(r1) {
+b0:
+    enter(r1)
+    loadI 4 => r2
+    cbr r1 -> b1, b1
+b1:
+    add r2, r2 => r3
+    add r3, r1 => r4
+    ret r4
+}
+`
+	f := ir.MustParseFunc(src)
+	if n := len(f.Entry().Succs); n != 2 {
+		t.Fatalf("entry lists %d successors, want b1 twice", n)
+	}
+	want := run(t, f, 5)
+	st := sccp.Run(f)
+	if err := ir.Verify(f); err != nil {
+		t.Fatal(err)
+	}
+	if got := run(t, f, 5); got.I != want.I || got.I != 13 {
+		t.Fatalf("got %d, want 13", got.I)
+	}
+	if st.Folded != 1 {
+		t.Errorf("Folded = %d, want 1 (4+4)\n%s", st.Folded, f)
+	}
+}
