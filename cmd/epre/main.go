@@ -97,7 +97,9 @@ func usage(w io.Writer) {
   epre lint [-level LEVEL | -passes a,b,...] [-discipline] [-strict-ssa]
             [-no-validate] file.{mf,pl0,iloc}
   epre serve [-addr :8080] [-workers N] [-queue N] [-cache N]
-             [-timeout 30s]   run the concurrent optimization service
+             [-timeout 30s] [-drain 10s] [-max-batch N]
+             [-cache-dir DIR] [-disk-cache-bytes N] [-disk-fsync]
+                     run the concurrent optimization service
   epre table1 [-parallel N] [-gvn awz|precise]
               [-pre drechsler|lcm|lospre] [-passstats]
               [-cpuprofile f] [-memprofile f]

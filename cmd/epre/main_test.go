@@ -45,7 +45,7 @@ func TestHelpGolden(t *testing.T) {
 	for _, want := range []string{
 		"epre compile", "epre opt", "epre run", "epre lint",
 		"epre table1", "epre levels", "-discipline", "-strict-ssa",
-		"epre serve", "-parallel",
+		"epre serve", "-parallel", "-cache-dir", "-max-batch",
 	} {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("help missing %q:\n%s", want, stdout)

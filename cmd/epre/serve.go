@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strings"
 	"time"
 
 	"repro/internal/serve"
@@ -27,29 +26,9 @@ func cmdServe(args []string, stderr io.Writer) error {
 	cacheDir := fs.String("cache-dir", "", "persistent content-addressed result store directory (empty = memory only)")
 	diskBytes := fs.Int64("disk-cache-bytes", 0, "on-disk store byte budget (0 = unlimited)")
 	diskFsync := fs.Bool("disk-fsync", false, "fsync disk-store entries before the atomic rename")
-	peers := fs.String("peers", "", "comma-separated base URLs of every ring peer, including this server")
-	self := fs.String("self", "", "this server's base URL as it appears in -peers")
 	fs.Parse(args)
 	if fs.NArg() != 0 {
 		return fmt.Errorf("serve: unexpected arguments %v", fs.Args())
-	}
-	var peerList []string
-	if *peers != "" {
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				peerList = append(peerList, p)
-			}
-		}
-		if *self == "" {
-			return fmt.Errorf("serve: -peers requires -self (this server's URL as listed in -peers)")
-		}
-		found := false
-		for _, p := range peerList {
-			found = found || p == *self
-		}
-		if !found {
-			return fmt.Errorf("serve: -self %q is not in -peers %q", *self, *peers)
-		}
 	}
 
 	s, err := serve.New(serve.Config{
@@ -62,8 +41,6 @@ func cmdServe(args []string, stderr io.Writer) error {
 		CacheDir:       *cacheDir,
 		DiskCacheBytes: *diskBytes,
 		DiskFsync:      *diskFsync,
-		Peers:          peerList,
-		Self:           *self,
 	})
 	if err != nil {
 		return err

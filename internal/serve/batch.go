@@ -2,9 +2,7 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 )
@@ -47,10 +45,9 @@ type BatchResponse struct {
 }
 
 // handleBatch is the batch endpoint: decode once, fan the items over
-// the cache and worker pool (grouping peer-owned items into sub-batch
-// forwards), reassemble in order.  Item failures are isolated; the
-// batch itself only fails on transport-level problems (bad JSON, too
-// many items).
+// the cache and worker pool, reassemble in order.  Item failures are
+// isolated; the batch itself only fails on transport-level problems
+// (bad or oversized body, too many items).
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -60,14 +57,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.metrics.inFlight.Add(1)
 	defer s.metrics.inFlight.Add(-1)
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return
-	}
 	var req BatchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Items) == 0 {
@@ -89,7 +80,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	results := make([]BatchItemResult, len(req.Items))
-	specs := make([]*reqSpec, len(req.Items))
+	var wg sync.WaitGroup
 	for i := range req.Items {
 		results[i].Index = i
 		spec, err := s.prepare(&req.Items[i])
@@ -97,51 +88,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			s.failItem(&results[i], http.StatusBadRequest, err)
 			continue
 		}
-		specs[i] = spec
-	}
-
-	// Route each prepared item: ring-owned-elsewhere items group into
-	// one sub-batch per owner (unless this batch was itself forwarded —
-	// the loop guard applies to items exactly as it does to single
-	// requests); the rest run here.
-	local := make([]int, 0, len(specs))
-	byOwner := map[string][]int{}
-	forwarded := r.Header.Get(forwardHeader) != ""
-	for i, spec := range specs {
-		if spec == nil {
-			continue
-		}
-		if owner, isLocal := s.ownerOf(spec.key); !isLocal && !forwarded {
-			byOwner[owner] = append(byOwner[owner], i)
-		} else {
-			local = append(local, i)
-		}
-	}
-
-	var wg sync.WaitGroup
-	for owner, idxs := range byOwner {
-		wg.Add(1)
-		go func(owner string, idxs []int) {
-			defer wg.Done()
-			if !s.forwardSubBatch(ctx, owner, &req, idxs, results) {
-				// Owner unreachable: serve the group locally instead.
-				var lwg sync.WaitGroup
-				for _, i := range idxs {
-					lwg.Add(1)
-					go func(i int) {
-						defer lwg.Done()
-						s.serveBatchItem(ctx, specs[i], &results[i])
-					}(i)
-				}
-				lwg.Wait()
-			}
-		}(owner, idxs)
-	}
-	for _, i := range local {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			s.serveBatchItem(ctx, specs[i], &results[i])
+			s.serveBatchItem(ctx, spec, &results[i])
 		}(i)
 	}
 	wg.Wait()
@@ -170,46 +120,6 @@ func (s *Server) failItem(out *BatchItemResult, status int, err error) {
 	s.countFailure(status)
 	out.Error = err.Error()
 	out.Status = status
-}
-
-// forwardSubBatch sends the given items to their ring owner as one
-// batch request and folds the per-item results back into results
-// (remapping the sub-batch's indices onto ours).  It reports whether
-// the forward round-trip succeeded; on failure the caller serves the
-// group locally.
-func (s *Server) forwardSubBatch(ctx context.Context, owner string, req *BatchRequest, idxs []int, results []BatchItemResult) bool {
-	sub := BatchRequest{Items: make([]OptimizeRequest, len(idxs))}
-	for si, i := range idxs {
-		sub.Items[si] = req.Items[i]
-	}
-	body, err := json.Marshal(&sub)
-	if err != nil {
-		s.metrics.peerForwardErrors.Add(1)
-		return false
-	}
-	status, _, respBody, err := s.peers.forward(ctx, owner, "/optimize/batch", body)
-	if err != nil {
-		s.metrics.peerForwardErrors.Add(1)
-		return false
-	}
-	if status != http.StatusOK {
-		// The owner answered but rejected the sub-batch wholesale (e.g.
-		// it is draining).  Treat like unreachability: serve locally.
-		s.metrics.peerForwardErrors.Add(1)
-		return false
-	}
-	var subResp BatchResponse
-	if err := json.Unmarshal(respBody, &subResp); err != nil || len(subResp.Items) != len(idxs) {
-		s.metrics.peerForwardErrors.Add(1)
-		return false
-	}
-	s.metrics.peerForwards.Add(1)
-	for si, i := range idxs {
-		item := subResp.Items[si]
-		item.Index = i
-		results[i] = item
-	}
-	return true
 }
 
 func applyDefaults(item *OptimizeRequest, d *BatchDefaults) {

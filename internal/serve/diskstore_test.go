@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 )
 
 func diskKey(i int) string {
@@ -292,6 +293,12 @@ func TestServerDiskHitPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := d.Put(diskKey(9), &storedResult{ILOC: "x"}); err != nil {
+		t.Fatal(err)
+	}
+	// File timestamps are coarse enough for both writes to share one;
+	// date the dummy a second later so it is the most recent either way.
+	later := time.Now().Add(time.Second)
+	if err := os.Chtimes(filepath.Join(dir, diskKey(9)[:2], diskKey(9)[2:]), later, later); err != nil {
 		t.Fatal(err)
 	}
 

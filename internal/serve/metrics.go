@@ -33,13 +33,11 @@ type Metrics struct {
 	diskCorrupt expvar.Int // on-disk entries rejected (bad checksum/format) and dropped
 	diskWarmed  expvar.Int // entries pre-loaded from disk into the LRU at startup
 
-	peerForwards      expvar.Int // requests forwarded to their ring owner
-	peerForwardErrors expvar.Int // forwards that failed (request then served locally)
-	passNanos         expvar.Map // pass name -> cumulative wall time, ns
-	passCount         expvar.Map // pass name -> applications
-	passChanged       expvar.Map // pass name -> applications that changed the function
-	analysisMap       expvar.Map // analysis kind -> cache rebuilds during passes
-	top               expvar.Map // the /debug/vars document
+	passNanos   expvar.Map // pass name -> cumulative wall time, ns
+	passCount   expvar.Map // pass name -> applications
+	passChanged expvar.Map // pass name -> applications that changed the function
+	analysisMap expvar.Map // analysis kind -> cache rebuilds during passes
+	top         expvar.Map // the /debug/vars document
 }
 
 // NewMetrics builds an unpublished metrics set; queueDepth (may be nil)
@@ -66,8 +64,6 @@ func NewMetrics(queueDepth func() int64) *Metrics {
 	m.top.Set("disk_writes", &m.diskWrites)
 	m.top.Set("disk_corrupt", &m.diskCorrupt)
 	m.top.Set("disk_warmed", &m.diskWarmed)
-	m.top.Set("peer_forwards", &m.peerForwards)
-	m.top.Set("peer_forward_errors", &m.peerForwardErrors)
 	m.top.Set("pass_nanos", &m.passNanos)
 	m.top.Set("pass_count", &m.passCount)
 	m.top.Set("pass_changed", &m.passChanged)

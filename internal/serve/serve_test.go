@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -453,8 +454,52 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// TestDebugVars: /debug/vars serves the counters, the per-pass timing
-// map and the queue-depth gauge as JSON.
+// spaces is an endless reader of blanks, for request bodies too large
+// to spell out.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestBodyLimit: a body one byte over maxBodyBytes answers 413 on both
+// endpoints and counts as an error, and the server still answers a
+// known-good request with the directly optimized ILOC.
+func TestBodyLimit(t *testing.T) {
+	s := newServer(t, Config{})
+	want := directILOC(t, []string{serveSrc})[0]
+	good, err := json.Marshal(OptimizeRequest{Source: serveSrc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(path string, body io.Reader) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, body))
+		return rec
+	}
+	for _, path := range []string{"/optimize", "/optimize/batch"} {
+		errs := s.Metrics().Get("errors")
+		body := io.MultiReader(strings.NewReader("{"), io.LimitReader(spaces{}, maxBodyBytes))
+		if rec := post(path, body); rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: over-limit body: status %d, want 413: %s", path, rec.Code, rec.Body)
+		}
+		if n := s.Metrics().Get("errors"); n != errs+1 {
+			t.Errorf("%s: errors = %d, want %d", path, n, errs+1)
+		}
+		rec := post("/optimize", bytes.NewReader(good))
+		var resp OptimizeResponse
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: known-good request after over-limit body: status %d: %s", path, rec.Code, rec.Body)
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || resp.ILOC != want {
+			t.Errorf("%s: known-good request after over-limit body: wrong reply (%v)", path, err)
+		}
+	}
+}
+
 // TestDebugPprof verifies the live-profiling surface: the pprof index
 // and a sample profile are served off the debug mux.
 func TestDebugPprof(t *testing.T) {
@@ -475,6 +520,8 @@ func TestDebugPprof(t *testing.T) {
 	}
 }
 
+// TestDebugVars: /debug/vars serves exactly the counters, the per-pass
+// maps and the queue-depth gauge that NewMetrics publishes, as JSON.
 func TestDebugVars(t *testing.T) {
 	s := newServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
@@ -491,15 +538,22 @@ func TestDebugVars(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
 		t.Fatalf("/debug/vars is not JSON: %v", err)
 	}
-	for _, key := range []string{
+	want := []string{
 		"requests", "cache_hits", "cache_misses", "singleflight_shared",
-		"queue_depth", "in_flight", "pass_nanos", "pass_count",
-		"pass_changed", "analysis_builds",
-		"timeouts", "rejected", "errors",
-	} {
-		if _, ok := vars[key]; !ok {
-			t.Errorf("/debug/vars missing %q", key)
-		}
+		"errors", "timeouts", "rejected", "job_panics", "in_flight",
+		"batch_requests", "batch_items",
+		"disk_hits", "disk_writes", "disk_corrupt", "disk_warmed",
+		"pass_nanos", "pass_count", "pass_changed", "analysis_builds",
+		"queue_depth",
+	}
+	got := make([]string, 0, len(vars))
+	for key := range vars {
+		got = append(got, key)
+	}
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("/debug/vars keys = %v, want %v", got, want)
 	}
 	if vars["requests"].(float64) != 1 {
 		t.Errorf("requests = %v, want 1", vars["requests"])

@@ -1,22 +1,21 @@
 // Package serve turns the epre optimizer into a long-lived, concurrent
-// optimization service: an HTTP/JSON daemon that accepts Mini-Fortran
-// or ILOC source, optimizes it at a requested level on a bounded worker
-// pool, and returns the optimized ILOC together with static/dynamic
-// operation statistics and checker diagnostics.
+// optimization service: an HTTP/JSON daemon that accepts Mini-Fortran,
+// PL/0 or ILOC source, optimizes it at a requested level on a bounded
+// worker pool, and returns the optimized ILOC together with
+// static/dynamic operation statistics and checker diagnostics.
 //
 // The package is layered like an inference-serving stack, and the files
 // follow the layers:
 //
 //   - transport (transport.go, batch.go): HTTP handlers decode
-//     requests, route them — including forwarding a request to the ring
-//     peer that owns its cache key — and map errors onto status codes.
-//     The batch endpoint amortizes HTTP+JSON overhead over many
-//     programs per request.
-//   - cache (cache.go, diskstore.go, ring.go, peers.go): a
-//     content-addressed LRU keyed by SHA-256 of (pipeline version,
-//     level, checked?, canonical ILOC) with single-flight coalescing,
-//     backed by an optional persistent on-disk store that survives
-//     restarts and is sharded across peers by a consistent-hash ring.
+//     requests, validate them and map errors onto status codes.  The
+//     batch endpoint amortizes HTTP+JSON overhead over many programs
+//     per request.
+//   - cache (cache.go, diskstore.go): a content-addressed LRU keyed by
+//     SHA-256 of (pipeline version of the GVN/PRE backend pair,
+//     language, level, checked?, canonical ILOC) with single-flight
+//     coalescing, backed by an optional persistent on-disk store that
+//     survives restarts.
 //   - pool (pool.go): a bounded worker pool with a bounded admission
 //     queue; single requests beyond capacity are shed with 503, batch
 //     items block for a slot instead (the batch was already admitted).
@@ -25,8 +24,8 @@
 //
 // Everything runs under per-request context deadlines plumbed through
 // the optimizer, the checker and the interpreter; counters for every
-// layer are exported on /debug/vars and /healthz reports liveness plus
-// per-peer ring health.  Run drains gracefully on SIGINT/SIGTERM.
+// layer are exported on /debug/vars and /healthz reports liveness.  Run
+// drains gracefully on SIGINT/SIGTERM.
 package serve
 
 import (
@@ -42,6 +41,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ir"
+	"repro/internal/lang"
 )
 
 // Config tunes the service; the zero value picks sensible defaults.
@@ -73,17 +73,6 @@ type Config struct {
 	// DiskFsync syncs entry files before the atomic rename (slower;
 	// survives power loss, not just process death).
 	DiskFsync bool
-
-	// Peers is the full list of server base URLs forming a
-	// consistent-hash ring over the cache key space, including this
-	// server's own URL (Self).  With fewer than two distinct peers the
-	// ring is disabled and every key is owned locally.
-	Peers []string
-	// Self is this server's base URL as it appears in Peers.
-	Self string
-	// Vnodes is the virtual-node count per peer on the ring (default
-	// DefaultVnodes = 128).
-	Vnodes int
 }
 
 func (c Config) withDefaults() Config {
@@ -104,9 +93,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 256
-	}
-	if c.Vnodes <= 0 {
-		c.Vnodes = DefaultVnodes
 	}
 	return c
 }
@@ -143,8 +129,6 @@ type Server struct {
 	pool     *Pool
 	cache    *Cache
 	disk     *DiskStore
-	ring     *Ring
-	peers    *peerSet
 	metrics  *Metrics
 	mux      *http.ServeMux
 	hs       *http.Server
@@ -165,9 +149,9 @@ type backendPair struct {
 	pre core.PREBackend
 }
 
-// New assembles a server (pool, cache, disk store, ring, metrics,
-// routes); it does not listen yet.  It fails only when a configured
-// CacheDir cannot be opened.
+// New assembles a server (pool, cache, disk store, metrics, routes); it
+// does not listen yet.  It fails only when a configured CacheDir cannot
+// be opened.
 func New(cfg Config) (*Server, error) {
 	s := &Server{cfg: cfg.withDefaults(), version: core.PipelineVersion()}
 	// Per-combination pipeline versions, each folded into the cache
@@ -190,10 +174,6 @@ func New(cfg Config) (*Server, error) {
 		s.disk = disk
 		s.disk.onCorrupt = func() { s.metrics.diskCorrupt.Add(1) }
 		s.warm()
-	}
-	if ring := NewRing(s.cfg.Peers, s.cfg.Vnodes); ring != nil && len(ring.Nodes()) > 1 {
-		s.ring = ring
-		s.peers = newPeerSet(s.cfg.Self, ring.Nodes())
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/optimize", s.handleOptimize)
@@ -241,9 +221,6 @@ func (s *Server) Version() string { return s.version }
 
 // Disk exposes the persistent store (nil without CacheDir), for tests.
 func (s *Server) Disk() *DiskStore { return s.disk }
-
-// Ring exposes the peer ring (nil when unsharded), for tests.
-func (s *Server) Ring() *Ring { return s.ring }
 
 // Serve accepts connections on l until Shutdown.
 func (s *Server) Serve(l net.Listener) error { return s.hs.Serve(l) }
@@ -315,7 +292,7 @@ func (s *Server) prepare(req *OptimizeRequest) (*reqSpec, error) {
 	if langName == "" {
 		langName = req.Format // legacy field
 	}
-	prog, langName, err := parseSource(req.Source, langName)
+	prog, langName, err := lang.Compile(req.Source, langName)
 	if err != nil {
 		return nil, err
 	}
@@ -330,16 +307,6 @@ func (s *Server) prepare(req *OptimizeRequest) (*reqSpec, error) {
 	}
 	spec.key = CacheKey(prog.String(), langName, string(level), s.versions[backendPair{gvnBackend, preBackend}], req.Check)
 	return spec, nil
-}
-
-// ownerOf maps a cache key to its ring owner.  local is true when this
-// server owns the key (or no ring is configured).
-func (s *Server) ownerOf(key string) (owner string, local bool) {
-	if s.ring == nil {
-		return "", true
-	}
-	owner = s.ring.Owner(key)
-	return owner, owner == s.cfg.Self
 }
 
 // localOutcome reports how serveLocal satisfied a request, for the

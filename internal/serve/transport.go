@@ -10,12 +10,10 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/ir"
-	"repro/internal/lang"
 )
 
 // maxBodyBytes bounds any request body.
@@ -100,8 +98,8 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// handleOptimize is the single-program endpoint: decode, route (local
-// or forwarded to the ring owner), serve, encode.
+// handleOptimize is the single-program endpoint: decode, validate,
+// serve, encode.
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -111,14 +109,8 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	s.metrics.inFlight.Add(1)
 	defer s.metrics.inFlight.Add(-1)
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return
-	}
 	var req OptimizeRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	spec, err := s.prepare(&req)
@@ -129,23 +121,6 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
 	defer cancel()
-
-	// Sharding: a key owned by another peer is forwarded there — unless
-	// this request was already forwarded once (the loop guard header),
-	// in which case it is served locally no matter what our ring says.
-	// A transport-level forwarding failure falls back to serving
-	// locally: worse aggregate cache efficiency, but no lost requests
-	// while a peer is down.
-	if owner, local := s.ownerOf(spec.key); !local && r.Header.Get(forwardHeader) == "" {
-		status, hdr, respBody, ferr := s.peers.forward(ctx, owner, "/optimize", body)
-		if ferr == nil {
-			s.metrics.peerForwards.Add(1)
-			relay(w, status, hdr, respBody, owner)
-			return
-		}
-		s.metrics.peerForwardErrors.Add(1)
-	}
-
 	res, out, err := s.serveLocal(ctx, spec, false)
 	if err != nil {
 		s.failStatus(w, err)
@@ -159,19 +134,23 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// relay copies a forwarded peer's response through verbatim, tagging
-// which peer served it.
-func relay(w http.ResponseWriter, status int, hdr http.Header, body []byte, owner string) {
-	if ct := hdr.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
+// decodeBody reads a request body of at most maxBodyBytes and decodes
+// it into v.  On failure it answers (413 for an over-limit body, 400
+// otherwise), counts the failure, and reports false.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err == nil {
+		err = json.Unmarshal(body, v)
 	}
-	if by := hdr.Get(servedByHeader); by != "" {
-		w.Header().Set(servedByHeader, by)
-	} else {
-		w.Header().Set(servedByHeader, owner)
+	if err == nil {
+		return true
 	}
-	w.WriteHeader(status)
-	w.Write(body)
+	status := http.StatusBadRequest
+	if errors.As(err, new(*http.MaxBytesError)) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	s.fail(w, status, fmt.Errorf("bad request body: %w", err))
+	return false
 }
 
 // failStatus answers a serving error with its transport status (see
@@ -215,30 +194,15 @@ func statusFor(err error) int {
 	}
 }
 
-// handleHealthz reports liveness (503 while draining) and, on a sharded
-// server, per-peer ring health.  `?probe=1` actively probes every peer
-// within a short deadline before reporting.
+// handleHealthz reports liveness: "ok", or 503 "draining" once
+// shutdown has begun.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return
 	}
-	if s.peers == nil {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-		return
-	}
-	if r.URL.Query().Get("probe") == "1" {
-		ctx, cancel := context.WithTimeout(r.Context(), 2*time.Second)
-		s.peers.probeAll(ctx)
-		cancel()
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status": "ok",
-		"self":   s.cfg.Self,
-		"ring":   s.ring.Nodes(),
-		"peers":  s.peers.statuses(),
-	})
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	fmt.Fprintln(w, "ok")
 }
 
 // handleLevels lists the optimization levels and their pass sequences,
@@ -296,13 +260,6 @@ func runProgram(ctx context.Context, prog *ir.Program, spec *RunSpec) (*RunResul
 		out[i] = o.String()
 	}
 	return &RunResult{Result: v.String(), DynamicOps: m.Steps, Output: out}, nil
-}
-
-// parseSource compiles a source through the language registry,
-// verified either way, and reports the canonical language name.  An
-// empty name detects from the source's leading keyword.
-func parseSource(src, name string) (*ir.Program, string, error) {
-	return lang.Compile(src, name)
 }
 
 // parseArgs converts CLI-style argument strings ("42" int, "4.2"
