@@ -137,11 +137,13 @@ func (c *Cache) FlightWaiters(key string) int64 {
 	return 0
 }
 
-// Get peeks at the cache without computing or refreshing recency.
+// Get returns the value cached under key, without computing, and
+// marks it most recently used.
 func (c *Cache) Get(key string) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
+		c.ll.MoveToFront(el)
 		return el.Value.(*cacheEntry).val, true
 	}
 	return nil, false

@@ -15,15 +15,16 @@ import (
 // many servers side by side); the server exposes it at /debug/vars in
 // the standard expvar JSON shape.
 type Metrics struct {
-	requests    expvar.Int // optimize requests received
-	cacheHits   expvar.Int // served straight from the in-memory result cache
-	cacheMisses expvar.Int // optimizations actually performed
-	shared      expvar.Int // requests coalesced onto another's in-flight computation
-	errors      expvar.Int // requests that failed (bad input, pass error)
-	timeouts    expvar.Int // requests that hit their deadline
-	rejected    expvar.Int // requests shed because the queue was full
-	jobPanics   expvar.Int // pool jobs that panicked (contained, answered 500)
-	inFlight    expvar.Int // requests currently being handled
+	requests     expvar.Int // optimize requests received
+	cacheHits    expvar.Int // served straight from the in-memory result cache
+	cacheMisses  expvar.Int // optimizations actually performed
+	spellingHits expvar.Int // keyed from the spelling index, front end skipped
+	shared       expvar.Int // requests coalesced onto another's in-flight computation
+	errors       expvar.Int // requests that failed (bad input, pass error)
+	timeouts     expvar.Int // requests that hit their deadline
+	rejected     expvar.Int // requests shed because the queue was full
+	jobPanics    expvar.Int // pool jobs that panicked (contained, answered 500)
+	inFlight     expvar.Int // requests currently being handled
 
 	batchRequests expvar.Int // POST /optimize/batch requests received
 	batchItems    expvar.Int // items carried by those batch requests
@@ -52,6 +53,7 @@ func NewMetrics(queueDepth func() int64) *Metrics {
 	m.top.Set("requests", &m.requests)
 	m.top.Set("cache_hits", &m.cacheHits)
 	m.top.Set("cache_misses", &m.cacheMisses)
+	m.top.Set("spelling_hits", &m.spellingHits)
 	m.top.Set("singleflight_shared", &m.shared)
 	m.top.Set("errors", &m.errors)
 	m.top.Set("timeouts", &m.timeouts)

@@ -16,6 +16,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 const serveSrc = `
@@ -454,6 +456,48 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestRunSpecRejected: a run spec without a function or with an
+// unparsable argument is the client's fault and answers 400 before any
+// optimization, on both endpoints; a function the program lacks can
+// only be found in the optimized program and stays 422.
+func TestRunSpecRejected(t *testing.T) {
+	s := newServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	cases := []struct {
+		name   string
+		run    RunSpec
+		status int
+		misses int64
+	}{
+		{"missing fn", RunSpec{}, http.StatusBadRequest, 0},
+		{"bad int arg", RunSpec{Fn: "driver", Args: []string{"x"}}, http.StatusBadRequest, 0},
+		{"bad float arg", RunSpec{Fn: "driver", Args: []string{"1.5.2"}}, http.StatusBadRequest, 0},
+		{"unknown fn", RunSpec{Fn: "nosuch", Args: []string{"9"}}, http.StatusUnprocessableEntity, 1},
+	}
+	for i, c := range cases {
+		// A distinct level per case keeps every case a cold cache slot.
+		level := string(core.Levels[i%len(core.Levels)])
+		req := OptimizeRequest{Source: serveSrc, Level: level, Run: &c.run}
+		misses := s.Metrics().Get("cache_misses")
+		if code, _, raw := postOptimize(t, ts, req); code != c.status {
+			t.Errorf("%s: status %d (%s), want %d", c.name, code, raw, c.status)
+		}
+		if n := s.Metrics().Get("cache_misses"); n != misses+c.misses {
+			t.Errorf("%s: cache_misses = %d, want %d", c.name, n, misses+c.misses)
+		}
+		misses = s.Metrics().Get("cache_misses")
+		code, out, raw := postBatch(t, ts, BatchRequest{Items: []OptimizeRequest{req}})
+		if code != http.StatusOK || len(out.Items) != 1 || out.Items[0].Status != c.status {
+			t.Errorf("%s: batch status %d, item %+v (%s), want item status %d", c.name, code, out.Items, raw, c.status)
+		}
+		if n := s.Metrics().Get("cache_misses"); n != misses {
+			t.Errorf("%s: batch cache_misses = %d, want %d (slot already computed or never needed)", c.name, n, misses)
+		}
+	}
+}
+
 // spaces is an endless reader of blanks, for request bodies too large
 // to spell out.
 type spaces struct{}
@@ -539,7 +583,7 @@ func TestDebugVars(t *testing.T) {
 		t.Fatalf("/debug/vars is not JSON: %v", err)
 	}
 	want := []string{
-		"requests", "cache_hits", "cache_misses", "singleflight_shared",
+		"requests", "cache_hits", "cache_misses", "spelling_hits", "singleflight_shared",
 		"errors", "timeouts", "rejected", "job_panics", "in_flight",
 		"batch_requests", "batch_items",
 		"disk_hits", "disk_writes", "disk_corrupt", "disk_warmed",

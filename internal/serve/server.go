@@ -15,7 +15,10 @@
 //     SHA-256 of (pipeline version of the GVN/PRE backend pair,
 //     language, level, checked?, canonical ILOC) with single-flight
 //     coalescing, backed by an optional persistent on-disk store that
-//     survives restarts.
+//     survives restarts.  In front of it sits the spelling index, a
+//     second LRU from the digest of a request exactly as sent to the
+//     key and language computed for it, so a repeated request skips
+//     the front end and canonical printing.
 //   - pool (pool.go): a bounded worker pool with a bounded admission
 //     queue; single requests beyond capacity are shed with 503, batch
 //     items block for a slot instead (the batch was already admitted).
@@ -30,7 +33,10 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -125,16 +131,19 @@ func (c *cachedResult) program() (*ir.Program, error) {
 
 // Server is the optimization service.
 type Server struct {
-	cfg      Config
-	pool     *Pool
-	cache    *Cache
-	disk     *DiskStore
-	metrics  *Metrics
-	mux      *http.ServeMux
-	hs       *http.Server
-	version  string
-	versions map[backendPair]string
-	draining atomic.Bool
+	cfg   Config
+	pool  *Pool
+	cache *Cache
+	// spellings is the spelling index: spellingDigest of a request →
+	// *spelling.  It holds only successfully compiled requests.
+	spellings *Cache
+	disk      *DiskStore
+	metrics   *Metrics
+	mux       *http.ServeMux
+	hs        *http.Server
+	version   string
+	versions  map[backendPair]string
+	draining  atomic.Bool
 
 	// computeGate, when set (tests only), is invoked at the start of
 	// every cache-miss computation — a rendezvous for deterministic
@@ -165,6 +174,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.pool = NewPool(s.cfg.Workers, s.cfg.Queue)
 	s.cache = NewCache(s.cfg.CacheSize)
+	s.spellings = NewCache(s.cfg.CacheSize)
 	s.metrics = NewMetrics(s.pool.QueueDepth)
 	if s.cfg.CacheDir != "" {
 		disk, err := OpenDiskStore(s.cfg.CacheDir, s.cfg.DiskCacheBytes, s.cfg.DiskFsync)
@@ -259,18 +269,47 @@ func (s *Server) Run(ctx context.Context, l net.Listener) error {
 // unit the cache/pool layers work on, shared by the single and batch
 // transports.
 type reqSpec struct {
-	prog    *ir.Program
+	src     string
+	prog    *ir.Program // compiled src; nil when the key came from the spelling index
 	lang    string
 	level   core.Level
 	gvn     core.GVNBackend
 	pre     core.PREBackend
 	checked bool
-	run     *RunSpec
+	run     *runCall
 	key     string
 }
 
+// spelling is what the spelling index records for one request
+// spelling: the cache key and resolved language prepare computed.
+type spelling struct {
+	key  string
+	lang string
+}
+
+// spellingDigest hashes everything that determines a request's cache
+// key — the GVN/PRE pair's pipeline version, the requested language,
+// the level, checked mode and the source exactly as sent — into the
+// spelling index's key.  Each string is length-prefixed, so no two
+// field tuples share an encoding.
+func spellingDigest(version, langName string, level core.Level, checked bool, src string) string {
+	h := sha256.New()
+	var buf [binary.MaxVarintLen64]byte
+	for _, f := range [...]string{version, langName, string(level), src} {
+		h.Write(binary.AppendUvarint(buf[:0], uint64(len(f))))
+		io.WriteString(h, f)
+	}
+	if checked {
+		h.Write([]byte{1})
+	}
+	return string(h.Sum(nil))
+}
+
 // prepare validates one OptimizeRequest into a reqSpec.  All failures
-// here are the client's fault (HTTP 400).
+// here are the client's fault (HTTP 400).  A request spelled exactly
+// like an earlier one takes its key and language from the spelling
+// index without compiling; otherwise prepare compiles the source,
+// keys its canonical ILOC and records the spelling.
 func (s *Server) prepare(req *OptimizeRequest) (*reqSpec, error) {
 	levelName := req.Level
 	if levelName == "" {
@@ -288,24 +327,36 @@ func (s *Server) prepare(req *OptimizeRequest) (*reqSpec, error) {
 	if err != nil {
 		return nil, err
 	}
-	langName := req.Lang
-	if langName == "" {
-		langName = req.Format // legacy field
-	}
-	prog, langName, err := lang.Compile(req.Source, langName)
-	if err != nil {
-		return nil, err
-	}
 	spec := &reqSpec{
-		prog:    prog,
-		lang:    langName,
+		src:     req.Source,
 		level:   level,
 		gvn:     gvnBackend,
 		pre:     preBackend,
 		checked: req.Check,
-		run:     req.Run,
 	}
-	spec.key = CacheKey(prog.String(), langName, string(level), s.versions[backendPair{gvnBackend, preBackend}], req.Check)
+	if req.Run != nil {
+		if spec.run, err = parseRun(req.Run); err != nil {
+			return nil, err
+		}
+	}
+	langName := req.Lang
+	if langName == "" {
+		langName = req.Format // legacy field
+	}
+	version := s.versions[backendPair{gvnBackend, preBackend}]
+	digest := spellingDigest(version, langName, level, req.Check, req.Source)
+	if v, ok := s.spellings.Get(digest); ok {
+		s.metrics.spellingHits.Add(1)
+		sp := v.(*spelling)
+		spec.key, spec.lang = sp.key, sp.lang
+		return spec, nil
+	}
+	spec.prog, spec.lang, err = lang.Compile(req.Source, langName)
+	if err != nil {
+		return nil, err
+	}
+	spec.key = CacheKey(spec.prog.String(), spec.lang, string(level), version, req.Check)
+	s.spellings.Put(digest, &spelling{key: spec.key, lang: spec.lang})
 	return spec, nil
 }
 
@@ -387,10 +438,19 @@ func (s *Server) serveLocal(ctx context.Context, spec *reqSpec, admitted bool) (
 	return val.(*cachedResult), out, nil
 }
 
-// optimize is the cache-miss path, executed on a pool worker.
+// optimize is the cache-miss path, executed on a pool worker.  A spec
+// keyed from the spelling index arrives without its program, and its
+// source is compiled here, in the language it resolved to before.
 func (s *Server) optimize(ctx context.Context, spec *reqSpec) (*cachedResult, error) {
+	prog := spec.prog
+	if prog == nil {
+		var err error
+		if prog, _, err = lang.Compile(spec.src, spec.lang); err != nil {
+			return nil, err
+		}
+	}
 	if spec.checked {
-		out, diags, err := core.CheckedOptimizeFor(ctx, spec.prog, spec.level, spec.gvn, spec.pre)
+		out, diags, err := core.CheckedOptimizeFor(ctx, prog, spec.level, spec.gvn, spec.pre)
 		if err != nil {
 			return nil, err
 		}
@@ -400,7 +460,7 @@ func (s *Server) optimize(ctx context.Context, spec *reqSpec) (*cachedResult, er
 		}
 		return &cachedResult{iloc: out.String(), staticOps: out.InstrCount(), diags: msgs, prog: out}, nil
 	}
-	out, err := core.OptimizeWith(spec.prog, spec.level, core.OptimizeOptions{
+	out, err := core.OptimizeWith(prog, spec.level, core.OptimizeOptions{
 		Ctx:    ctx,
 		OnPass: s.metrics.ObservePass,
 		GVN:    spec.gvn,

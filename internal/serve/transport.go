@@ -239,9 +239,16 @@ func (s *Server) handleLevels(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// runProgram interprets the optimized program under the request
-// deadline.
-func runProgram(ctx context.Context, prog *ir.Program, spec *RunSpec) (*RunResult, error) {
+// runCall is a validated RunSpec: the function to call and its parsed
+// arguments.
+type runCall struct {
+	fn   string
+	args []interp.Value
+}
+
+// parseRun validates a RunSpec before anything is optimized; its
+// failures are the client's (400).
+func parseRun(spec *RunSpec) (*runCall, error) {
 	if spec.Fn == "" {
 		return nil, errors.New("run: missing fn")
 	}
@@ -249,9 +256,16 @@ func runProgram(ctx context.Context, prog *ir.Program, spec *RunSpec) (*RunResul
 	if err != nil {
 		return nil, err
 	}
+	return &runCall{fn: spec.Fn, args: args}, nil
+}
+
+// runProgram interprets the optimized program under the request
+// deadline.  A function the program lacks fails here (422): only the
+// program can tell.
+func runProgram(ctx context.Context, prog *ir.Program, call *runCall) (*RunResult, error) {
 	m := interp.NewMachine(prog)
 	m.SetContext(ctx)
-	v, err := m.Call(spec.Fn, args...)
+	v, err := m.Call(call.fn, call.args...)
 	if err != nil {
 		return nil, err
 	}

@@ -2,9 +2,14 @@ package suite_test
 
 import (
 	"os"
+	"regexp"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/lang"
 	"repro/internal/suite"
 )
 
@@ -60,6 +65,43 @@ func TestTable1Shape(t *testing.T) {
 		t.Errorf("PRE should win on most routines: %d/%d", preWins, len(rows))
 	}
 	t.Logf("avg partial=%.1f%% avg new=%.1f%% avg total=%.1f%%", sumPartial/n, sumNew/n, sumTotal/n)
+}
+
+// TestExperimentsRoutineCount: the routine counts EXPERIMENTS.md
+// states in its intro and its Substitutions table are the suite's,
+// per front end.
+func TestExperimentsRoutineCount(t *testing.T) {
+	raw, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := strings.Join(strings.Fields(string(raw)), " ")
+	perLang := map[string]int{}
+	for _, r := range suite.All() {
+		l, err := lang.Detect(r.Source)
+		if err != nil {
+			t.Fatalf("%s: %v", r.Name, err)
+		}
+		perLang[l.Name]++
+	}
+	want := []int{len(suite.All()), perLang["mf"], perLang["pl0"], perLang["iloc"]}
+	for _, pat := range []string{
+		`we run (\d+) routines — (\d+) Mini-Fortran re-implementations \(same algorithms/idioms, smaller inputs\), (\d+) PL/0 programs and (\d+) ILOC routines`,
+		`\| SPEC'89 \+ FMM sources \| (\d+) routines \(` + "`internal/suite`" + `\): (\d+) Mini-Fortran re-implementations with the same algorithms/idioms, (\d+) PL/0, (\d+) fuzzer-promoted ILOC \|`,
+	} {
+		m := regexp.MustCompile(pat).FindStringSubmatch(doc)
+		if m == nil {
+			t.Errorf("EXPERIMENTS.md no longer matches %q", pat)
+			continue
+		}
+		got := make([]int, len(m)-1)
+		for i, d := range m[1:] {
+			got[i], _ = strconv.Atoi(d)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("EXPERIMENTS.md states %v routines (total, mf, pl0, iloc); the suite has %v:\n%s", got, want, m[0])
+		}
+	}
 }
 
 // TestTable2Expansion checks that forward propagation expands code by
