@@ -27,7 +27,6 @@ vet:
 # Runs beside go vet; both are part of `check`.
 lint:
 	$(GO) run ./cmd/eprelint .
-	$(GO) vet ./...
 
 # Fails (and lists the files) if anything is not gofmt-clean.
 fmt:

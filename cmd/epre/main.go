@@ -16,8 +16,9 @@
 //	epre levels                                    # list levels and passes
 //
 // Setting EPRE_CHECK=1 in the environment makes every optimization
-// (opt, run, table1, table2) validate each pass application with the
-// internal/check analyzers and fail loudly on a miscompile.
+// (opt with -level or -passes, run, example, table1) validate
+// each pass application with the internal/check analyzers and fail
+// loudly on a miscompile.
 package main
 
 import (
@@ -252,18 +253,12 @@ func cmdLint(args []string, stdout, stderr io.Writer) int {
 			}
 			names = core.PassNames(lv)
 		}
-		passes := make([]core.Pass, 0, len(names))
-		for _, n := range names {
-			p, err := core.PassByName(n)
-			if err != nil {
-				fmt.Fprintln(stderr, "epre:", err)
-				return 2
-			}
-			passes = append(passes, p)
+		passes, err := core.Passes(names...)
+		if err != nil {
+			fmt.Fprintln(stderr, "epre:", err)
+			return 2
 		}
-		cfg := core.DefaultCheckConfig()
-		cfg.Validate = !*noValidate
-		out, ds, err := core.CheckedRun(prog, passes, cfg)
+		out, ds, err := core.CheckedRun(prog, passes, core.OptimizeOptions{}, core.CheckConfig{Validate: !*noValidate})
 		if err != nil {
 			fmt.Fprintln(stderr, "epre:", err)
 			return 1

@@ -12,7 +12,10 @@
 //
 // Every filter re-verifies its output before printing and exits
 // non-zero (naming the pass) if the pass broke the program, so a buggy
-// filter cannot silently feed the next pipe stage.
+// filter cannot silently feed the next pipe stage.  With EPRE_CHECK=1
+// in the environment the pass also runs under the checked pipeline
+// (def-use verification and translation validation) and any error
+// diagnostic fails the filter.
 //
 // "ilocfilter check" is the assertion stage: it transforms nothing,
 // runs the semantic analyzers (structural verification plus the
@@ -23,16 +26,13 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
-	"repro/internal/analysis"
 	"repro/internal/check"
 	"repro/internal/core"
-	"repro/internal/ir"
 	"repro/internal/lang"
 )
 
@@ -79,7 +79,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	case "pre":
 		name = preBackend.PassName()
 	}
-	pass, err := core.PassByName(name)
+	passes, err := core.Passes(name)
 	if err != nil {
 		fmt.Fprintln(stderr, "ilocfilter:", err)
 		return 2
@@ -107,17 +107,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	for _, f := range prog.Funcs {
-		pass.Run(&core.PassContext{
-			Ctx:      context.Background(),
-			Func:     f,
-			Analyses: analysis.NewCache(f),
-		})
-	}
-	if err := ir.VerifyProgram(prog); err != nil {
-		fmt.Fprintf(stderr, "ilocfilter: after %s: %v\n", name, err)
+	out, err := core.RunPasses(prog, passes, core.OptimizeOptions{})
+	if err != nil {
+		fmt.Fprintln(stderr, "ilocfilter:", err)
 		return 1
 	}
-	prog.Fprint(stdout)
+	out.Fprint(stdout)
 	return 0
 }

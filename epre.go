@@ -18,11 +18,9 @@
 package epre
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
-	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -149,9 +147,14 @@ func (p *Program) Optimize(level Level) (*Program, error) {
 // interpretation (see internal/check).  It returns the rendered
 // diagnostics alongside the transformed program; the program is safe
 // to use only when no diagnostics were reported.  Setting EPRE_CHECK=1
-// in the environment applies the same checking to plain Optimize.
+// in the environment applies the same checking to plain Optimize and
+// OptimizePasses.
 func (p *Program) OptimizeChecked(level Level) (*Program, []string, error) {
-	out, diags, err := core.CheckedOptimize(p.prog, level)
+	passes, err := core.Passes(core.PassNames(level)...)
+	if err != nil {
+		return nil, nil, err
+	}
+	out, diags, err := core.CheckedRun(p.prog, passes, core.OptimizeOptions{}, core.CheckConfig{Validate: true})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -163,30 +166,16 @@ func (p *Program) OptimizeChecked(level Level) (*Program, []string, error) {
 }
 
 // OptimizePasses applies an explicit pass sequence by name (the
-// Unix-filter view of the optimizer; see core.AllPasses).
-func (p *Program) OptimizePasses(passes ...string) (*Program, error) {
-	resolved := make([]core.Pass, len(passes))
-	for i, name := range passes {
-		pass, err := core.PassByName(name)
-		if err != nil {
-			return nil, err
-		}
-		resolved[i] = pass
+// Unix-filter view of the optimizer; see core.AllPasses).  Like
+// Optimize it honours EPRE_CHECK.
+func (p *Program) OptimizePasses(names ...string) (*Program, error) {
+	passes, err := core.Passes(names...)
+	if err != nil {
+		return nil, err
 	}
-	out := p.prog.Clone()
-	for _, f := range out.Funcs {
-		pc := &core.PassContext{
-			Ctx:      context.Background(),
-			Func:     f,
-			Analyses: analysis.NewCache(f),
-		}
-		for _, pass := range resolved {
-			if pass.Run(pc) {
-				if err := ir.Verify(f); err != nil {
-					return nil, fmt.Errorf("after pass %s on %s: %w", pass.Name, f.Name, err)
-				}
-			}
-		}
+	out, err := core.RunPasses(p.prog, passes, core.OptimizeOptions{})
+	if err != nil {
+		return nil, err
 	}
 	return &Program{prog: out}, nil
 }

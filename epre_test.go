@@ -123,6 +123,36 @@ func TestOptimizePasses(t *testing.T) {
 	}
 }
 
+// TestOptimizePassesHonorsCheckEnv: with EPRE_CHECK=1 an explicit pass
+// list is checked like a level, so a def-use error in the program fails
+// both.
+func TestOptimizePassesHonorsCheckEnv(t *testing.T) {
+	t.Setenv(core.CheckEnv, "1")
+	p, err := epre.ParseILOC(`
+program globalsize=0
+
+func f(r1) {
+b0:
+    enter(r1)
+    cbr r1 -> b1, b2
+b1:
+    loadI 7 => r2
+    jump -> b2
+b2:
+    ret r2
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Optimize(epre.LevelBaseline); err == nil || !strings.Contains(err.Error(), "defuse") {
+		t.Errorf("Optimize: want a defuse error, got %v", err)
+	}
+	if _, err := p.OptimizePasses(core.PassNames(core.LevelBaseline)...); err == nil || !strings.Contains(err.Error(), "defuse") {
+		t.Errorf("OptimizePasses: want a defuse error, got %v", err)
+	}
+}
+
 func TestParseLevel(t *testing.T) {
 	for _, s := range []string{"baseline", "partial", "reassoc", "dist", "none"} {
 		if _, err := epre.ParseLevel(s); err != nil {

@@ -1,11 +1,9 @@
 package epre
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -13,10 +11,19 @@ import (
 	"repro/internal/suite"
 )
 
-// applyPass runs one pass on one function with a fresh analysis cache,
-// the single-shot equivalent of the pipeline's shared-cache loop.
-func applyPass(p core.Pass, f *ir.Func) {
-	p.Run(&core.PassContext{Ctx: context.Background(), Func: f, Analyses: analysis.NewCache(f)})
+// runPipeline applies a pass list to a copy of prog through the
+// pipeline driver.
+func runPipeline(tb testing.TB, prog *ir.Program, names []string) *ir.Program {
+	tb.Helper()
+	passes, err := core.Passes(names...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	out, err := core.RunPasses(prog, passes, core.OptimizeOptions{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
 }
 
 // Benchmarks for the paper's stated future work (§4.1/§5.2): the two
@@ -38,16 +45,7 @@ func measurePipeline(b *testing.B, src, driver string, args []interp.Value, pass
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, name := range passes {
-		p, err := core.PassByName(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, f := range prog.Funcs {
-			applyPass(p, f)
-		}
-	}
-	m := interp.NewMachine(prog)
+	m := interp.NewMachine(runPipeline(b, prog, passes))
 	m.EnableOpCounts()
 	if _, err := m.Call(driver, args...); err != nil {
 		b.Fatal(err)
@@ -130,16 +128,7 @@ func TestExtensionsPreserveSemantics(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, name := range passes {
-				p, err := core.PassByName(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, f := range prog.Funcs {
-					applyPass(p, f)
-				}
-			}
-			m := interp.NewMachine(prog)
+			m := interp.NewMachine(runPipeline(t, prog, passes))
 			v, err := m.Call(r.Driver, r.Args...)
 			if err != nil {
 				t.Errorf("%s pipeline %d: %v", r.Name, pi, err)
@@ -163,13 +152,7 @@ func TestStrengthReductionHelps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, name := range passes {
-			p, _ := core.PassByName(name)
-			for _, f := range prog.Funcs {
-				applyPass(p, f)
-			}
-		}
-		m := interp.NewMachine(prog)
+		m := interp.NewMachine(runPipeline(t, prog, passes))
 		m.EnableOpCounts()
 		v, err := m.Call(r.Driver, r.Args...)
 		if err != nil {

@@ -307,15 +307,13 @@ b1:
 // the paper's naming stage — must leave zero discipline errors on
 // front-end output.
 func TestDisciplineAfterPipelineFront(t *testing.T) {
-	prog := compile(t, cleanSrc)
-	for _, name := range []string{"reassoc", "gvn", "normalize"} {
-		pass, err := core.PassByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range prog.Funcs {
-			pass.Run(&core.PassContext{Ctx: context.Background(), Func: f, Analyses: analysis.NewCache(f)})
-		}
+	passes, err := core.Passes("reassoc", "gvn", "normalize")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := core.RunPasses(compile(t, cleanSrc), passes, core.OptimizeOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, f := range prog.Funcs {
 		if diags := check.Errors(check.Discipline(f)); len(diags) != 0 {

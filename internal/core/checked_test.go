@@ -20,25 +20,21 @@ func TestCheckedOptimizeSuiteClean(t *testing.T) {
 	if testing.Short() {
 		routines = routines[:6]
 	}
-	// MaxInputs 3 (the default) matters: the third, degenerate input
-	// tuple is what once exposed NaN-sign sensitivity in the memory
-	// comparison (decomp at reassociation; see interp.FloatVal).
-	cfg := core.CheckConfig{Validate: true, MaxInputs: 3, MaxSteps: 200_000}
+	// check.ValidateOptions' default of three inputs matters: the
+	// third, degenerate input tuple is what once exposed NaN-sign
+	// sensitivity in the memory comparison (decomp at reassociation;
+	// see interp.FloatVal).
 	for _, r := range routines {
 		prog, err := r.Compile()
 		if err != nil {
 			t.Fatalf("%s: %v", r.Name, err)
 		}
 		for _, level := range core.Levels {
-			passes := make([]core.Pass, 0, 8)
-			for _, name := range core.PassNames(level) {
-				p, err := core.PassByName(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				passes = append(passes, p)
+			passes, err := core.Passes(core.PassNames(level)...)
+			if err != nil {
+				t.Fatal(err)
 			}
-			_, diags, err := core.CheckedRun(prog, passes, cfg)
+			_, diags, err := core.CheckedRun(prog, passes, core.OptimizeOptions{}, core.CheckConfig{Validate: true})
 			if err != nil {
 				t.Errorf("%s at %s: %v", r.Name, level, err)
 				continue
@@ -75,7 +71,7 @@ func main(a: int, b: int): int {
 		pc.Func.MarkCodeMutated()
 		return true
 	}}
-	_, diags, err := core.CheckedRun(prog, []core.Pass{bad}, core.DefaultCheckConfig())
+	_, diags, err := core.CheckedRun(prog, []core.Pass{bad}, core.OptimizeOptions{}, core.CheckConfig{Validate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,13 +112,57 @@ b0:
 		pc.Func.Entry().RemoveAt(1) // drop "loadI 3 => r2", leaving r2 undefined
 		return true
 	}}
-	_, diags, err := core.CheckedRun(prog, []core.Pass{bad}, core.CheckConfig{Validate: false})
+	_, diags, err := core.CheckedRun(prog, []core.Pass{bad}, core.OptimizeOptions{}, core.CheckConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	errs := check.Errors(diags)
 	if len(errs) == 0 || errs[0].Analyzer != "defuse" || errs[0].Pass != "bad-dce" {
 		t.Fatalf("want a defuse error naming bad-dce, got %v", diags)
+	}
+}
+
+// partialDef defines r2 on only one branch, so "ret r2" may read an
+// undefined register: structurally valid, a def-use error.
+const partialDef = `
+program globalsize=0
+
+func f(r1) {
+b0:
+    enter(r1)
+    cbr r1 -> b1, b2
+b1:
+    loadI 7 => r2
+    jump -> b2
+b2:
+    ret r2
+}
+`
+
+// TestCheckedRunReportsDefUseOnce: a def-use error the input already
+// carries is reported once, tagged with the first pass, and not again
+// after each later pass that leaves the function unchanged.
+func TestCheckedRunReportsDefUseOnce(t *testing.T) {
+	prog, err := ir.ParseProgramString(partialDef)
+	if err != nil {
+		t.Fatal(err)
+	}
+	passes, err := core.Passes(core.PassNames(core.LevelBaseline)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, diags, err := core.CheckedRun(prog, passes, core.OptimizeOptions{}, core.CheckConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var defuse []check.Diagnostic
+	for _, d := range check.Errors(diags) {
+		if d.Analyzer == "defuse" {
+			defuse = append(defuse, d)
+		}
+	}
+	if len(defuse) != 1 || defuse[0].Pass != "sccp" {
+		t.Fatalf("want one defuse error tagged sccp, got %v", defuse)
 	}
 }
 
@@ -155,7 +195,11 @@ func main(n: int): int {
 // TestCheckedOptimizeStrictErrorMessage: the EPRE_CHECK failure path
 // renders the diagnostics into the error.
 func TestCheckedOptimizeStrictErrorMessage(t *testing.T) {
-	_, diags, err := core.CheckedOptimize(&ir.Program{}, core.LevelBaseline)
+	passes, err := core.Passes(core.PassNames(core.LevelBaseline)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, diags, err := core.CheckedRun(&ir.Program{}, passes, core.OptimizeOptions{}, core.CheckConfig{Validate: true})
 	if err != nil || len(diags) != 0 {
 		t.Fatalf("empty program should check cleanly: %v %v", diags, err)
 	}

@@ -18,6 +18,21 @@ func runPass(p core.Pass, f *ir.Func) {
 	p.Run(&core.PassContext{Ctx: context.Background(), Func: f, Analyses: analysis.NewCache(f)})
 }
 
+// runPasses applies a pass list to a copy of prog through the pipeline
+// driver, which verifies every function a pass changes.
+func runPasses(t *testing.T, prog *ir.Program, names ...string) *ir.Program {
+	t.Helper()
+	passes, err := core.Passes(names...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := core.RunPasses(prog, passes, core.OptimizeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestExpressionNameLiveAcrossBlock reproduces §5.1: an expression
 // name (here the sqrt result r10) live across a basic-block boundary.
 // "PRE will sometimes hoist an expression past a use of its name" in
@@ -57,17 +72,7 @@ b2:
 		{"normalize", "pre"},
 		{"gvn", "normalize", "pre", "sccp", "peephole", "dce", "coalesce", "emptyblocks"},
 	} {
-		g := f.Clone()
-		for _, name := range passes {
-			p, err := core.PassByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			runPass(p, g)
-			if err := ir.Verify(g); err != nil {
-				t.Fatalf("after %s: %v", name, err)
-			}
-		}
+		g := runPasses(t, &ir.Program{Funcs: []*ir.Func{f}}, passes...).Funcs[0]
 		if got := runIt(g, 0); got != 4.0 {
 			t.Errorf("passes %v broke the §5.1 case: f(0)=%g, want 4\n%s", passes, got, g)
 		}
@@ -232,17 +237,7 @@ func driver(x: int, y: int, n: int): int {
 	}
 	measure := func(passes []string) int64 {
 		t.Helper()
-		cp := prog.Clone()
-		for _, name := range passes {
-			p, err := core.PassByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, f := range cp.Funcs {
-				runPass(p, f)
-			}
-		}
-		m := interp.NewMachine(cp)
+		m := interp.NewMachine(runPasses(t, prog, passes...))
 		v, err := m.Call("driver", interp.IntVal(3), interp.IntVal(7), interp.IntVal(50))
 		if err != nil {
 			t.Fatal(err)
@@ -282,16 +277,8 @@ func foo(y: int, z: int): int {
 
 	apply := func(names ...string) {
 		t.Helper()
-		for _, name := range names {
-			p, err := core.PassByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			runPass(p, f)
-			if err := ir.Verify(f); err != nil {
-				t.Fatalf("after %s: %v", name, err)
-			}
-		}
+		prog = runPasses(t, prog, names...)
+		f = prog.Funcs[0]
 	}
 	countOp := func(op ir.Op) int {
 		n := 0

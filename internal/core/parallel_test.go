@@ -90,12 +90,14 @@ func TestOptimizeWithOnPass(t *testing.T) {
 		t.Fatal(err)
 	}
 	count := map[string]int{}
+	var seq []PassInfo
 	_, err = OptimizeWith(prog, LevelReassoc, OptimizeOptions{
 		OnPass: func(info PassInfo) {
 			if info.Duration < 0 {
 				t.Errorf("negative duration for %s on %s", info.Pass, info.Func)
 			}
 			count[info.Pass]++
+			seq = append(seq, info)
 		},
 	})
 	if err != nil {
@@ -111,6 +113,16 @@ func TestOptimizeWithOnPass(t *testing.T) {
 			t.Errorf("pass %s observed %d times, want %d", pass, count[pass], n)
 		}
 	}
+	// Calls arrive in pass order, and within one pass in function order.
+	names := PassNames(LevelReassoc)
+	if len(seq) != len(names)*nfuncs {
+		t.Fatalf("observed %d calls, want %d", len(seq), len(names)*nfuncs)
+	}
+	for k, info := range seq {
+		if p, f := names[k/nfuncs], prog.Funcs[k%nfuncs].Name; info.Pass != p || info.Func != f {
+			t.Fatalf("call %d observed %s on %s, want %s on %s", k, info.Pass, info.Func, p, f)
+		}
+	}
 }
 
 // TestCheckedRunCtxCancelled: the checked pipeline fails cleanly —
@@ -123,11 +135,11 @@ func TestCheckedRunCtxCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	passes, err := passesForLevel(LevelDist, GVNAWZ, PREDrechsler)
+	passes, err := Passes(PassNames(LevelDist)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, diags, err := CheckedRunCtx(ctx, prog, passes, DefaultCheckConfig())
+	_, diags, err := CheckedRun(prog, passes, OptimizeOptions{Ctx: ctx}, CheckConfig{Validate: true})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -144,7 +156,7 @@ func TestCheckedRunCtxDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	passes, err := passesForLevel(LevelDist, GVNAWZ, PREDrechsler)
+	passes, err := Passes(PassNames(LevelDist)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +165,7 @@ func TestCheckedRunCtxDeadline(t *testing.T) {
 	// timeout shape.
 	for _, budget := range []time.Duration{time.Microsecond, 50 * time.Microsecond, time.Millisecond} {
 		ctx, cancel := context.WithTimeout(context.Background(), budget)
-		_, diags, err := CheckedRunCtx(ctx, prog, passes, DefaultCheckConfig())
+		_, diags, err := CheckedRun(prog, passes, OptimizeOptions{Ctx: ctx}, CheckConfig{Validate: true})
 		cancel()
 		if err != nil && !errors.Is(err, context.DeadlineExceeded) {
 			t.Errorf("budget %v: non-timeout error: %v", budget, err)

@@ -71,18 +71,6 @@ func (c *PassStatsCollector) Stats() []PassStats {
 	return out
 }
 
-// TotalBuilds sums the analysis builds over every pass.
-func (c *PassStatsCollector) TotalBuilds() analysis.BuildCounts {
-	var t analysis.BuildCounts
-	for _, st := range c.Stats() {
-		t.RPO += st.Builds.RPO
-		t.Dom += st.Builds.Dom
-		t.Loops += st.Builds.Loops
-		t.Liveness += st.Builds.Liveness
-	}
-	return t
-}
-
 // Write renders the totals as an aligned table, sorted by cumulative
 // time (the expensive passes first), with a totals line.
 func (c *PassStatsCollector) Write(w io.Writer) {

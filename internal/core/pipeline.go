@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"sync"
 	"time"
 
@@ -221,7 +222,7 @@ var (
 	passIndex     map[string]Pass
 )
 
-// PassByName returns a single pass for the filter tool; see AllPasses.
+// PassByName returns the named pass; see AllPasses.
 func PassByName(name string) (Pass, error) {
 	passIndexOnce.Do(func() {
 		passIndex = make(map[string]Pass)
@@ -234,6 +235,20 @@ func PassByName(name string) (Pass, error) {
 		return Pass{}, fmt.Errorf("core: unknown pass %q", name)
 	}
 	return p, nil
+}
+
+// Passes resolves a list of pass names into the sequence RunPasses and
+// CheckedRun apply.
+func Passes(names ...string) ([]Pass, error) {
+	passes := make([]Pass, len(names))
+	for i, name := range names {
+		p, err := PassByName(name)
+		if err != nil {
+			return nil, err
+		}
+		passes[i] = p
+	}
+	return passes, nil
 }
 
 // AllPasses enumerates every individually runnable pass.
@@ -423,16 +438,18 @@ type PassInfo struct {
 	Builds analysis.BuildCounts
 }
 
-// OptimizeOptions tune OptimizeWith beyond the level itself.  The zero
-// value reproduces plain Optimize: background context, no
-// instrumentation, the paper's GVN and PRE backends.
+// OptimizeOptions tune a run — OptimizeWith, RunPasses, CheckedRun —
+// beyond its passes.  The zero value reproduces plain Optimize:
+// background context, no instrumentation, the paper's GVN and PRE
+// backends.
 type OptimizeOptions struct {
 	// Ctx, when non-nil, is checked between passes and plumbed into
 	// any checked-mode differential interpretation; optimization stops
 	// with an error wrapping ctx.Err() once it is done.
 	Ctx context.Context
-	// OnPass, when non-nil, observes every pass application, in
-	// program function order and pass order, on the calling goroutine.
+	// OnPass, when non-nil, observes every pass application on the
+	// calling goroutine: in pass order, and within one pass in program
+	// function order.
 	OnPass func(PassInfo)
 	// GVN selects the value-numbering backend filling the pipeline's
 	// GVN slot at the reassociation levels.  The zero value is GVNAWZ,
@@ -451,49 +468,11 @@ func (o OptimizeOptions) ctx() context.Context {
 	return context.Background()
 }
 
-// OptimizeFunc applies a level's pass sequence to one function.
-func OptimizeFunc(f *ir.Func, level Level) error {
-	return optimizeFunc(context.Background(), f, level, OptimizeOptions{})
-}
-
-func optimizeFunc(ctx context.Context, f *ir.Func, level Level, opts OptimizeOptions) error {
-	pc := &PassContext{Ctx: ctx, Func: f, Analyses: analysis.NewCache(f)}
-	for _, name := range PassNamesWith(level, opts.GVN, opts.PRE) {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("before pass %s: %w", name, err)
-		}
-		p, err := PassByName(name)
-		if err != nil {
-			return err
-		}
-		before := pc.Analyses.Counts()
-		start := time.Now()
-		changed := p.Run(pc)
-		if opts.OnPass != nil {
-			opts.OnPass(PassInfo{
-				Func:     f.Name,
-				Pass:     name,
-				Duration: time.Since(start),
-				Changed:  changed,
-				Builds:   pc.Analyses.Counts().Sub(before),
-			})
-		}
-		// A pass that reports no change cannot have invalidated the
-		// verified invariants; skip re-verification.
-		if changed {
-			if err := ir.Verify(f); err != nil {
-				return fmt.Errorf("after pass %s: %w", name, err)
-			}
-		}
-	}
-	return nil
-}
-
 // Optimize applies a level to every function of a program, returning a
 // new program (the input is not modified).  With EPRE_CHECK=1 in the
 // environment every pass application is additionally checked by the
-// internal/check analyzers (see CheckedOptimize) and any error
-// diagnostic fails the optimization.
+// internal/check analyzers (see CheckedRun) and any error diagnostic
+// fails the optimization.
 //
 // Optimize (and OptimizeWith) is safe for concurrent use on distinct
 // programs: the passes keep all scratch state per invocation and the
@@ -507,17 +486,110 @@ func Optimize(p *ir.Program, level Level) (*ir.Program, error) {
 // optimized one after another on the calling goroutine; callers that
 // want parallelism run independent programs concurrently.
 func OptimizeWith(p *ir.Program, level Level, opts OptimizeOptions) (*ir.Program, error) {
-	ctx := opts.ctx()
-	if CheckEnabled() {
-		// Checked mode validates whole-program snapshots around every
-		// pass.
-		return checkedOptimizeStrict(ctx, p, level, opts.GVN, opts.PRE)
+	passes, err := Passes(PassNamesWith(level, opts.GVN, opts.PRE)...)
+	if err != nil {
+		return nil, err
 	}
-	out := p.Clone()
-	for _, f := range out.Funcs {
-		if err := optimizeFunc(ctx, f, level, opts); err != nil {
-			return nil, fmt.Errorf("%s: %w", f.Name, err)
+	return RunPasses(p, passes, opts)
+}
+
+// RunPasses applies an explicit pass sequence to a copy of the program
+// (the input is not modified) — the Unix-filter view of the optimizer.
+// The passes name their own backends, so opts.GVN and opts.PRE are not
+// consulted.  With EPRE_CHECK=1 in the environment it runs as
+// CheckedRun with translation validation, and any error diagnostic
+// fails the run.
+func RunPasses(p *ir.Program, passes []Pass, opts OptimizeOptions) (*ir.Program, error) {
+	if !CheckEnabled() {
+		out, _, err := run(p, passes, opts, nil)
+		return out, err
+	}
+	out, diags, err := CheckedRun(p, passes, opts, CheckConfig{Validate: true})
+	if err != nil {
+		return nil, err
+	}
+	if errs := check.Errors(diags); len(errs) > 0 {
+		msgs := make([]string, len(errs))
+		for i, d := range errs {
+			msgs[i] = d.String()
 		}
+		return nil, fmt.Errorf("core: checked optimize: %s", strings.Join(msgs, "; "))
 	}
 	return out, nil
+}
+
+// run is the one pass driver: every entry point above ends here.  It
+// clones p and applies the passes in order, each over every function;
+// a function keeps one analysis cache for the whole run.  The context
+// is polled before each pass, every application is reported to
+// opts.OnPass, and a function the pass reports changed is re-verified.
+// A non-nil cfg selects checked mode (see CheckedRun), which works on
+// whole-program snapshots and so needs this pass-major order; a pass
+// sees only its own function, so the order does not change the output.
+func run(p *ir.Program, passes []Pass, opts OptimizeOptions, cfg *CheckConfig) (*ir.Program, []check.Diagnostic, error) {
+	ctx := opts.ctx()
+	out := p.Clone()
+	pcs := make([]PassContext, len(out.Funcs))
+	for i, f := range out.Funcs {
+		pcs[i] = PassContext{Ctx: ctx, Func: f, Analyses: analysis.NewCache(f)}
+	}
+	var diags []check.Diagnostic
+	// checked[i] records that function i has not changed since its last
+	// DefUse check, so the check runs after the first pass and after
+	// every pass that changes the function, never twice on one body.
+	checked := make([]bool, len(out.Funcs))
+	for _, pass := range passes {
+		if err := ctx.Err(); err != nil {
+			return nil, diags, fmt.Errorf("before pass %s: %w", pass.Name, err)
+		}
+		var before *ir.Program
+		if cfg != nil && cfg.Validate {
+			before = out.Clone()
+		}
+		anyChanged := false
+		for i := range pcs {
+			pc := &pcs[i]
+			builds := pc.Analyses.Counts()
+			start := time.Now()
+			changed := pass.Run(pc)
+			if opts.OnPass != nil {
+				opts.OnPass(PassInfo{
+					Func:     pc.Func.Name,
+					Pass:     pass.Name,
+					Duration: time.Since(start),
+					Changed:  changed,
+					Builds:   pc.Analyses.Counts().Sub(builds),
+				})
+			}
+			// A pass that reports no change cannot have invalidated the
+			// verified invariants; skip re-verification.
+			if !changed {
+				continue
+			}
+			anyChanged, checked[i] = true, false
+			if err := ir.Verify(pc.Func); err != nil {
+				return nil, diags, fmt.Errorf("%s: after pass %s: %w", pc.Func.Name, pass.Name, err)
+			}
+		}
+		if cfg == nil {
+			continue
+		}
+		for i := range pcs {
+			if !checked[i] {
+				checked[i] = true
+				diags = append(diags, check.TagPass(check.DefUseWith(pcs[i].Func, false, pcs[i].Analyses), pass.Name)...)
+			}
+		}
+		if cfg.Validate && anyChanged {
+			opt := check.ValidateOptions{Ctx: ctx}
+			if reassociating(pass.Name) {
+				opt.FloatTol = reassocFloatTol
+			}
+			diags = append(diags, check.ValidatePass(before, out, pass.Name, opt)...)
+			if err := ctx.Err(); err != nil {
+				return nil, diags, fmt.Errorf("validating pass %s: %w", pass.Name, err)
+			}
+		}
+	}
+	return out, diags, nil
 }

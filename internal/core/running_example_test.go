@@ -64,15 +64,22 @@ func runFoo(t *testing.T, f *ir.Func, y, z int64) (int64, int64) {
 	return v.I, m.Steps
 }
 
+// optimizeFigure3 optimizes the Figure 3 function at a level.
+func optimizeFigure3(t *testing.T, level core.Level) *ir.Func {
+	t.Helper()
+	out, err := core.Optimize(&ir.Program{Funcs: []*ir.Func{ir.MustParseFunc(figure3)}}, level)
+	if err != nil {
+		t.Fatalf("%s: %v", level, err)
+	}
+	return out.Funcs[0]
+}
+
 // TestRunningExampleSemantics checks that every optimization level
 // preserves the running example's semantics over a grid of inputs.
 func TestRunningExampleSemantics(t *testing.T) {
 	inputs := [][2]int64{{1, 2}, {0, 0}, {50, 50}, {100, 1}, {-10, 5}, {99, 1}, {101, 0}, {-200, 100}}
 	for _, level := range append([]core.Level{core.LevelNone}, core.Levels...) {
-		f := ir.MustParseFunc(figure3)
-		if err := core.OptimizeFunc(f, level); err != nil {
-			t.Fatalf("%s: %v", level, err)
-		}
+		f := optimizeFigure3(t, level)
 		if err := ir.Verify(f); err != nil {
 			t.Fatalf("%s: verify: %v", level, err)
 		}
@@ -94,10 +101,7 @@ func TestRunningExampleSemantics(t *testing.T) {
 func TestRunningExampleImproves(t *testing.T) {
 	counts := map[core.Level]int64{}
 	for _, level := range core.Levels {
-		f := ir.MustParseFunc(figure3)
-		if err := core.OptimizeFunc(f, level); err != nil {
-			t.Fatalf("%s: %v", level, err)
-		}
+		f := optimizeFigure3(t, level)
 		_, steps := runFoo(t, f, 1, 2) // x=3: 98 iterations
 		counts[level] = steps
 	}

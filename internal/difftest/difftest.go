@@ -529,7 +529,11 @@ func safeOptimize(ctx context.Context, p *ir.Program, level core.Level, optimize
 // real pipeline optimizes whole programs, so the blame run can only
 // narrow, never widen, the already-established miscompile.
 func blamePass(ctx context.Context, prog *ir.Program, level core.Level, v variant) string {
-	_, diags, err := core.CheckedOptimizeFor(ctx, prog, level, v.gvn, v.pre)
+	passes, err := core.Passes(core.PassNamesWith(level, v.gvn, v.pre)...)
+	if err != nil {
+		return fmt.Sprintf(" [blame run failed: %v]", err)
+	}
+	_, diags, err := core.CheckedRun(prog, passes, core.OptimizeOptions{Ctx: ctx}, core.CheckConfig{Validate: true})
 	for _, d := range check.Errors(diags) {
 		if d.Pass != "" {
 			return fmt.Sprintf(" [blamed pass: %s]", d.Pass)

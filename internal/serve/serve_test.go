@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"expvar"
 	"fmt"
 	"io"
 	"net"
@@ -387,6 +388,24 @@ func TestCheckedMode(t *testing.T) {
 	_, plain, _ := postOptimize(t, ts, OptimizeRequest{Source: serveSrc, Level: "reassoc"})
 	if plain.Key == out.Key {
 		t.Error("checked and unchecked requests share a cache key")
+	}
+}
+
+// TestCheckedModePassMetrics: a checked request reports its pass
+// applications to the pass metrics, like an unchecked one.
+func TestCheckedModePassMetrics(t *testing.T) {
+	s := newServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	code, _, raw := postOptimize(t, ts, OptimizeRequest{Source: serveSrc, Level: "reassoc", Check: true})
+	if code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, raw)
+	}
+	for _, pass := range core.PassNames(core.LevelReassoc) {
+		if n, _ := s.Metrics().passCount.Get(pass).(*expvar.Int); n == nil || n.Value() < 1 {
+			t.Errorf("pass_count[%q] = %v after a checked request, want >= 1", pass, n)
+		}
 	}
 }
 

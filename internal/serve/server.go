@@ -449,8 +449,18 @@ func (s *Server) optimize(ctx context.Context, spec *reqSpec) (*cachedResult, er
 			return nil, err
 		}
 	}
+	opts := core.OptimizeOptions{
+		Ctx:    ctx,
+		OnPass: s.metrics.ObservePass,
+		GVN:    spec.gvn,
+		PRE:    spec.pre,
+	}
 	if spec.checked {
-		out, diags, err := core.CheckedOptimizeFor(ctx, prog, spec.level, spec.gvn, spec.pre)
+		passes, err := core.Passes(core.PassNamesWith(spec.level, spec.gvn, spec.pre)...)
+		if err != nil {
+			return nil, err
+		}
+		out, diags, err := core.CheckedRun(prog, passes, opts, core.CheckConfig{Validate: true})
 		if err != nil {
 			return nil, err
 		}
@@ -460,12 +470,7 @@ func (s *Server) optimize(ctx context.Context, spec *reqSpec) (*cachedResult, er
 		}
 		return &cachedResult{iloc: out.String(), staticOps: out.InstrCount(), diags: msgs, prog: out}, nil
 	}
-	out, err := core.OptimizeWith(prog, spec.level, core.OptimizeOptions{
-		Ctx:    ctx,
-		OnPass: s.metrics.ObservePass,
-		GVN:    spec.gvn,
-		PRE:    spec.pre,
-	})
+	out, err := core.OptimizeWith(prog, spec.level, opts)
 	if err != nil {
 		return nil, err
 	}
