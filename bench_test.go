@@ -32,6 +32,8 @@ import (
 //	BenchmarkAblation*         — design-choice ablations from DESIGN.md
 //	BenchmarkBaselineTail      — per-pass time and bytes of the §4.1
 //	                             baseline tail
+//	BenchmarkPRE               — time and bytes of each PRE backend at
+//	                             the distribution level's PRE slot
 //
 // Wall-clock numbers measure the optimizer itself; the paper's actual
 // metric is the reported dynops/expansion value.
@@ -487,6 +489,55 @@ func BenchmarkRegisterPressure(b *testing.B) {
 			}
 			b.ReportMetric(float64(spills), "spills")
 			b.ReportMetric(float64(ops), "dynops")
+		})
+	}
+}
+
+// BenchmarkPRE measures each PRE backend's time and bytes over every
+// suite function as the distribution pipeline hands it to the PRE slot
+// (reassociation with distribution, GVN and normalization already run).
+func BenchmarkPRE(b *testing.B) {
+	var funcs []*ir.Func
+	for _, r := range suite.All() {
+		prog, err := r.Compile()
+		if err != nil {
+			b.Fatal(err)
+		}
+		funcs = append(funcs, prog.Funcs...)
+	}
+	ctx := context.Background()
+	for _, name := range core.PassNames(core.LevelDist) {
+		if name == core.PREDrechsler.PassName() {
+			break
+		}
+		p, err := core.PassByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, f := range funcs {
+			p.Run(&core.PassContext{Ctx: ctx, Func: f, Analyses: analysis.NewCache(f)})
+		}
+	}
+	for _, backend := range core.PREBackends {
+		p, err := core.PassByName(backend.PassName())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(string(backend), func(b *testing.B) {
+			b.ReportAllocs()
+			work := make([]*ir.Func, len(funcs))
+			caches := make([]*analysis.Cache, len(funcs))
+			for range b.N {
+				b.StopTimer()
+				for j, f := range funcs {
+					work[j] = f.Clone()
+					caches[j] = analysis.NewCache(work[j])
+				}
+				b.StartTimer()
+				for j, f := range work {
+					p.Run(&core.PassContext{Ctx: ctx, Func: f, Analyses: caches[j]})
+				}
+			}
 		})
 	}
 }

@@ -16,7 +16,7 @@
 //	epre levels                                    # list levels and passes
 //
 // Setting EPRE_CHECK=1 in the environment makes every optimization
-// (opt with -level or -passes, run, example, table1) validate
+// (opt with -level or -passes, run, example, table1, table2) validate
 // each pass application with the internal/check analyzers and fail
 // loudly on a miscompile.
 package main

@@ -47,14 +47,17 @@ func allocated(fn func()) uint64 {
 
 // TestTailPassStateIgnoresUnusedRegisters pads a 25-block function with
 // 20000 register numbers no instruction mentions — the sparse numbering
-// SSA round trips leave behind — and runs SCCP and coalescing on it.
-// The output must be byte-identical to the unpadded run, and the bytes
-// the pass allocates must stay within a bound that state sized by
-// f.NumRegs() exceeds.  The liveness coalescing consumes is an analysis
-// sized by f.NumRegs() for every client, so its builds are subtracted.
-// SCCP's bound leaves room for its one borrowed int per register (the
-// dense index; in a pipeline the analysis arena recycles it), against
-// the blocks × registers lattice cells it would otherwise need.
+// SSA round trips leave behind — and runs SCCP, coalescing and each PRE
+// strategy on it.  The output must be byte-identical to the unpadded
+// run (once the registers PRE creates, numbered after the padding, are
+// shifted back), and the bytes the pass allocates must stay within a
+// bound that state sized by f.NumRegs() exceeds.  The liveness
+// coalescing consumes is an analysis sized by f.NumRegs() for every
+// client, so its builds are subtracted.  SCCP's and PRE's bounds leave
+// room for their one borrowed int per register (the dense index of
+// SCCP's lattice and of PRE's expression universe; in a pipeline the
+// analysis arena recycles it), against the blocks × registers lattice
+// cells, and the per-round register tables, they would otherwise need.
 func TestTailPassStateIgnoresUnusedRegisters(t *testing.T) {
 	const pad = 20000
 	src := diamondChain(7)
@@ -64,6 +67,9 @@ func TestTailPassStateIgnoresUnusedRegisters(t *testing.T) {
 	}{
 		{"sccp", 1 << 20},
 		{"coalesce", 64 << 10},
+		{"pre", 320 << 10},
+		{"pre-lcm", 320 << 10},
+		{"pre-lospre", 320 << 10},
 	} {
 		t.Run(tc.pass, func(t *testing.T) {
 			p, err := core.PassByName(tc.pass)
@@ -79,6 +85,7 @@ func TestTailPassStateIgnoresUnusedRegisters(t *testing.T) {
 			}
 
 			padded := ir.MustParseFunc(src)
+			fresh := padded.NumRegs()
 			for range pad {
 				padded.NewReg()
 			}
@@ -87,6 +94,18 @@ func TestTailPassStateIgnoresUnusedRegisters(t *testing.T) {
 			total := allocated(func() { run(padded) })
 			liveness := analysis.GlobalBuilds().Sub(builds).Liveness * livenessBytes
 
+			// Registers a pass creates (PRE's temporaries) are numbered
+			// after the padding; shift them back before comparing.
+			padded.ForEachInstr(func(_ *ir.Block, _ int, in *ir.Instr) {
+				if in.Dst >= ir.Reg(fresh+pad) {
+					in.Dst -= pad
+				}
+				for i, a := range in.Args {
+					if a >= ir.Reg(fresh+pad) {
+						in.Args[i] = a - pad
+					}
+				}
+			})
 			if got, want := padded.String(), plain.String(); got != want {
 				t.Fatalf("padding changed the output:\n%s\nwant:\n%s", got, want)
 			}

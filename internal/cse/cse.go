@@ -49,7 +49,9 @@ func RunDominator(f *ir.Func) Stats {
 func RunDominatorWith(f *ir.Func, ac *analysis.Cache) Stats {
 	var st Stats
 	st.RemovedBlocks = ac.RemoveUnreachable()
-	u := dataflow.BuildUniverse(f)
+	regIndex := ac.BorrowInts(f.NumRegs())
+	defer ac.ReturnInts(regIndex)
+	u := dataflow.BuildUniverse(f, regIndex)
 	canon := pre.CanonicalDsts(f, u, ac)
 	defer ac.ReturnRegs(canon)
 	dom := ac.DomTree()
@@ -65,14 +67,12 @@ func RunDominatorWith(f *ir.Func, ac *analysis.Cache) Stats {
 		kept := b.Instrs[:0]
 		for _, inID := range b.Instrs {
 			in := b.Fn.Instr(inID)
-			if k, ok := dataflow.KeyOf(in); ok {
-				if e, found := u.Index[k]; found && canon[e] != ir.NoReg {
-					if local.Has(e) {
-						st.Removed++
-						continue // dominated by an identical computation
-					}
-					local.Set(e)
+			if e := u.Expr(in); e >= 0 && canon[e] != ir.NoReg {
+				if local.Has(e) {
+					st.Removed++
+					continue // dominated by an identical computation
 				}
+				local.Set(e)
 			}
 			kept = append(kept, inID)
 			u.KillScan(local, in.Dst, in.Op.WritesMemory())
@@ -138,7 +138,9 @@ func RunAvail(f *ir.Func) Stats {
 func RunAvailWith(f *ir.Func, ac *analysis.Cache) Stats {
 	var st Stats
 	st.RemovedBlocks = ac.RemoveUnreachable()
-	u := dataflow.BuildUniverse(f)
+	regIndex := ac.BorrowInts(f.NumRegs())
+	defer ac.ReturnInts(regIndex)
+	u := dataflow.BuildUniverse(f, regIndex)
 	canon := pre.CanonicalDsts(f, u, ac)
 	defer ac.ReturnRegs(canon)
 	avin, _ := u.Availability(ac.RPO())
@@ -148,14 +150,12 @@ func RunAvailWith(f *ir.Func, ac *analysis.Cache) Stats {
 		kept := b.Instrs[:0]
 		for _, inID := range b.Instrs {
 			in := b.Fn.Instr(inID)
-			if k, ok := dataflow.KeyOf(in); ok {
-				if e, found := u.Index[k]; found && canon[e] != ir.NoReg {
-					if avail.Has(e) {
-						st.Removed++
-						continue
-					}
-					avail.Set(e)
+			if e := u.Expr(in); e >= 0 && canon[e] != ir.NoReg {
+				if avail.Has(e) {
+					st.Removed++
+					continue
 				}
+				avail.Set(e)
 			}
 			kept = append(kept, inID)
 			u.KillScan(avail, in.Dst, in.Op.WritesMemory())

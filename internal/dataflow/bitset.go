@@ -213,3 +213,15 @@ func (s *BitSet) String() string {
 	sb.WriteByte('}')
 	return sb.String()
 }
+
+// Gather re-dimensions s to capacity len(ids), as Reset does, and
+// fills it with the elements ids selects from t: element i of s is
+// element ids[i] of t.
+func (s *BitSet) Gather(t *BitSet, ids []int32) {
+	s.Reset(len(ids))
+	for i, e := range ids {
+		if t.Has(int(e)) {
+			s.Set(i)
+		}
+	}
+}

@@ -242,10 +242,10 @@ b0:
 }
 `
 	f := ir.MustParseFunc(src)
-	u := dataflow.BuildUniverse(f)
+	u := dataflow.BuildUniverse(f, nil)
 	idx := func(op ir.Op, a, b ir.Reg) int {
 		k, _ := dataflow.KeyOf(f.NewInstr(op, 99, a, b))
-		e, ok := u.Index[k]
+		e, ok := u.Lookup(k)
 		if !ok {
 			t.Fatalf("expression %v not in universe", k)
 		}

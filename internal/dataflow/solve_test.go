@@ -50,7 +50,7 @@ b3:
 func universeFor(t *testing.T, src string) (*ir.Func, *dataflow.Universe, map[string]*ir.Block) {
 	t.Helper()
 	f := ir.MustParseFunc(src)
-	u := dataflow.BuildUniverse(f)
+	u := dataflow.BuildUniverse(f, nil)
 	byName := map[string]*ir.Block{}
 	for _, b := range f.Blocks {
 		byName[b.Name] = b
@@ -63,7 +63,7 @@ func TestSolveForwardAvailability(t *testing.T) {
 	in, out := u.Availability(cfg.ReversePostorder(f))
 
 	k, _ := dataflow.KeyOf(f.NewInstr(ir.OpAdd, 99, 1, 2))
-	e := u.Index[k]
+	e, _ := u.Lookup(k)
 	// r1+r2 is available out of b1, killed by b2's write to r2, so the
 	// all-paths meet at the join must drop it.
 	if !out[byName["b1"].ID].Has(e) {
@@ -82,7 +82,7 @@ func TestSolveBackwardAnticipability(t *testing.T) {
 	in, out := u.Anticipability(cfg.ReversePostorder(f))
 
 	k, _ := dataflow.KeyOf(f.NewInstr(ir.OpAdd, 99, 1, 2))
-	e := u.Index[k]
+	e, _ := u.Lookup(k)
 	// Every path from b0 reaches b3's r1+r2, but b2 redefines r2 on the
 	// way, so the expression is anticipated at b0's exit only via b1.
 	if !in[byName["b3"].ID].Has(e) {
@@ -115,7 +115,7 @@ func TestSolveBackwardMeetAny(t *testing.T) {
 		})
 
 	k, _ := dataflow.KeyOf(f.NewInstr(ir.OpAdd, 99, 1, 2))
-	e := u.Index[k]
+	e, _ := u.Lookup(k)
 	if !out[byName["b0"].ID].Has(e) {
 		t.Error("union meet at the fork must see the use in b1")
 	}

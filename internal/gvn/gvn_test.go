@@ -53,7 +53,7 @@ b0:
 	want, _ := run(t, f, 3, 4)
 
 	// Without GVN, the two adds are lexically different.
-	u := dataflow.BuildUniverse(f)
+	u := dataflow.BuildUniverse(f, nil)
 	k1, _ := dataflow.KeyOf(f.Entry().Instr(1)) // add r1, r2
 	k2, _ := dataflow.KeyOf(f.Entry().Instr(4)) // add r5, r2
 	if k1 == k2 {

@@ -27,20 +27,15 @@ package pre
 // nothing and nothing in the entry block is ever deleted.
 
 import (
-	"repro/internal/analysis"
 	"repro/internal/cfg"
 	"repro/internal/dataflow"
 	"repro/internal/ir"
 )
 
 // drechslerRound runs one round of Drechsler–Stadel PRE on f.
-func drechslerRound(f *ir.Func, ac *analysis.Cache) Stats {
-	r := begin(f, ac)
-	defer ac.ReturnRegs(r.temp)
-	u, n := r.u, r.st.Exprs
-	if n == 0 {
-		return r.st
-	}
+func drechslerRound(r *round) {
+	f, ac, u := r.f, r.ac, r.u
+	n := u.NumExprs()
 	rpo := ac.RPO()
 	nb := len(f.Blocks)
 	antin, antout := u.Anticipability(rpo)
@@ -84,20 +79,13 @@ func drechslerRound(f *ir.Func, ac *analysis.Cache) Stats {
 	}
 
 	// --- INSERT / DELETE ---
-	type edge struct{ from, to *ir.Block }
-	var edges []edge
-	for _, b := range f.Blocks {
-		for _, s := range b.Succs {
-			edges = append(edges, edge{b, s})
-		}
-	}
-	insert := dataflow.NewBitSetFamily(len(edges), n)
-	for ei, ed := range edges {
-		set := insert[ei]
-		set.CopyFrom(antin[ed.to.ID])
-		set.Intersect(x[ed.from.ID])
-		set.UnionDiff(laterin[ed.from.ID], u.AntLoc[ed.from.ID])
-		set.Subtract(laterin[ed.to.ID])
+	// insertOn computes INSERT(from→to) into set; it is cheap enough to
+	// compute twice rather than keep per edge.
+	insertOn := func(set *dataflow.BitSet, from, to *ir.Block) {
+		set.CopyFrom(antin[to.ID])
+		set.Intersect(x[from.ID])
+		set.UnionDiff(laterin[from.ID], u.AntLoc[from.ID])
+		set.Subtract(laterin[to.ID])
 	}
 	del := dataflow.NewBitSetFamily(nb, n)
 	for _, b := range f.Blocks {
@@ -125,14 +113,16 @@ func drechslerRound(f *ir.Func, ac *analysis.Cache) Stats {
 	modeA := ac.BorrowBools(n)
 	defer ac.ReturnBools(modeA)
 	interesting := dataflow.NewBitSet(n)
-	for _, set := range insert {
-		interesting.Union(set)
+	for _, b := range f.Blocks {
+		for _, s := range b.Succs {
+			insertOn(tmp, b, s)
+			interesting.Union(tmp)
+		}
 	}
 	for _, set := range del {
 		interesting.Union(set)
 	}
-	canon := CanonicalDsts(f, u, ac)
-	defer ac.ReturnRegs(canon)
+	canon := r.canon
 	// Mode A applies to every canonically named expression, not just
 	// the ones with global insert/delete sets: the same walk then also
 	// removes block-local recomputations (classic PRE presentations
@@ -149,17 +139,20 @@ func drechslerRound(f *ir.Func, ac *analysis.Cache) Stats {
 	}
 
 	// --- Perform insertions ---
-	for ei, ed := range edges {
-		switch {
-		case len(ed.from.Succs) == 1:
-			insert[ei].ForEach(func(e int) { r.insert(ed.from, bottom, e) })
-		case len(ed.to.Preds) == 1:
-			insert[ei].ForEach(func(e int) { r.insert(ed.to, topPos(ed.to), e) })
-		case !insert[ei].Empty():
-			// Cannot happen: critical edges were split.
-			at := cfg.SplitEdge(ed.from, ed.to)
-			r.st.EdgesSplit++
-			insert[ei].ForEach(func(e int) { r.insert(at, bottom, e) })
+	for _, from := range f.Blocks {
+		for _, to := range from.Succs {
+			insertOn(tmp, from, to)
+			switch {
+			case len(from.Succs) == 1:
+				tmp.ForEach(func(e int) { r.insert(from, bottom, e) })
+			case len(to.Preds) == 1:
+				tmp.ForEach(func(e int) { r.insert(to, topPos(to), e) })
+			case !tmp.Empty():
+				// Cannot happen: critical edges were split.
+				at := cfg.SplitEdge(from, to)
+				r.st.EdgesSplit++
+				tmp.ForEach(func(e int) { r.insert(at, bottom, e) })
+			}
 		}
 	}
 
@@ -183,5 +176,4 @@ func drechslerRound(f *ir.Func, ac *analysis.Cache) Stats {
 		// Mode B first (or post-kill) computation.
 		return compute
 	})
-	return r.st
 }

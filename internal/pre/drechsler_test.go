@@ -3,6 +3,7 @@ package pre
 import (
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/cfg"
 	"repro/internal/coalesce"
 	"repro/internal/dce"
@@ -140,6 +141,111 @@ b2:
 	// Only the two accumulator updates (r4 and r5) may remain.
 	if adds > 2 {
 		t.Errorf("loop still has %d adds, want ≤2\n%s", adds, f)
+	}
+}
+
+// TestChainRoundsSolveWhatChanged pins the incremental rounds on the
+// Figure 9 chain: round 1 solves every expression and hoists the
+// invariant r1+r2 (Figure 9's r6 ← r0+1); round 2 solves only its
+// parent r6+r3, the one expression reading the register round 1
+// redefined, and hoists it.  Round 3 solves the accumulation that reads
+// the parent, plus r1+r2 again: with its only use moved beside it, r6
+// is once more its canonical destination (Mode A).  It finds nothing,
+// and the run stops.
+func TestChainRoundsSolveWhatChanged(t *testing.T) {
+	const src = `
+func f(r1, r2, r3) {
+b0:
+    enter(r1, r2, r3)
+    loadI 0 => r4
+    loadI 0 => r5
+    loadI 1 => r9
+    jump -> b1
+b1:
+    add r1, r2 => r6
+    add r6, r3 => r7
+    add r4, r7 => r4
+    add r5, r9 => r5
+    cmpLT r5, r3 => r10
+    cbr r10 -> b1, b2
+b2:
+    ret r4
+}
+`
+	f := ir.MustParseFunc(src)
+	want, _ := run(t, f, "f", 3, 4, 10)
+	p := &driver{f: f, ac: analysis.NewCache(f), s: Drechsler}
+	defer p.release()
+
+	st, ok := p.round()
+	if !ok || st.Solved != st.Exprs || st.Inserted != 1 {
+		t.Fatalf("round 1 must solve all %d expressions and hoist r1+r2: %+v\n%s", st.Exprs, st, f)
+	}
+	st, ok = p.round()
+	if !ok || st.Solved != 1 || st.Inserted != 1 || st.Deleted != 1 {
+		t.Fatalf("round 2 must solve and hoist only the parent r6+r3: %+v\n%s", st, f)
+	}
+	st, ok = p.round()
+	if !ok || st.Solved != 2 || st.Changed() {
+		t.Fatalf("round 3 must solve the accumulation and r1+r2 and find nothing: %+v\n%s", st, f)
+	}
+	if got, _ := run(t, f, "f", 3, 4, 10); got != want {
+		t.Fatalf("semantics changed: %d vs %d", got, want)
+	}
+	if adds := loopOpCount(f, ir.OpAdd); adds != 2 {
+		t.Errorf("loop keeps %d adds, want the 2 variant ones\n%s", adds, f)
+	}
+
+	// The driver reports the same rounds, summed.
+	g := ir.MustParseFunc(src)
+	total := fixpoint(g, Drechsler)
+	if total.Rounds != 3 || total.Solved != total.Exprs+3 {
+		t.Errorf("fixpoint: %+v, want 3 rounds solving %d+1+2", total, total.Exprs)
+	}
+	if g.String() != f.String() {
+		t.Errorf("round-by-round and fixpoint runs differ:\n%s\nvs\n%s", g, f)
+	}
+}
+
+// TestNamingFlipResolves: an expression whose operands no round
+// redefines is still solved again when its canonical destination
+// becomes eligible.  r1+r2 is computed twice into r4, but r4 is read in
+// the loop, so r1+r2 starts under Mode B, where the local repeat stays.
+// Round 1 hoists the loop's r4+r3 into b0; r4's only use is then local,
+// r1+r2 turns Mode A, and round 2 must delete the repeat, as a full
+// re-solve would.
+func TestNamingFlipResolves(t *testing.T) {
+	const src = `
+func f(r1, r2, r3) {
+b0:
+    enter(r1, r2, r3)
+    add r1, r2 => r4
+    add r1, r2 => r4
+    loadI 0 => r5
+    jump -> b1
+b1:
+    add r4, r3 => r6
+    add r5, r6 => r5
+    cmpLT r5, r3 => r7
+    cbr r7 -> b1, b2
+b2:
+    ret r5
+}
+`
+	f := ir.MustParseFunc(src)
+	want, _ := run(t, f, "f", 3, 4, 100)
+	st := fixpoint(f, Drechsler)
+	if got, _ := run(t, f, "f", 3, 4, 100); got != want {
+		t.Fatalf("semantics changed: %d vs %d", got, want)
+	}
+	n := 0
+	for _, id := range f.Entry().Instrs {
+		if in := f.Instr(id); in.Op == ir.OpAdd && in.Args[0] == 1 && in.Args[1] == 2 {
+			n++
+		}
+	}
+	if n != 1 || st.Deleted != 2 {
+		t.Errorf("b0 keeps %d computations of r1+r2, want 1: %+v\n%s", n, st, f)
 	}
 }
 

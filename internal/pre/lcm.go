@@ -32,20 +32,15 @@ package pre
 // are trusted to clean up.
 
 import (
-	"repro/internal/analysis"
 	"repro/internal/dataflow"
 	"repro/internal/ir"
 )
 
 // lcmRound runs one round of lazy code motion on f.
-func lcmRound(f *ir.Func, ac *analysis.Cache) Stats {
-	r := begin(f, ac)
-	defer ac.ReturnRegs(r.temp)
-	u, n := r.u, r.st.Exprs
-	if n == 0 {
-		return r.st
-	}
-	rpo := ac.RPO()
+func lcmRound(r *round) {
+	f, u := r.f, r.u
+	n := u.NumExprs()
+	rpo := r.ac.RPO()
 	nb := len(f.Blocks)
 
 	tmp := dataflow.NewBitSet(n)
@@ -134,7 +129,7 @@ func lcmRound(f *ir.Func, ac *analysis.Cache) Stats {
 		replaceHere[b.ID].AndNotOf(u.AntLoc[b.ID], tmp)
 	}
 	if interesting.Empty() {
-		return r.st
+		return
 	}
 
 	interesting.ForEach(func(e int) { r.temp[e] = f.NewReg() })
@@ -162,5 +157,4 @@ func lcmRound(f *ir.Func, ac *analysis.Cache) Stats {
 		}
 		return keep
 	})
-	return r.st
 }

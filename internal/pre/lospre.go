@@ -40,7 +40,6 @@ package pre
 // so a round that transforms anything reports Replaced > 0.
 
 import (
-	"repro/internal/analysis"
 	"repro/internal/dataflow"
 	"repro/internal/ir"
 )
@@ -67,24 +66,17 @@ func nNode(b *ir.Block) int { return 2 + 3*b.ID }
 func xNode(b *ir.Block) int { return 3 + 3*b.ID }
 func uNode(b *ir.Block) int { return 4 + 3*b.ID }
 
-// lospreRound runs one round of speculative PRE on f.
-func lospreRound(f *ir.Func, ac *analysis.Cache) Stats {
-	return lospreRoundWith(f, ac, 0)
-}
+// lospreRound runs one round of speculative PRE.
+func lospreRound(r *round) { lospreRoundWith(r, 0) }
 
 // lospreRoundWith is lospreRound with a test seam: forcedBudgetTrips > 0
 // makes the first that many cut solves report budget exhaustion,
 // exercising the conservative fallback without an adversarial graph.
-func lospreRoundWith(f *ir.Func, ac *analysis.Cache, forcedBudgetTrips int) Stats {
-	r := begin(f, ac)
-	defer ac.ReturnRegs(r.temp)
-	u, n := r.u, r.st.Exprs
-	if n == 0 {
-		return r.st
-	}
+func lospreRoundWith(r *round, forcedBudgetTrips int) {
+	f, ac, u := r.f, r.ac, r.u
+	n := u.NumExprs()
 	rpo := ac.RPO()
 	nb := len(f.Blocks)
-	nr := f.NumRegs()
 
 	// Down-safety (anticipability), needed to pin the non-speculatable
 	// expressions to classical placement.
@@ -93,6 +85,12 @@ func lospreRoundWith(f *ir.Func, ac *analysis.Cache, forcedBudgetTrips int) Stat
 	// Definite assignment of registers (forward, all-paths): an
 	// insertion may only be placed where the expression's operands are
 	// certainly defined, or checked mode would reject the output.
+	nr := u.NumRegSlots()
+	def := func(set *dataflow.BitSet, reg ir.Reg) {
+		if s := u.RegSlot(reg); s >= 0 {
+			set.Set(s)
+		}
+	}
 	defs := dataflow.NewBitSetFamily(nb, nr)
 	for _, b := range f.Blocks {
 		set := defs[b.ID]
@@ -100,12 +98,10 @@ func lospreRoundWith(f *ir.Func, ac *analysis.Cache, forcedBudgetTrips int) Stat
 			in := b.Fn.Instr(inID)
 			if in.Op == ir.OpEnter {
 				for _, p := range in.Args {
-					set.Set(int(p))
+					def(set, p)
 				}
 			}
-			if in.Dst != ir.NoReg {
-				set.Set(int(in.Dst))
-			}
+			def(set, in.Dst)
 		}
 	}
 	defin := dataflow.NewBitSetFamily(nb, nr)
@@ -120,10 +116,10 @@ func lospreRoundWith(f *ir.Func, ac *analysis.Cache, forcedBudgetTrips int) Stat
 		})
 	definedAt := func(sets []*dataflow.BitSet, b *ir.Block, e int) bool {
 		k := u.Keys[e]
-		if k.A != ir.NoReg && !sets[b.ID].Has(int(k.A)) {
+		if k.A != ir.NoReg && !sets[b.ID].Has(u.RegSlot(k.A)) {
 			return false
 		}
-		if k.B != ir.NoReg && !sets[b.ID].Has(int(k.B)) {
+		if k.B != ir.NoReg && !sets[b.ID].Has(u.RegSlot(k.B)) {
 			return false
 		}
 		return true
@@ -233,7 +229,7 @@ func lospreRoundWith(f *ir.Func, ac *analysis.Cache, forcedBudgetTrips int) Stat
 		}
 	}
 	if transformed.Empty() {
-		return r.st
+		return
 	}
 
 	transformed.ForEach(func(e int) { r.temp[e] = f.NewReg() })
@@ -262,5 +258,4 @@ func lospreRoundWith(f *ir.Func, ac *analysis.Cache, forcedBudgetTrips int) Stat
 		}
 		return compute
 	})
-	return r.st
 }

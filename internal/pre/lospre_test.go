@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/cfg"
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -278,7 +277,7 @@ b2:
 	f := ir.MustParseFunc(src)
 	cfg.SplitCriticalEdges(f) // CFG normalization happens either way
 	before := f.String()
-	st := lospreRoundWith(f, analysis.NewCache(f), 1<<30)
+	st := once(f, Strategy{place: func(r *round) { lospreRoundWith(r, 1<<30) }})
 	if st.Fallbacks == 0 {
 		t.Fatalf("test seam did not trip: %+v", st)
 	}

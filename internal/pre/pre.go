@@ -21,15 +21,27 @@
 // boundary; the expression universe and its local properties come from
 // dataflow.BuildUniverse; anticipability (down-safety) comes from
 // Universe.Anticipability.  A round inserts h ← e computations and then
-// walks every block once, rewriting each original occurrence of a
+// walks the blocks once, rewriting each original occurrence of a
 // placed expression (see rewrite).  A single round moves each
 // expression at most one level — the computation of an operand blocks
-// upward exposure of its parents — so RunToFixpoint repeats rounds
-// until one finds nothing more, which is what hoists whole invariant
-// chains out of loops, as in the paper's Figure 9.  None of the
-// strategies lengthens an execution path the original code did not
-// already take through the expression, except lospre's deliberate,
-// trap-free speculation.
+// upward exposure of its parents — so RunToFixpoint repeats rounds,
+// which is what hoists whole invariant chains out of loops, as in the
+// paper's Figure 9.  None of the strategies lengthens an execution
+// path the original code did not already take through the expression,
+// except lospre's deliberate, trap-free speculation.
+//
+// The rounds cost what changed.  A run numbers the universe once and
+// refreshes local properties only in the blocks a round changed, and a
+// round after the first solves only the expressions with an operand
+// the previous round redefined, plus, under Drechsler's naming
+// discipline, those that gained a canonical destination.  The
+// invariant that makes this exact: every strategy places an expression
+// from that expression's own local properties (and its operands'
+// definitions) alone, independently of every other expression, and a
+// round leaves each expression it solved where a further round would
+// put it.  So an expression none of whose inputs changed is already in
+// place, and solving it again would find nothing.  The run stops when
+// a round changes nothing or leaves nothing to solve.
 package pre
 
 import (
@@ -44,12 +56,13 @@ import (
 // Stats reports what PRE did to a function: one round, or summed over
 // the rounds of RunToFixpoint.
 type Stats struct {
-	Exprs         int // size of the expression universe (last round)
+	Exprs         int // distinct expressions the run numbered
+	Solved        int // expressions solved, summed over rounds
 	Inserted      int // h ← e computations inserted
 	Deleted       int // Mode A computations removed outright
 	Replaced      int // occurrences turned into a copy from the temporary
 	Rewritten     int // occurrences turned into h ← e; t ← copy h
-	ModeA         int // expressions handled under the naming discipline (last round)
+	ModeA         int // solved expressions handled under the naming discipline (last round)
 	Transformed   int // lospre: expressions whose cut beat the status quo
 	Fallbacks     int // lospre: expressions skipped because the cut budget tripped
 	EdgesSplit    int // critical edges split
@@ -71,6 +84,7 @@ func (s Stats) Mutated() bool {
 // add folds one round's stats into a running total.
 func (s *Stats) add(r Stats) {
 	s.Exprs = r.Exprs
+	s.Solved += r.Solved
 	s.Inserted += r.Inserted
 	s.Deleted += r.Deleted
 	s.Replaced += r.Replaced
@@ -83,11 +97,13 @@ func (s *Stats) add(r Stats) {
 	s.Rounds++
 }
 
-// A Strategy is one placement algorithm: the function that runs one
-// round of it, and the most rounds RunToFixpoint may spend.
+// A Strategy is one placement algorithm: the function that places one
+// round's expressions, the most rounds RunToFixpoint may spend, and
+// whether placement reads the naming discipline (CanonicalDsts).
 type Strategy struct {
-	round     func(f *ir.Func, ac *analysis.Cache) Stats
+	place     func(r *round)
 	maxRounds int
+	naming    bool
 }
 
 // The placement strategies.  Each Drechsler or LCM round can hoist one
@@ -95,19 +111,30 @@ type Strategy struct {
 // expression tree worth chasing; lospre's strict-improvement guard
 // lowers the modeled cost every round, so its bound is a backstop.
 var (
-	Drechsler = Strategy{drechslerRound, 32}
-	LCM       = Strategy{lcmRound, 32}
-	Lospre    = Strategy{lospreRound, 8}
+	Drechsler = Strategy{drechslerRound, 32, true}
+	LCM       = Strategy{lcmRound, 32, false}
+	Lospre    = Strategy{lospreRound, 8, false}
 )
 
 // RunToFixpoint applies the strategy's rounds to f, drawing CFG
-// analyses from ac, until a round makes no progress or the round bound
-// is reached.  It checks ctx before every round and stops once ctx is
-// done, leaving the function valid; the caller reports ctx.Err().
+// analyses from ac, until a round makes no progress, no expression is
+// left to solve, or the round bound is reached.  It checks ctx before
+// every round and stops once ctx is done, leaving the function valid;
+// the caller reports ctx.Err().
 func RunToFixpoint(ctx context.Context, f *ir.Func, ac *analysis.Cache, s Strategy) Stats {
 	var total Stats
+	if ctx.Err() != nil {
+		return total
+	}
+	p := &driver{f: f, ac: ac, s: s}
+	defer p.release()
 	for total.Rounds < s.maxRounds && ctx.Err() == nil {
-		st := s.round(f, ac)
+		st, solved := p.round()
+		if !solved {
+			total.EdgesSplit += st.EdgesSplit
+			total.RemovedBlocks += st.RemovedBlocks
+			break
+		}
 		total.add(st)
 		if !st.Changed() {
 			break
@@ -116,29 +143,159 @@ func RunToFixpoint(ctx context.Context, f *ir.Func, ac *analysis.Cache, s Strate
 	return total
 }
 
+// driver is what a RunToFixpoint run keeps across its rounds.  The
+// expression universe is numbered once (each instruction's key hashed
+// once) and its local properties are refreshed only in the blocks the
+// last round changed.  Each round solves only the expressions the last
+// round can have affected: those reading a register it redefined (the
+// destination of an occurrence it inserted, removed or rewrote), plus,
+// under the naming discipline, those that gained a canonical
+// destination.  That is exact because every strategy places each
+// expression from that expression's own local properties alone, and a
+// round's placement is final for the inputs it saw: an expression whose
+// inputs did not change is where the last round that solved it put it,
+// and solving it again would find nothing.
+type driver struct {
+	f  *ir.Func
+	ac *analysis.Cache
+	s  Strategy
+
+	u        *dataflow.Universe // every expression of f; nil before the first round
+	regIndex []int              // u's register index, borrowed from ac
+	canon    []ir.Reg           // naming strategies: CanonicalDsts(u) at the last round
+
+	// What the last round did: the registers it redefined, the blocks
+	// whose instructions it changed, and whether it split an edge.
+	redefined []ir.Reg
+	changed   []*ir.Block
+	split     bool
+}
+
+// release returns the run's borrowed buffers to the analysis cache.
+func (p *driver) release() {
+	if p.u != nil {
+		p.ac.ReturnInts(p.regIndex)
+	}
+	if p.canon != nil {
+		p.ac.ReturnRegs(p.canon)
+	}
+}
+
+// round runs the next round.  It reports false, placing nothing, when
+// no expression needs solving; the stats then carry only the CFG
+// normalization.
+func (p *driver) round() (Stats, bool) {
+	f, ac := p.f, p.ac
+	var st Stats
+	st.RemovedBlocks = ac.RemoveUnreachable()
+	st.EdgesSplit = cfg.SplitCriticalEdges(f)
+	first := p.u == nil
+	switch {
+	case first:
+		p.regIndex = ac.BorrowInts(f.NumRegs())
+		p.u = dataflow.BuildUniverse(f, p.regIndex)
+	case p.split || st.RemovedBlocks+st.EdgesSplit > 0:
+		p.u.Refresh(f.Blocks)
+	default:
+		p.u.Refresh(p.changed)
+	}
+	u, n := p.u, p.u.NumExprs()
+	st.Exprs = n
+
+	dirty := dataflow.NewBitSet(n)
+	if first {
+		dirty.SetAll()
+	}
+	for _, r := range p.redefined {
+		u.AddReaders(dirty, r)
+	}
+	if p.s.naming {
+		// A canonical destination that appeared or moved makes Mode A
+		// newly applicable, and Mode A also deletes block-local repeats
+		// the placement equations never see; one that disappeared
+		// leaves the expression to the equations, whose inputs did not
+		// change.
+		canon := CanonicalDsts(f, u, ac)
+		if p.canon != nil {
+			for e, t := range canon {
+				if t != p.canon[e] && t != ir.NoReg {
+					dirty.Set(e)
+				}
+			}
+			ac.ReturnRegs(p.canon)
+		}
+		p.canon = canon
+	}
+	// Number the round's expressions in order of first occurrence, the
+	// order a universe built afresh now would give them, so placements
+	// and temporaries come out in the same order as a full re-solve,
+	// and note the blocks they occur in.
+	var ids []int32
+	seen := dataflow.NewBitSet(n)
+	occurs := make([]bool, len(f.Blocks))
+	for _, b := range f.Blocks {
+		for _, id := range b.Instrs {
+			if e := u.Expr(f.Instr(id)); e >= 0 && dirty.Has(e) {
+				occurs[b.ID] = true
+				if !seen.Has(e) {
+					seen.Set(e)
+					ids = append(ids, int32(e))
+				}
+			}
+		}
+	}
+	if len(ids) == 0 {
+		return st, false
+	}
+
+	r := &round{
+		f:       f,
+		ac:      ac,
+		u:       u.Restrict(ids),
+		st:      st,
+		fresh:   ir.InstrID(f.NumInstrIDs()),
+		occurs:  occurs,
+		touched: make([]bool, len(f.Blocks)),
+	}
+	r.st.Solved = len(ids)
+	if p.canon != nil {
+		r.canon = ac.BorrowRegs(len(ids))
+		defer ac.ReturnRegs(r.canon)
+		for i, e := range ids {
+			r.canon[i] = p.canon[e]
+		}
+	}
+	r.temp = ac.BorrowRegs(len(ids))
+	defer ac.ReturnRegs(r.temp)
+	p.s.place(r)
+
+	p.redefined = r.redefined
+	p.split = r.st.EdgesSplit > st.EdgesSplit
+	p.changed = p.changed[:0]
+	for _, b := range f.Blocks {
+		if b.ID < len(r.touched) && r.touched[b.ID] {
+			p.changed = append(p.changed, b)
+		}
+	}
+	return r.st, true
+}
+
 // round is the state one strategy round shares with the helpers that
 // apply its placement.
 type round struct {
-	f        *ir.Func
-	u        *dataflow.Universe
-	st       Stats
-	temp     []ir.Reg // per expression: the register carrying its value
-	inserted map[*ir.Instr]bool
-}
+	f      *ir.Func
+	ac     *analysis.Cache
+	u      *dataflow.Universe // the expressions this round solves
+	canon  []ir.Reg           // naming strategies: each expression's canonical destination
+	st     Stats
+	temp   []ir.Reg   // per expression: the register carrying its value
+	fresh  ir.InstrID // instructions from here on were created this round
+	occurs []bool     // by block ID: the block computes one of u's expressions
 
-// begin opens a round on f: it removes unreachable blocks, splits
-// critical edges and builds the expression universe.  The caller ends
-// the round at once, returning r.st, when the universe is empty.  The
-// temporaries are borrowed from ac; the caller returns them with
-// ac.ReturnRegs(r.temp).
-func begin(f *ir.Func, ac *analysis.Cache) *round {
-	r := &round{f: f, inserted: map[*ir.Instr]bool{}}
-	r.st.RemovedBlocks = ac.RemoveUnreachable()
-	r.st.EdgesSplit = cfg.SplitCriticalEdges(f)
-	r.u = dataflow.BuildUniverse(f)
-	r.st.Exprs = r.u.NumExprs()
-	r.temp = ac.BorrowRegs(r.st.Exprs)
-	return r
+	// What the round changed, for the next one: the blocks whose
+	// instructions it changed and the registers it redefined.
+	touched   []bool // by block ID
+	redefined []ir.Reg
 }
 
 // bottom is the insert position just before a block's terminator.
@@ -148,13 +305,22 @@ const bottom = -1
 // b, or before b's terminator when pos is bottom.
 func (r *round) insert(b *ir.Block, pos, e int) {
 	in := r.u.MakeInstr(e, r.temp[e])
-	r.inserted[in] = true
 	if pos == bottom {
 		b.Append(in)
 	} else {
 		b.InsertAt(pos, in)
 	}
 	r.st.Inserted++
+	r.touch(b, in.Dst)
+}
+
+// touch records that the round changed b's instructions and redefined
+// register d.
+func (r *round) touch(b *ir.Block, d ir.Reg) {
+	if b.ID < len(r.touched) {
+		r.touched[b.ID] = true
+	}
+	r.redefined = append(r.redefined, d)
 }
 
 // topPos is the first index of b after its φs and enter: the top-of-
@@ -179,8 +345,9 @@ const (
 	compute               // h ← e; t ← copy h: compute through the temporary
 )
 
-// rewrite walks every block once, tracking in valid the expressions
-// whose temporary holds their value at the current point.  start seeds
+// rewrite walks once through every block that computes one of the
+// round's expressions or received an insertion, tracking in valid the
+// expressions whose temporary holds their value at the current point.  start seeds
 // valid at the top of each block; this round's insertions set their
 // expression; decide picks the action for every original occurrence of
 // an expression given whether its temporary is valid there; and
@@ -189,47 +356,70 @@ func (r *round) rewrite(start func(b *ir.Block, valid *dataflow.BitSet), decide 
 	f, u := r.f, r.u
 	valid := dataflow.NewBitSet(u.NumExprs())
 	for _, b := range f.Blocks {
+		if b.ID < len(r.occurs) && !r.occurs[b.ID] && !r.touched[b.ID] {
+			continue // nothing here for the round to keep, define or rewrite
+		}
 		start(b, valid)
-		kept := make([]ir.InstrID, 0, len(b.Instrs))
-		for _, id := range b.Instrs {
+		// kept replaces b.Instrs from the first instruction the walk
+		// drops or rewrites on.
+		var kept []ir.InstrID
+		edit := func(i int) {
+			if kept == nil {
+				kept = append(make([]ir.InstrID, 0, len(b.Instrs)+2), b.Instrs[:i]...)
+			}
+		}
+		for i, id := range b.Instrs {
 			in := f.Instr(id)
-			k, isExpr := dataflow.KeyOf(in)
-			e, found := u.Index[k]
-			if !isExpr || !found {
-				kept = append(kept, id)
-				u.KillScan(valid, in.Dst, in.Op.WritesMemory())
-				continue
-			}
-			if r.inserted[in] {
+			e := u.Expr(in)
+			act := keep
+			switch {
+			case e < 0:
+			case id >= r.fresh:
+				// Inserted this round.
 				valid.Set(e)
-				kept = append(kept, id)
+				if kept != nil {
+					kept = append(kept, id)
+				}
 				continue
+			default:
+				act = decide(e, valid.Has(e))
 			}
-			switch decide(e, valid.Has(e)) {
+			switch act {
 			case remove:
+				edit(i)
 				r.st.Deleted++
+				r.touch(b, in.Dst)
 				continue
 			case define:
 				valid.Set(e)
 			case replace:
+				edit(i)
 				kept = append(kept, f.NewCopy(in.Dst, r.temp[e]).ID())
 				r.st.Replaced++
+				r.touch(b, in.Dst)
 				u.KillScan(valid, in.Dst, false)
 				continue
 			case compute:
+				edit(i)
 				kept = append(kept, u.MakeInstr(e, r.temp[e]).ID(), f.NewCopy(in.Dst, r.temp[e]).ID())
 				valid.Set(e)
 				r.st.Rewritten++
+				r.touch(b, in.Dst)
+				r.redefined = append(r.redefined, r.temp[e])
 				u.KillScan(valid, in.Dst, false)
 				continue
 			}
-			kept = append(kept, id)
+			if kept != nil {
+				kept = append(kept, id)
+			}
 			u.KillScan(valid, in.Dst, in.Op.WritesMemory())
 		}
-		b.Instrs = kept
+		if kept != nil {
+			b.Instrs = kept
+		}
 	}
 	if r.st.Changed() {
-		// The kept-slice rewrites above bypass the Block helpers.
+		// The kept-slice rewrites bypass the Block helpers.
 		f.MarkCodeMutated()
 	}
 }
@@ -240,70 +430,66 @@ func (r *round) rewrite(start func(b *ir.Block, valid *dataflow.BitSet), decide 
 // t is not an operand of the expression, and every use of t is local to
 // a block that defines it first (the §5.1 rule).  Deleting an
 // occurrence whose value is already in t is then always safe.  The
+// occurrences come from the universe's instruction index, and the
+// per-register state is sized by the registers the function names.  The
 // returned slice is borrowed from the cache's arena; the caller returns
 // it with ReturnRegs.
 func CanonicalDsts(f *ir.Func, u *dataflow.Universe, ac *analysis.Cache) []ir.Reg {
-	n := u.NumExprs()
+	const unseen = ir.Reg(-1)
+	n, nr := u.NumExprs(), u.NumRegSlots()
 	canon := ac.BorrowRegs(n)
 	for i := range canon {
-		canon[i] = ir.Reg(-1) // unseen
+		canon[i] = unseen
 	}
-	defCount := ac.BorrowInts(f.NumRegs())
-	defer ac.ReturnInts(defCount)
 	exprDefCount := ac.BorrowInts(n)
 	defer ac.ReturnInts(exprDefCount)
-	f.ForEachInstr(func(b *ir.Block, i int, in *ir.Instr) {
-		if in.Op == ir.OpEnter {
-			for _, p := range in.Args {
-				defCount[p]++
-			}
-			return
-		}
-		if in.Dst != ir.NoReg {
-			defCount[in.Dst]++
-		}
-		if k, ok := dataflow.KeyOf(in); ok {
-			if e, found := u.Index[k]; found {
+	defCount := ac.BorrowInts(nr)
+	defer ac.ReturnInts(defCount)
+	nonLocalUse := ac.BorrowBools(nr)
+	defer ac.ReturnBools(nonLocalUse)
+	definedHere := ac.BorrowInts(nr)
+	defer ac.ReturnInts(definedHere)
+	gen := 0
+	for _, b := range f.Blocks {
+		gen++
+		for _, id := range b.Instrs {
+			in := f.Instr(id)
+			if e := u.Expr(in); e >= 0 {
 				exprDefCount[e]++
 				switch {
-				case canon[e] == ir.Reg(-1):
+				case canon[e] == unseen:
 					canon[e] = in.Dst
 				case canon[e] != in.Dst:
 					canon[e] = ir.NoReg // mixed destinations
 				}
 			}
-		}
-	})
-	// Reject: other defs of t, t an operand of e, or t used non-locally.
-	nonLocalUse := ac.BorrowBools(f.NumRegs())
-	defer ac.ReturnBools(nonLocalUse)
-	definedHere := ac.BorrowInts(f.NumRegs())
-	defer ac.ReturnInts(definedHere)
-	gen := 0
-	for _, b := range f.Blocks {
-		gen++
-		for _, inID := range b.Instrs {
-			in := b.Fn.Instr(inID)
-			if in.Op != ir.OpEnter {
+			if in.Op == ir.OpEnter {
+				for _, p := range in.Args {
+					if s := u.RegSlot(p); s >= 0 {
+						defCount[s]++
+					}
+				}
+			} else {
 				for _, a := range in.Args {
-					if definedHere[a] != gen {
-						nonLocalUse[a] = true
+					if s := u.RegSlot(a); s >= 0 && definedHere[s] != gen {
+						nonLocalUse[s] = true
 					}
 				}
 			}
-			if in.Dst != ir.NoReg {
-				definedHere[in.Dst] = gen
+			if s := u.RegSlot(in.Dst); s >= 0 {
+				defCount[s]++
+				definedHere[s] = gen
 			}
 		}
 	}
-	for e := 0; e < n; e++ {
-		t := canon[e]
-		if t == ir.Reg(-1) || t == ir.NoReg {
+	// Reject: other defs of t, t an operand of e, or t used non-locally.
+	for e, t := range canon {
+		if t == unseen || t == ir.NoReg {
 			canon[e] = ir.NoReg
 			continue
 		}
-		k := u.Keys[e]
-		if defCount[t] != exprDefCount[e] || k.A == t || k.B == t || nonLocalUse[t] {
+		k, s := u.Keys[e], u.RegSlot(t)
+		if s < 0 || defCount[s] != exprDefCount[e] || k.A == t || k.B == t || nonLocalUse[s] {
 			canon[e] = ir.NoReg
 		}
 	}

@@ -7,9 +7,11 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/cfg"
 	"repro/internal/coalesce"
+	"repro/internal/dataflow"
 	"repro/internal/dce"
 	"repro/internal/interp"
 	"repro/internal/ir"
+	"repro/internal/progen"
 )
 
 // run interprets fn with integer arguments and returns its result and
@@ -44,7 +46,10 @@ func fixpoint(f *ir.Func, s Strategy) Stats {
 
 // once runs a single round of a strategy with a fresh analysis cache.
 func once(f *ir.Func, s Strategy) Stats {
-	return s.round(f, analysis.NewCache(f))
+	p := &driver{f: f, ac: analysis.NewCache(f), s: s}
+	defer p.release()
+	st, _ := p.round()
+	return st
 }
 
 // TestCancelledContextRunsNoRound: the driver checks its context before
@@ -83,4 +88,61 @@ b3:
 			t.Errorf("%s: live context found nothing on the §2 diamond: %+v", name, st)
 		}
 	}
+}
+
+// TestKeptUniverseMatchesRebuild: the universe a run numbers once and
+// refreshes only in the blocks a round changed must hold, after every
+// round, the local properties a universe built afresh would compute,
+// for every strategy on generated programs.
+func TestKeptUniverseMatchesRebuild(t *testing.T) {
+	compared := 0
+	for _, src := range progen.Corpus(100, 30) {
+		for name, s := range map[string]Strategy{"drechsler": Drechsler, "lcm": LCM, "lospre": Lospre} {
+			prog, err := ir.ParseProgramString(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range prog.Funcs {
+				p := &driver{f: f, ac: analysis.NewCache(f), s: s}
+				for round := 1; ; round++ {
+					st, ok := p.round()
+					if !ok || !st.Changed() {
+						break
+					}
+					if p.split {
+						p.u.Refresh(f.Blocks)
+					} else {
+						p.u.Refresh(p.changed)
+					}
+					fresh := dataflow.BuildUniverse(f, nil)
+					compared++
+					for e, k := range fresh.Keys {
+						kept, found := p.u.Lookup(k)
+						if !found {
+							t.Fatalf("%s %s round %d: %s missing from the kept universe", name, f.Name, round, k)
+						}
+						for _, b := range f.Blocks {
+							for _, prop := range []struct {
+								what        string
+								fresh, kept []*dataflow.BitSet
+							}{
+								{"TRANSP", fresh.Transp, p.u.Transp},
+								{"ANTLOC", fresh.AntLoc, p.u.AntLoc},
+								{"COMP", fresh.Comp, p.u.Comp},
+							} {
+								if prop.fresh[b.ID].Has(e) != prop.kept[b.ID].Has(kept) {
+									t.Fatalf("%s %s round %d: %s of %s in %s differs from a rebuild\n%s", name, f.Name, round, prop.what, k, b.Name, f)
+								}
+							}
+						}
+					}
+				}
+				p.release()
+			}
+		}
+	}
+	if compared == 0 {
+		t.Fatal("no round changed anything: the corpus exercises nothing")
+	}
+	t.Logf("%d rounds compared", compared)
 }

@@ -135,16 +135,19 @@ func gvnCompareRow(ctx context.Context, r Routine) (GVNCompareRow, error) {
 	if err != nil {
 		return row, fmt.Errorf("%s: %w", r.Name, err)
 	}
-	reassocPass, err := core.PassByName("reassoc")
+	reassocPass, err := core.Passes("reassoc")
 	if err != nil {
 		return row, err
+	}
+	prog, err = core.RunPasses(prog, reassocPass, core.OptimizeOptions{Ctx: ctx})
+	if err != nil {
+		return row, fmt.Errorf("%s: %w", r.Name, err)
 	}
 	prunedAWZ, prunedPrecise := 0, 0
 	for _, f := range prog.Funcs {
 		if err := ctx.Err(); err != nil {
 			return row, err
 		}
-		reassocPass.Run(&core.PassContext{Ctx: ctx, Func: f, Analyses: analysis.NewCache(f)})
 		d := comparePartitions(f, ssa.BuildOptions{Prune: true, FoldCopies: true})
 		prunedAWZ += d.awz
 		prunedPrecise += d.precise

@@ -88,12 +88,13 @@ func preCompareRow(ctx context.Context, r Routine) (PreCompareRow, error) {
 }
 
 // preStatic is one backend's static effect on a routine at the PRE
-// position: every function is normalized first, exactly as the partial
-// pipeline does before its PRE slot, then run to the PRE fixpoint.  The
-// counts are summed over functions.
+// position: the program is normalized first through the pass driver,
+// exactly as the partial pipeline does before its PRE slot, then every
+// function is run to the PRE fixpoint.  The counts are summed over
+// functions.
 func preStatic(ctx context.Context, r Routine, backend core.PREBackend) (pre.Stats, error) {
 	var sum pre.Stats
-	normalize, err := core.PassByName("normalize")
+	normalize, err := core.Passes("normalize")
 	if err != nil {
 		return sum, err
 	}
@@ -101,18 +102,21 @@ func preStatic(ctx context.Context, r Routine, backend core.PREBackend) (pre.Sta
 	if err != nil {
 		return sum, fmt.Errorf("%s: %w", r.Name, err)
 	}
+	prog, err = core.RunPasses(prog, normalize, core.OptimizeOptions{Ctx: ctx})
+	if err != nil {
+		return sum, fmt.Errorf("%s: %w", r.Name, err)
+	}
 	for _, f := range prog.Funcs {
 		if err := ctx.Err(); err != nil {
 			return sum, err
 		}
-		ac := analysis.NewCache(f)
-		normalize.Run(&core.PassContext{Ctx: ctx, Func: f, Analyses: ac})
-		s := pre.RunToFixpoint(ctx, f, ac, preStrategy[backend])
+		s := pre.RunToFixpoint(ctx, f, analysis.NewCache(f), preStrategy[backend])
 		sum.Inserted += s.Inserted
 		sum.Deleted += s.Deleted
 		sum.Replaced += s.Replaced
 		sum.Rewritten += s.Rewritten
 		sum.Rounds += s.Rounds
+		sum.Solved += s.Solved
 	}
 	return sum, nil
 }

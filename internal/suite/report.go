@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -167,8 +168,14 @@ func Table1Opts(ctx context.Context, workers int, opts core.OptimizeOptions) ([]
 	return rows, nil
 }
 
-// Table2 measures forward-propagation code expansion per routine.
-func Table2() ([]Table2Row, error) {
+// Table2 measures forward-propagation code expansion per routine.  The
+// reassociation it measures runs through the pass driver, so with
+// EPRE_CHECK=1 it is checked like any other pass and an error
+// diagnostic fails the table.
+func Table2() ([]Table2Row, error) { return table2(reassoc.RunWith) }
+
+// table2 is Table2 measuring the given reassociation.
+func table2(reassocWith func(*ir.Func, reassoc.Options, *analysis.Cache) reassoc.Stats) ([]Table2Row, error) {
 	var rows []Table2Row
 	for _, r := range All() {
 		prog, err := r.Compile()
@@ -176,12 +183,13 @@ func Table2() ([]Table2Row, error) {
 			return nil, fmt.Errorf("%s: %w", r.Name, err)
 		}
 		row := Table2Row{Name: r.Name}
-		for _, f := range prog.Funcs {
-			st := reassoc.Run(f, reassoc.DefaultOptions())
+		measured := core.Pass{Name: "reassoc", Run: func(pc *core.PassContext) bool {
+			st := reassocWith(pc.Func, reassoc.DefaultOptions(), pc.Analyses)
 			row.Before += st.BeforeProp
 			row.After += st.AfterProp
-		}
-		if err := ir.VerifyProgram(prog); err != nil {
+			return true
+		}}
+		if _, err := core.RunPasses(prog, []core.Pass{measured}, core.OptimizeOptions{}); err != nil {
 			return nil, fmt.Errorf("%s: %w", r.Name, err)
 		}
 		rows = append(rows, row)
