@@ -49,12 +49,16 @@ fuzz:
 # cross-backend mode (-gvn-diff: the GVN-carrying levels run under
 # both the AWZ and the precise backend; -pre-diff: the PRE-carrying
 # levels run under drechsler, lcm and lospre — the independent
-# implementations oracle each other).  Any miscompile, verifier
-# reject, panic, or runaway exits nonzero with a shrunk reproducer.
+# implementations oracle each other).  The 500 -pre-diff programs from
+# seed 7000 include 7357, whose critical-edge branch once read a φ
+# copy's destination (ssa.Destruct's lost copy).  Any miscompile,
+# verifier reject, panic, or runaway exits nonzero with a shrunk
+# reproducer.
 fuzz-smoke:
 	$(GO) run ./cmd/epre fuzz -seed 1 -n 200 -workers 4
 	$(GO) run ./cmd/epre fuzz -seed 1000 -n 200 -workers 4 -gvn-diff
 	$(GO) run ./cmd/epre fuzz -seed 2000 -n 200 -workers 4 -pre-diff
+	$(GO) run ./cmd/epre fuzz -seed 7000 -n 500 -workers 4 -pre-diff
 	$(GO) run ./cmd/epre fuzz -seed 3000 -n 150 -workers 4 -call-heavy \
 		-gvn-diff -pre-diff
 

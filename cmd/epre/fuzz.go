@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -63,7 +64,7 @@ func cmdFuzz(args []string, stdout io.Writer) error {
 	preDiff := fs.Bool("pre-diff", false, "cross-backend mode: test every PRE-carrying level with the drechsler, lcm and lospre backends")
 	callHeavy := fs.Bool("call-heavy", false, "force the generator's call-heavy shape: dense call sites and depth-two call chains")
 	timeout := fs.Duration("timeout", 0, "overall run deadline (0 = none)")
-	stats := fs.Bool("stats", false, "print expvar-style run metrics")
+	stats := fs.Bool("stats", false, "print the run's metrics as one JSON object")
 	fs.Parse(args)
 	if fs.NArg() != 0 {
 		return fmt.Errorf("fuzz: unexpected argument %q", fs.Arg(0))
@@ -99,7 +100,6 @@ func cmdFuzz(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "fuzz: %s=%s — pipeline deliberately broken for testing\n", sabotageEnv, lv)
 	}
 
-	metrics := difftest.NewMetrics()
 	rep, err := difftest.Run(difftest.Options{
 		Optimize:    optimize,
 		Ctx:         ctx,
@@ -113,7 +113,6 @@ func cmdFuzz(args []string, stdout io.Writer) error {
 		GVNDiff:     *gvnDiff,
 		PREDiff:     *preDiff,
 		CallHeavy:   *callHeavy,
-		Metrics:     metrics,
 	})
 	if err != nil {
 		return err
@@ -140,7 +139,17 @@ func cmdFuzz(args []string, stdout io.Writer) error {
 		}
 	}
 	if *stats {
-		metrics.WriteTo(stdout)
+		out, err := json.Marshal(map[string]any{
+			"programs":            rep.Programs,
+			"failures":            len(rep.Failures),
+			"failures_by_kind":    rep.ByKind,
+			"elapsed_seconds":     rep.Elapsed.Seconds(),
+			"programs_per_second": rate,
+		})
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "%s\n", out)
 	}
 	if len(rep.Failures) > 0 {
 		return fmt.Errorf("fuzz: %d failure(s)", len(rep.Failures))

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"sort"
@@ -278,8 +279,18 @@ func TestFuzzClean(t *testing.T) {
 	if !strings.Contains(stdout, "10 programs, 0 failures") {
 		t.Errorf("missing summary line: %s", stdout)
 	}
-	if !strings.Contains(stdout, "programs_per_second") {
-		t.Errorf("-stats did not print metrics: %s", stdout)
+	lines := strings.Split(strings.TrimSpace(stdout), "\n")
+	var stats map[string]any
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &stats); err != nil {
+		t.Fatalf("-stats did not print one JSON object: %v\n%s", err, stdout)
+	}
+	for _, key := range []string{"failures_by_kind", "elapsed_seconds", "programs_per_second"} {
+		if _, ok := stats[key]; !ok {
+			t.Errorf("-stats lacks %q: %s", key, stdout)
+		}
+	}
+	if stats["programs"] != 10.0 || stats["failures"] != 0.0 {
+		t.Errorf("-stats programs/failures = %v/%v, want 10/0", stats["programs"], stats["failures"])
 	}
 }
 

@@ -14,6 +14,9 @@
 //     transformed program against the original by differential
 //     interpretation on generated inputs, with a value-numbering-based
 //     equivalence fast path.
+//   - oracle.go: the one differential comparison (Observe, Disagree)
+//     that translation validation and the fuzzer (internal/difftest)
+//     both judge a program with.
 //
 // All analyzers report findings as Diagnostics rather than errors, so a
 // driver can aggregate results across passes and functions and decide

@@ -395,7 +395,8 @@ b0:
 
 // TestValidatePassMemory: for an exact pass, dropping a store is caught
 // through the final-memory comparison even when the return value and
-// output agree.
+// output agree; a pass granted a float tolerance is not held to the
+// memory image, so the same memory-only mismatch passes there.
 func TestValidatePassMemory(t *testing.T) {
 	before := parse(t, `
 program globalsize=16
@@ -417,6 +418,44 @@ b0:
 	}
 	if !strings.Contains(diags[0].Msg, "memory") {
 		t.Errorf("expected a memory diagnostic, got %v", diags[0])
+	}
+	if diags := check.ValidatePass(before, after, "reassoc", check.ValidateOptions{FloatTol: 1e-6}); len(diags) != 0 {
+		t.Errorf("memory compared under a float tolerance: %v", diags)
+	}
+}
+
+// TestValidatePassRunaway: a transformed function that loops where the
+// reference returns is reported as a runaway loop once it exceeds the
+// budget derived from the reference's step count.
+func TestValidatePassRunaway(t *testing.T) {
+	before := parse(t, `
+program globalsize=0
+
+func f(r1) {
+b0:
+    enter(r1)
+    jump -> b1
+b1:
+    ret r1
+}
+`)
+	after := parse(t, `
+program globalsize=0
+
+func f(r1) {
+b0:
+    enter(r1)
+    jump -> b1
+b1:
+    jump -> b1
+}
+`)
+	diags := check.ValidatePass(before, after, "bad-loop", check.ValidateOptions{})
+	if len(check.Errors(diags)) == 0 {
+		t.Fatal("runaway loop not caught")
+	}
+	if !strings.Contains(diags[0].Msg, "runaway loop") {
+		t.Errorf("expected a runaway-loop diagnostic, got %v", diags[0])
 	}
 }
 

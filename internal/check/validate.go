@@ -1,7 +1,6 @@
 package check
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -24,42 +23,20 @@ type ValidateOptions struct {
 	// legitimately change rounding).  When zero, the final global
 	// memory images are compared byte for byte as well.
 	FloatTol float64
-	// MaxInputs bounds the generated input tuples per function
-	// (default 3).
-	MaxInputs int
-	// MaxSteps bounds the reference interpretation of one input
-	// (default 1e6); inputs whose reference run exceeds it are skipped.
-	MaxSteps int64
-}
-
-func (o ValidateOptions) maxInputs() int {
-	if o.MaxInputs <= 0 {
-		return 3
-	}
-	return o.MaxInputs
-}
-
-func (o ValidateOptions) maxSteps() int64 {
-	if o.MaxSteps <= 0 {
-		return 1_000_000
-	}
-	return o.MaxSteps
 }
 
 // ValidatePass checks that a pass application preserved semantics:
 // before is the program as it entered the pass, after the program the
 // pass produced.  Validation is differential interpretation — every
-// function is run against generated inputs in both programs and the
-// results, printed output and (for exact passes) final memory are
-// compared — preceded by a value-numbering-based fast path: functions
-// congruent to their originals modulo register names are semantically
-// unchanged, and if no function changed the expensive interpretation is
-// skipped entirely.
+// function is observed on generated inputs in before and judged in
+// after by Disagree — preceded by a value-numbering-based fast path:
+// functions congruent to their originals modulo register names are
+// semantically unchanged, and if no function changed the expensive
+// interpretation is skipped entirely.
 //
 // Inputs whose reference run traps or exceeds the step budget are
-// skipped: the reference behavior is undefined or unaffordable there,
-// so nothing can be concluded.  Every returned diagnostic is an error
-// naming the offending pass.
+// skipped (see Observe).  Every returned diagnostic is an error naming
+// the offending pass.
 func ValidatePass(before, after *ir.Program, pass string, opt ValidateOptions) []Diagnostic {
 	var diags []Diagnostic
 	errf := func(fn string, format string, args ...any) {
@@ -85,91 +62,28 @@ func ValidatePass(before, after *ir.Program, pass string, opt ValidateOptions) [
 		return diags
 	}
 
-	cancelled := func() bool { return opt.Ctx != nil && opt.Ctx.Err() != nil }
+	ctx := opt.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	kinds := inferParamKinds(before)
 	for _, bf := range before.Funcs {
-		inputs := genInputs(kinds[bf.Name], opt.maxInputs())
-		for _, in := range inputs {
-			if cancelled() {
-				return diags
+		for _, in := range genInputs(kinds[bf.Name], 3) {
+			ref, ok := Observe(ctx, before, bf.Name, in)
+			if !ok {
+				continue
 			}
-			mb := interp.NewMachine(before)
-			mb.MaxSteps = opt.maxSteps()
-			if opt.Ctx != nil {
-				mb.SetContext(opt.Ctx)
-			}
-			vb, err := mb.Call(bf.Name, in...)
-			if err != nil {
-				continue // reference behavior undefined here (or cancelled)
-			}
-			ma := interp.NewMachine(after)
-			ma.MaxSteps = 4*mb.Steps + 4096
-			if opt.Ctx != nil {
-				ma.SetContext(opt.Ctx)
-			}
-			va, err := ma.Call(bf.Name, in...)
-			if cancelled() {
+			msg := Disagree(ctx, after, bf.Name, ref, opt.FloatTol)
+			if ctx.Err() != nil {
 				// Don't let a deadline masquerade as a miscompile.
 				return diags
 			}
-			if err != nil {
-				errf(bf.Name, "on input %v: reference returns %s but transformed program fails: %v", in, vb, err)
-				continue
-			}
-			if !valuesAgree(vb, va, opt.FloatTol) {
-				errf(bf.Name, "on input %v: result %s, want %s", in, va, vb)
-				continue
-			}
-			if len(mb.Output) != len(ma.Output) {
-				errf(bf.Name, "on input %v: printed %d values, want %d", in, len(ma.Output), len(mb.Output))
-				continue
-			}
-			outOK := true
-			for i := range mb.Output {
-				if !valuesAgree(mb.Output[i], ma.Output[i], opt.FloatTol) {
-					errf(bf.Name, "on input %v: printed value %d is %s, want %s", in, i, ma.Output[i], mb.Output[i])
-					outOK = false
-					break
-				}
-			}
-			if outOK && opt.FloatTol == 0 && !bytes.Equal(mb.Mem, ma.Mem) {
-				errf(bf.Name, "on input %v: final memory images differ", in)
+			if msg != "" {
+				errf(bf.Name, "%s", msg)
 			}
 		}
 	}
 	return diags
-}
-
-// ValuesAgree reports whether two interpreter values agree under the
-// given relative float tolerance (exact, bit-for-bit on floats, when
-// tol is zero).  Exported so differential harnesses compare observed
-// behavior with exactly the semantics translation validation uses.
-func ValuesAgree(want, got interp.Value, tol float64) bool {
-	return valuesAgree(want, got, tol)
-}
-
-// valuesAgree compares two interpreter values; float comparisons use
-// the given relative tolerance (exact when tol is zero).
-func valuesAgree(want, got interp.Value, tol float64) bool {
-	if want.Float != got.Float {
-		return false
-	}
-	if !want.Float {
-		return want.I == got.I
-	}
-	if tol == 0 {
-		return math.Float64bits(want.F) == math.Float64bits(got.F) ||
-			(math.IsNaN(want.F) && math.IsNaN(got.F))
-	}
-	if math.IsNaN(want.F) || math.IsNaN(got.F) {
-		return math.IsNaN(want.F) == math.IsNaN(got.F)
-	}
-	if math.IsInf(want.F, 0) || math.IsInf(got.F, 0) {
-		return want.F == got.F
-	}
-	diff := math.Abs(got.F - want.F)
-	scale := math.Max(math.Abs(want.F), 1)
-	return diff <= tol*scale
 }
 
 // vnEqual reports whether two functions are congruent modulo register

@@ -29,16 +29,20 @@ type CheckConfig struct {
 	Validate bool
 }
 
-// reassociating names the passes that may legitimately change
-// floating-point rounding; translation validation compares their float
-// results within a relative tolerance instead of bit-exactly.
-func reassociating(pass string) bool {
-	return strings.HasPrefix(pass, "reassoc")
+// FloatTol is the relative float tolerance a differential comparison
+// grants a pass sequence.  Reassociation may legitimately change
+// floating-point rounding, so a sequence containing a reassociating
+// pass is compared within 1e-6 (and, being inexact, without the final
+// memory image); every other sequence is compared exactly.  Checked
+// mode asks per pass, the fuzzer per level with PassNamesWith.
+func FloatTol(passes ...string) float64 {
+	for _, p := range passes {
+		if strings.HasPrefix(p, "reassoc") {
+			return 1e-6
+		}
+	}
+	return 0
 }
-
-// reassocFloatTol is the relative tolerance granted to reassociating
-// passes, matching the suite's validation tolerance.
-const reassocFloatTol = 1e-6
 
 // CheckedRun is RunPasses with every pass application checked three
 // ways:

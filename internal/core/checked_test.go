@@ -20,10 +20,9 @@ func TestCheckedOptimizeSuiteClean(t *testing.T) {
 	if testing.Short() {
 		routines = routines[:6]
 	}
-	// check.ValidateOptions' default of three inputs matters: the
-	// third, degenerate input tuple is what once exposed NaN-sign
-	// sensitivity in the memory comparison (decomp at reassociation;
-	// see interp.FloatVal).
+	// ValidatePass's three inputs matter: the third, degenerate input
+	// tuple is what once exposed NaN-sign sensitivity in the memory
+	// comparison (decomp at reassociation; see interp.FloatVal).
 	for _, r := range routines {
 		prog, err := r.Compile()
 		if err != nil {

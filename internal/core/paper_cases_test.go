@@ -113,6 +113,45 @@ b0:
 	}
 }
 
+// TestSparseLabelsEveryPREBackend: a parsed function whose labels are
+// not dense (b0, b1, b3) optimizes at partial under every PRE backend.
+// PRE inserts on the critical edge b0→b3, and the block that splits it
+// must not take an existing label: the fresh-label counter starts at
+// the block count, which names b3 again.
+func TestSparseLabelsEveryPREBackend(t *testing.T) {
+	p, err := ir.ParseProgramString(`
+func main(r1, r2) {
+b0:
+    enter(r1, r2)
+    cbr r1 -> b1, b3
+b1:
+    add r1, r2 => r3
+    jump -> b3
+b3:
+    add r1, r2 => r4
+    ret r4
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pb := range core.PREBackends {
+		out, err := core.OptimizeWith(p, core.LevelPartial, core.OptimizeOptions{PRE: pb})
+		if err != nil {
+			t.Fatalf("%s: %v", pb, err)
+		}
+		if err := ir.VerifyProgram(out); err != nil {
+			t.Fatalf("%s: %v\n%s", pb, err, out)
+		}
+		for _, take := range []int64{0, 1} {
+			v, err := interp.NewMachine(out).Call("main", interp.IntVal(take), interp.IntVal(5))
+			if err != nil || v.I != take+5 {
+				t.Errorf("%s: main(%d, 5) = %v, %v; want %d\n%s", pb, take, v.I, err, take+5, out)
+			}
+		}
+	}
+}
+
 // TestNormalizeEnforcesRule checks that after Normalize, no
 // expression-name register is live across a block boundary.
 func TestNormalizeEnforcesRule(t *testing.T) {

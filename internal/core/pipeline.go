@@ -581,10 +581,7 @@ func run(p *ir.Program, passes []Pass, opts OptimizeOptions, cfg *CheckConfig) (
 			}
 		}
 		if cfg.Validate && anyChanged {
-			opt := check.ValidateOptions{Ctx: ctx}
-			if reassociating(pass.Name) {
-				opt.FloatTol = reassocFloatTol
-			}
+			opt := check.ValidateOptions{Ctx: ctx, FloatTol: FloatTol(pass.Name)}
 			diags = append(diags, check.ValidatePass(before, out, pass.Name, opt)...)
 			if err := ctx.Err(); err != nil {
 				return nil, diags, fmt.Errorf("validating pass %s: %w", pass.Name, err)

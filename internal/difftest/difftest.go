@@ -2,12 +2,12 @@
 // random program generator (internal/progen) with the optimizer and
 // the reference interpreter.
 //
-// For each seed it generates one program, runs the unoptimized program
-// on the checker's standard input tuples to establish reference
-// behavior, then runs the output of each optimization level on the
-// same inputs and compares everything observable: the return value,
-// the printed output stream, and (for levels that claim bit-exact
-// float behavior) the final memory image.  Failures are classified —
+// For each seed it generates one program, optimizes it at each level
+// and judges the result with translation validation's oracle
+// (check.Observe and check.Disagree) on the checker's standard input
+// tuples: the return value, the printed output stream, and (for levels
+// that claim bit-exact float behavior) the final memory image must
+// agree with the unoptimized program's.  Failures are classified —
 // miscompile, verifier rejection, panic, timeout — optionally shrunk
 // to a minimal reproducer by delta debugging (see shrink.go), and
 // persisted as self-describing .iloc artifacts.
@@ -15,7 +15,6 @@ package difftest
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -26,7 +25,6 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/core"
-	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/progen"
 )
@@ -86,9 +84,6 @@ type Options struct {
 	CallHeavy bool
 	// Optimize overrides the optimizer under test (nil = real pipeline).
 	Optimize OptimizeFunc
-	// MaxSteps bounds each reference execution (default 1<<20); the
-	// optimized run gets 4x the reference's actual step count.
-	MaxSteps int64
 	// PerPass, for miscompiles, re-runs the level pass by pass under
 	// translation validation to name the guilty pass in the detail.
 	PerPass bool
@@ -105,8 +100,6 @@ type Options struct {
 	// reference behavior.  Combined with GVNDiff the harness tests the
 	// full backend product.  Incompatible with a custom Optimize.
 	PREDiff bool
-	// Metrics, when non-nil, receives live counters during the run.
-	Metrics *Metrics
 }
 
 func (o Options) ctx() context.Context {
@@ -121,13 +114,6 @@ func (o Options) levels() []core.Level {
 		return o.Levels
 	}
 	return core.Levels
-}
-
-func (o Options) maxSteps() int64 {
-	if o.MaxSteps > 0 {
-		return o.MaxSteps
-	}
-	return 1 << 20
 }
 
 // variant is one pipeline configuration under test: a point in the
@@ -266,36 +252,23 @@ func Run(opt Options) (*Report, error) {
 	// for any worker count.
 	results := make([][]Failure, n)
 	tested := make([]bool, n)
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				break
+	var wg sync.WaitGroup
+	work := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range work {
+				results[i] = testSeed(ctx, opt.Seed+uint64(i), opt)
+				tested[i] = true
 			}
-			results[i] = testSeed(ctx, opt.Seed+uint64(i), opt)
-			tested[i] = true
-		}
-	} else {
-		var wg sync.WaitGroup
-		work := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range work {
-					results[i] = testSeed(ctx, opt.Seed+uint64(i), opt)
-					tested[i] = true
-				}
-			}()
-		}
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				break
-			}
-			work <- i
-		}
-		close(work)
-		wg.Wait()
+		}()
 	}
+	for i := 0; i < n && ctx.Err() == nil; i++ {
+		work <- i
+	}
+	close(work)
+	wg.Wait()
 
 	rep := &Report{ByKind: map[Kind]int{}, Elapsed: time.Since(start)}
 	for idx, fs := range results {
@@ -319,22 +292,10 @@ func Run(opt Options) (*Report, error) {
 			rep.ByKind[f.Kind]++
 		}
 	}
-	if opt.Metrics != nil {
-		opt.Metrics.observeReport(rep)
-	}
 	if rep.Programs == 0 {
 		return rep, fmt.Errorf("difftest: run cancelled before any program was tested: %w", ctx.Err())
 	}
 	return rep, nil
-}
-
-// refRun is the reference behavior of one input tuple.
-type refRun struct {
-	input  []interp.Value
-	ret    interp.Value
-	output []interp.Value
-	mem    []byte
-	steps  int64
 }
 
 // testSeed generates the program for one seed and tests every level,
@@ -348,10 +309,6 @@ func testSeed(ctx context.Context, seed uint64, opt Options) []Failure {
 		cfg.CallHeavy = true
 	}
 	prog := progen.Generate(cfg, seed)
-	refs := referenceRuns(ctx, prog, opt.maxSteps())
-	if opt.Metrics != nil {
-		opt.Metrics.programs.Add(1)
-	}
 
 	var failures []Failure
 	for _, level := range opt.levels() {
@@ -364,7 +321,7 @@ func testSeed(ctx context.Context, seed uint64, opt Options) []Failure {
 				})
 				continue
 			}
-			if f := testLevel(ctx, prog, refs, seed, level, v, opt); f != nil {
+			if f := testLevel(ctx, prog, seed, level, v, opt); f != nil {
 				failures = append(failures, *f)
 			}
 		}
@@ -372,49 +329,10 @@ func testSeed(ctx context.Context, seed uint64, opt Options) []Failure {
 	return failures
 }
 
-// referenceRuns executes the unoptimized program on the checker's
-// standard input tuples.  Inputs whose reference behavior is undefined
-// (trap) or unaffordable (step limit) are dropped — progen guarantees
-// neither happens, but externally supplied configs must not crash the
-// harness.
-func referenceRuns(ctx context.Context, prog *ir.Program, maxSteps int64) []refRun {
-	var refs []refRun
-	for _, in := range check.ProgramInputs(prog, "main", 3) {
-		m := interp.NewMachine(prog)
-		m.MaxSteps = maxSteps
-		m.SetContext(ctx)
-		ret, err := m.Call("main", in...)
-		if err != nil {
-			continue
-		}
-		refs = append(refs, refRun{
-			input:  in,
-			ret:    ret,
-			output: m.Output,
-			mem:    m.Mem,
-			steps:  m.Steps,
-		})
-	}
-	return refs
-}
-
-// floatTolFor returns the comparison tolerance a level is entitled to:
-// the reassociating levels legitimately change float rounding, so they
-// are compared within the same relative tolerance translation
-// validation grants them; the exact levels get bit-for-bit comparison
-// plus a final-memory check.
-func floatTolFor(level core.Level) (tol float64, exactMem bool) {
-	switch level {
-	case core.LevelReassoc, core.LevelDist:
-		return 1e-6, false
-	}
-	return 0, true
-}
-
-// testLevel runs one optimization level (with one pipeline variant)
-// against the reference behavior and returns a classified failure, or
-// nil.
-func testLevel(ctx context.Context, prog *ir.Program, refs []refRun, seed uint64, level core.Level, v variant, opt Options) *Failure {
+// testLevel runs one optimization level (with one pipeline variant) of
+// prog and judges it against the unoptimized prog's main on the
+// checker's input tuples, returning a classified failure, or nil.
+func testLevel(ctx context.Context, prog *ir.Program, seed uint64, level core.Level, v variant, opt Options) *Failure {
 	var gvnTag core.GVNBackend
 	var preTag core.PREBackend
 	if opt.GVNDiff {
@@ -448,9 +366,13 @@ func testLevel(ctx context.Context, prog *ir.Program, refs []refRun, seed uint64
 		return fail(KindVerifierReject, verr.Error(), nil)
 	}
 
-	tol, exactMem := floatTolFor(level)
-	for _, ref := range refs {
-		if detail := compareRun(ctx, optimized, ref, tol, exactMem); detail != "" {
+	tol := core.FloatTol(core.PassNamesWith(level, v.gvn, v.pre)...)
+	for _, in := range check.ProgramInputs(prog, "main", 3) {
+		ref, ok := check.Observe(ctx, prog, "main", in)
+		if !ok {
+			continue
+		}
+		if detail := check.Disagree(ctx, optimized, "main", ref, tol); detail != "" {
 			if ctx.Err() != nil {
 				return fail(KindTimeout, ctx.Err().Error(), nil)
 			}
@@ -461,54 +383,6 @@ func testLevel(ctx context.Context, prog *ir.Program, refs []refRun, seed uint64
 		}
 	}
 	return nil
-}
-
-// compareRun executes the optimized program on one reference input and
-// returns a human-readable mismatch description, or "" on agreement.
-func compareRun(ctx context.Context, optimized *ir.Program, ref refRun, tol float64, exactMem bool) string {
-	m := interp.NewMachine(optimized)
-	// The reference terminated in ref.steps; optimization never slows a
-	// program down by 4x plus a constant, so hitting this budget means
-	// the transformed program loops where the original did not.
-	m.MaxSteps = 4*ref.steps + 4096
-	m.SetContext(ctx)
-	got, err := m.Call("main", ref.input...)
-	if err != nil {
-		var sl *interp.StepLimitError
-		if errors.As(err, &sl) {
-			return fmt.Sprintf("on input %v: reference finished in %d steps but optimized code exceeded %d (runaway loop)",
-				ref.input, ref.steps, m.MaxSteps)
-		}
-		return fmt.Sprintf("on input %v: reference returns %s but optimized code fails: %v", ref.input, ref.ret, err)
-	}
-	if !check.ValuesAgree(ref.ret, got, tol) {
-		return fmt.Sprintf("on input %v: result %s, want %s", ref.input, got, ref.ret)
-	}
-	if len(m.Output) != len(ref.output) {
-		return fmt.Sprintf("on input %v: printed %d values, want %d", ref.input, len(m.Output), len(ref.output))
-	}
-	for i := range ref.output {
-		if !check.ValuesAgree(ref.output[i], m.Output[i], tol) {
-			return fmt.Sprintf("on input %v: printed value %d is %s, want %s",
-				ref.input, i, m.Output[i], ref.output[i])
-		}
-	}
-	if exactMem && !memEqual(ref.mem, m.Mem) {
-		return fmt.Sprintf("on input %v: final memory images differ", ref.input)
-	}
-	return ""
-}
-
-func memEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // safeOptimize runs the optimizer with panics converted into data.
@@ -552,7 +426,6 @@ func shrinkFailure(ctx context.Context, f *Failure, opt Options) {
 		Level:    f.Level,
 		Kind:     f.Kind,
 		Optimize: opt.optimizeFor(variant{f.GVN, f.PRE}),
-		MaxSteps: opt.maxSteps(),
 	})
 	if ok && reduced.InstrCount() < f.Program.InstrCount() {
 		f.Program = reduced

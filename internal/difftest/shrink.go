@@ -16,8 +16,6 @@ type ShrinkOptions struct {
 	Kind  Kind
 	// Optimize is the pipeline under test (same seam as Options).
 	Optimize OptimizeFunc
-	// MaxSteps bounds each reference execution during the predicate.
-	MaxSteps int64
 	// MaxAttempts bounds total predicate evaluations (default 2500) —
 	// each evaluation optimizes and interprets the candidate, so the
 	// budget is what keeps reduction of a stubborn program bounded.
@@ -35,19 +33,23 @@ func (o ShrinkOptions) maxAttempts() int {
 // produced by four structural simplifications — dropping whole helper
 // functions, dropping blocks, dropping instruction runs (at halving
 // granularities, ddmin style), and replacing pure instructions with
-// constant zeros — and a candidate is kept only when it (a) still
-// passes the structural verifier and (b) still reproduces the pinned
-// failure.  Invalid or non-reproducing candidates are discarded, so
-// every intermediate state of the reduction is itself a valid, failing
-// reproducer; cancellation simply stops early with the best so far.
+// constant zeros — and a candidate is kept only when, printed and
+// parsed back, it (a) still passes the structural verifier and (b)
+// still reproduces the pinned failure.  Invalid or non-reproducing
+// candidates are discarded, so every intermediate state of the
+// reduction is itself a valid, failing reproducer in the form an
+// artifact re-reads; cancellation simply stops early with the best so
+// far.
 //
 // The second return is false when no candidate was accepted (the
 // original is already minimal or the budget was spent fruitlessly).
 func Shrink(ctx context.Context, prog *ir.Program, opt ShrinkOptions) (*ir.Program, bool) {
 	attempts := 0
-	try := func(cand *ir.Program) bool {
+	// try returns the candidate in its re-read form when that form
+	// reproduces, or nil.
+	try := func(cand *ir.Program) *ir.Program {
 		if cand == nil || attempts >= opt.maxAttempts() || ctx.Err() != nil {
-			return false
+			return nil
 		}
 		attempts++
 		return reproduces(ctx, cand, opt)
@@ -60,8 +62,8 @@ func Shrink(ctx context.Context, prog *ir.Program, opt ShrinkOptions) (*ir.Progr
 
 		// 1. Drop helper functions (biggest single win).
 		for fi := len(cur.Funcs) - 1; fi >= 1; fi-- {
-			if cand := dropFunc(cur, fi); try(cand) {
-				cur, improved, shrunk = cand, true, true
+			if next := try(dropFunc(cur, fi)); next != nil {
+				cur, improved, shrunk = next, true, true
 			}
 		}
 
@@ -69,8 +71,8 @@ func Shrink(ctx context.Context, prog *ir.Program, opt ShrinkOptions) (*ir.Progr
 		// blocks still to be visited stay valid after an acceptance.
 		for fi := range cur.Funcs {
 			for bi := len(cur.Funcs[fi].Blocks) - 1; bi >= 1; bi-- {
-				if cand := dropBlock(cur, fi, bi); try(cand) {
-					cur, improved, shrunk = cand, true, true
+				if next := try(dropBlock(cur, fi, bi)); next != nil {
+					cur, improved, shrunk = next, true, true
 				}
 			}
 		}
@@ -79,8 +81,8 @@ func Shrink(ctx context.Context, prog *ir.Program, opt ShrinkOptions) (*ir.Progr
 		for fi := range cur.Funcs {
 			for bi := range cur.Funcs[fi].Blocks {
 				for keep := 0; keep < 2; keep++ {
-					if cand := cbrToJump(cur, fi, bi, keep); try(cand) {
-						cur, improved, shrunk = cand, true, true
+					if next := try(cbrToJump(cur, fi, bi, keep)); next != nil {
+						cur, improved, shrunk = next, true, true
 					}
 				}
 			}
@@ -93,9 +95,8 @@ func Shrink(ctx context.Context, prog *ir.Program, opt ShrinkOptions) (*ir.Progr
 				for chunk := n/2 + 1; chunk >= 1; chunk /= 2 {
 					lo := 0
 					for lo < len(cur.Funcs[fi].Blocks[bi].Instrs) {
-						cand := dropInstrs(cur, fi, bi, lo, lo+chunk)
-						if try(cand) {
-							cur, improved, shrunk = cand, true, true
+						if next := try(dropInstrs(cur, fi, bi, lo, lo+chunk)); next != nil {
+							cur, improved, shrunk = next, true, true
 							continue // same lo: the slice shifted left
 						}
 						lo += chunk
@@ -110,8 +111,8 @@ func Shrink(ctx context.Context, prog *ir.Program, opt ShrinkOptions) (*ir.Progr
 		for fi := range cur.Funcs {
 			for bi := range cur.Funcs[fi].Blocks {
 				for ii := 0; ii < len(cur.Funcs[fi].Blocks[bi].Instrs); ii++ {
-					if cand := constify(cur, fi, bi, ii); try(cand) {
-						cur, improved, shrunk = cand, true, true
+					if next := try(constify(cur, fi, bi, ii)); next != nil {
+						cur, improved, shrunk = next, true, true
 					}
 				}
 			}
@@ -123,20 +124,26 @@ func Shrink(ctx context.Context, prog *ir.Program, opt ShrinkOptions) (*ir.Progr
 	}
 }
 
-// reproduces reports whether the candidate still fails with the pinned
-// kind at the pinned level.
-func reproduces(ctx context.Context, cand *ir.Program, opt ShrinkOptions) bool {
+// reproduces judges the candidate in the form its artifact would
+// re-read as — printed and parsed back, which drops in-memory state
+// such as the register and block-name counters — and returns that
+// form when it still fails with the pinned kind at the pinned level,
+// or nil.
+func reproduces(ctx context.Context, cand *ir.Program, opt ShrinkOptions) *ir.Program {
 	if ir.VerifyProgram(cand) != nil {
-		return false
+		return nil
 	}
-	refs := referenceRuns(ctx, cand, opt.MaxSteps)
+	back, err := ir.ParseProgramString(cand.String())
+	if err != nil || ir.VerifyProgram(back) != nil {
+		return nil
+	}
 	// The variant argument is irrelevant here: ShrinkOptions.Optimize is
 	// always set and already bound to the failing pipeline variant.
-	f := testLevel(ctx, cand, refs, 0, opt.Level, variant{core.GVNAWZ, core.PREDrechsler}, Options{
-		Optimize: opt.Optimize,
-		MaxSteps: opt.MaxSteps,
-	})
-	return f != nil && f.Kind == opt.Kind
+	f := testLevel(ctx, back, 0, opt.Level, variant{core.GVNAWZ, core.PREDrechsler}, Options{Optimize: opt.Optimize})
+	if f == nil || f.Kind != opt.Kind {
+		return nil
+	}
+	return back
 }
 
 // dropFunc removes function fi (never main, index 0).  Calls to it

@@ -96,20 +96,29 @@ func (f *Func) SetRegHint(n Reg) {
 	}
 }
 
-// NewBlock appends a fresh, empty block with a unique label.
+// NewBlock appends a fresh, empty block labelled b<n>.  A parsed
+// function's labels need not be dense, so n skips every name the
+// function's symbol table already holds.
 func (f *Func) NewBlock() *Block {
-	b := &Block{ID: len(f.Blocks), Name: f.internedName(fmt.Sprintf("b%d", f.nextName)), Fn: f}
-	f.nextName++
-	f.Blocks = append(f.Blocks, b)
-	f.MarkCFGMutated()
-	return b
+	for {
+		n := len(f.syms)
+		s := f.InternSym(fmt.Sprintf("b%d", f.nextName))
+		f.nextName++
+		if int(s) >= n {
+			return f.appendBlock(f.syms[s])
+		}
+	}
 }
 
 // NewBlockNamed appends a fresh block with the given label, interned
 // into the function's symbol table.
 func (f *Func) NewBlockNamed(name string) *Block {
-	b := &Block{ID: len(f.Blocks), Name: f.internedName(name), Fn: f}
 	f.nextName++
+	return f.appendBlock(f.internedName(name))
+}
+
+func (f *Func) appendBlock(name string) *Block {
+	b := &Block{ID: len(f.Blocks), Name: name, Fn: f}
 	f.Blocks = append(f.Blocks, b)
 	f.MarkCFGMutated()
 	return b

@@ -15,6 +15,7 @@
 package ssa
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/analysis"
@@ -292,8 +293,13 @@ func DestructWith(f *ir.Func, ac *analysis.Cache) {
 
 	// liveOnOtherEdge reports whether d is needed along some other
 	// out-edge of p than p→s: live into that successor, or read by one
-	// of its φ-nodes through p's operand slot.
+	// of its φ-nodes through p's operand slot.  A d that p's own
+	// terminator reads counts too: a copy placed before the branch
+	// would overwrite its operand (the lost-copy problem).
 	liveOnOtherEdge := func(p, s *ir.Block, d ir.Reg) bool {
+		if t := p.Terminator(); t != nil && slices.Contains(t.Args, d) {
+			return true
+		}
 		for _, t := range p.Succs {
 			if t == s {
 				continue

@@ -293,3 +293,45 @@ func TestSequentializeParallelCopy(t *testing.T) {
 		}
 	}
 }
+
+// TestDestructBranchReadsPhi: the lost-copy problem on a critical edge.
+// The loop's cbr reads the φ destination (the counter's value before
+// the decrement), and the back edge is critical.  The destination is
+// dead on the exit edge, but a copy placed at the end of the latch
+// would still run before the cbr and overwrite its operand, so the
+// edge must be split.
+func TestDestructBranchReadsPhi(t *testing.T) {
+	const count = `
+func count(r1) {
+b0:
+    enter(r1)
+    jump -> b1
+b1:
+    phi r1, r3 => r2
+    loadI 1 => r4
+    sub r2, r4 => r3
+    cbr r2 -> b1, b2
+b2:
+    ret r3
+}
+`
+	run := func(f *ir.Func, n int64) int64 {
+		m := interp.NewMachine(&ir.Program{Funcs: []*ir.Func{f.Clone()}})
+		m.MaxSteps = 1000
+		v, err := m.Call("count", interp.IntVal(n))
+		if err != nil {
+			t.Fatalf("%v\n%s", err, f)
+		}
+		return v.I
+	}
+	for _, n := range []int64{0, 1, 3} {
+		f := ir.MustParseFunc(count)
+		ssa.Destruct(f)
+		if err := ir.Verify(f); err != nil {
+			t.Fatal(err)
+		}
+		if got := run(f, n); got != -1 {
+			t.Errorf("count(%d) = %d, want -1\n%s", n, got, f)
+		}
+	}
+}
