@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check build test race vet fmt lint fuzz fuzz-smoke bench perfbench-test
+.PHONY: check build test race vet fmt lint fuzz fuzz-smoke check-suite bench perfbench-test
 
-check: fmt vet lint build test race fuzz-smoke perfbench-test
+check: fmt vet lint build test race fuzz-smoke check-suite perfbench-test
 
 build:
 	$(GO) build ./...
@@ -61,6 +61,18 @@ fuzz-smoke:
 	$(GO) run ./cmd/epre fuzz -seed 7000 -n 500 -workers 4 -pre-diff
 	$(GO) run ./cmd/epre fuzz -seed 3000 -n 150 -workers 4 -call-heavy \
 		-gvn-diff -pre-diff
+
+# The whole benchmark suite under checked optimization, part of
+# `check`: with EPRE_CHECK=1 every pass application that moves a
+# function's mutation generation is re-verified, DefUse-checked and
+# translation-validated on generated inputs (degenerate ones included),
+# and any error diagnostic fails the table.  Once per PRE backend, and
+# once with the precise GVN backend.
+check-suite:
+	EPRE_CHECK=1 $(GO) run ./cmd/epre table1 -parallel 2 -pre drechsler
+	EPRE_CHECK=1 $(GO) run ./cmd/epre table1 -parallel 2 -pre lcm
+	EPRE_CHECK=1 $(GO) run ./cmd/epre table1 -parallel 2 -pre lospre
+	EPRE_CHECK=1 $(GO) run ./cmd/epre table1 -parallel 2 -gvn precise
 
 # perfbench is a nested module (BENCHMARK.json runs it), so the root
 # `./...` never reaches its own tests; part of `check`.

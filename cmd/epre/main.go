@@ -347,7 +347,7 @@ func cmdRun(args []string, stdout io.Writer) error {
 func cmdTable1(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("table1", flag.ExitOnError)
 	parallel := fs.Int("parallel", 1, "measure up to N routines concurrently (output is byte-identical to the serial run)")
-	passStats := fs.Bool("passstats", false, "append a per-pass table: applications, changed-bit reports, time, analysis cache misses")
+	passStats := fs.Bool("passstats", false, "append a per-pass table: applications, applications that moved a mutation generation, time, analysis cache misses")
 	gvnName := fs.String("gvn", "", "global value numbering backend (awz|precise; default awz)")
 	preName := fs.String("pre", "", "redundancy elimination backend (drechsler|lcm|lospre; default drechsler)")
 	prof := addProfileFlags(fs)

@@ -204,15 +204,23 @@ func (p *Program) Run(fn string, args ...Value) (RunResult, error) {
 // ForwardPropagationExpansion runs the reassociation pass alone on a
 // copy of the program and reports the static instruction counts before
 // and after forward propagation, summed over functions — one row of
-// the paper's Table 2.
-func (p *Program) ForwardPropagationExpansion() (before, after int) {
-	cp := p.prog.Clone()
-	for _, f := range cp.Funcs {
-		st := reassoc.Run(f, reassoc.DefaultOptions())
+// the paper's Table 2.  The counts are the pass's own reassoc.Stats,
+// read from the pass driver, so the run is verified (and checked under
+// EPRE_CHECK=1) like any other; a failure is returned as the error.
+func (p *Program) ForwardPropagationExpansion() (before, after int, err error) {
+	passes, err := core.Passes("reassoc")
+	if err != nil {
+		return 0, 0, err
+	}
+	count := func(info core.PassInfo) {
+		st := info.Stats.(reassoc.Stats)
 		before += st.BeforeProp
 		after += st.AfterProp
 	}
-	return before, after
+	if _, err = core.RunPasses(p.prog, passes, core.OptimizeOptions{OnPass: count}); err != nil {
+		return 0, 0, err
+	}
+	return before, after, nil
 }
 
 // AllocateRegisters maps the program onto k physical registers with a

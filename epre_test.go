@@ -9,6 +9,7 @@ import (
 	epre "repro"
 	"repro/internal/core"
 	"repro/internal/minift"
+	"repro/internal/suite"
 )
 
 const quickSrc = `
@@ -166,13 +167,44 @@ func TestParseLevel(t *testing.T) {
 
 func TestForwardPropagationExpansion(t *testing.T) {
 	p := epre.MustCompile(quickSrc)
-	before, after := p.ForwardPropagationExpansion()
+	before, after, err := p.ForwardPropagationExpansion()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if before <= 0 || after <= 0 {
 		t.Fatalf("bad counts %d, %d", before, after)
 	}
 	ratio := float64(after) / float64(before)
 	if ratio < 0.8 || ratio > 3.0 {
 		t.Errorf("expansion %.3f outside the plausible band", ratio)
+	}
+}
+
+// TestForwardPropagationExpansionIsTable2: the public method and the
+// Table 2 harness read the same reassoc.Stats from the pass driver, so
+// they agree on every suite routine.
+func TestForwardPropagationExpansionIsTable2(t *testing.T) {
+	rows, err := suite.Table2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(suite.All()) {
+		t.Fatalf("Table 2 has %d rows, want %d", len(rows), len(suite.All()))
+	}
+	for _, row := range rows {
+		r, _ := suite.ByName(row.Name)
+		p, err := epre.CompileAny(r.Source)
+		if err != nil {
+			t.Fatalf("%s: %v", r.Name, err)
+		}
+		before, after, err := p.ForwardPropagationExpansion()
+		if err != nil {
+			t.Fatalf("%s: %v", r.Name, err)
+		}
+		if before != row.Before || after != row.After {
+			t.Errorf("%s: ForwardPropagationExpansion = %d, %d; Table 2 row = %d, %d",
+				r.Name, before, after, row.Before, row.After)
+		}
 	}
 }
 

@@ -61,14 +61,14 @@ func main(a: int, b: int): int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := core.Pass{Name: "bad-peephole", Run: func(pc *core.PassContext) bool {
+	bad := core.Pass{Name: "bad-peephole", Run: func(pc *core.PassContext) any {
 		pc.Func.ForEachInstr(func(b *ir.Block, i int, in *ir.Instr) {
 			if in.Op == ir.OpAdd {
 				in.Op = ir.OpSub
 			}
 		})
 		pc.Func.MarkCodeMutated()
-		return true
+		return nil
 	}}
 	_, diags, err := core.CheckedRun(prog, []core.Pass{bad}, core.OptimizeOptions{}, core.CheckConfig{Validate: true})
 	if err != nil {
@@ -107,9 +107,9 @@ b0:
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := core.Pass{Name: "bad-dce", Run: func(pc *core.PassContext) bool {
+	bad := core.Pass{Name: "bad-dce", Run: func(pc *core.PassContext) any {
 		pc.Func.Entry().RemoveAt(1) // drop "loadI 3 => r2", leaving r2 undefined
-		return true
+		return nil
 	}}
 	_, diags, err := core.CheckedRun(prog, []core.Pass{bad}, core.OptimizeOptions{}, core.CheckConfig{})
 	if err != nil {

@@ -12,10 +12,10 @@ import (
 )
 
 // PassStats aggregates every application of one pass across an
-// optimization run: how often it ran, how often it reported a change,
-// cumulative wall time, and how many analyses the shared cache had to
-// build while it ran (cache misses — a pass served entirely from cache
-// contributes zero).
+// optimization run: how often it ran, how often it changed the function
+// (moved its mutation generation), cumulative wall time, and how many
+// analyses the shared cache had to build while it ran (cache misses — a
+// pass served entirely from cache contributes zero).
 type PassStats struct {
 	Pass     string
 	Applied  int

@@ -75,31 +75,10 @@ var GVNBackends = []GVNBackend{GVNAWZ, GVNPrecise}
 
 // ParseGVNBackend maps a -gvn flag value to a backend; the empty string
 // selects the default (AWZ).
-func ParseGVNBackend(s string) (GVNBackend, error) {
-	switch s {
-	case "", "awz":
-		return GVNAWZ, nil
-	case "precise":
-		return GVNPrecise, nil
-	}
-	return "", fmt.Errorf("core: unknown GVN backend %q (want awz or precise)", s)
-}
-
-// orDefault folds the zero value into the default backend.
-func (b GVNBackend) orDefault() GVNBackend {
-	if b == "" {
-		return GVNAWZ
-	}
-	return b
-}
+func ParseGVNBackend(s string) (GVNBackend, error) { return parseBackend("GVN", s, GVNBackends) }
 
 // PassName is the pipeline pass implementing this backend.
-func (b GVNBackend) PassName() string {
-	if b.orDefault() == GVNPrecise {
-		return "gvn-precise"
-	}
-	return "gvn"
-}
+func (b GVNBackend) PassName() string { return backendPass[orDefault(b, GVNBackends)] }
 
 // PREBackend selects the algorithm behind the pipeline's redundancy-
 // elimination slot.  All three backends eliminate partial redundancies
@@ -130,35 +109,43 @@ var PREBackends = []PREBackend{PREDrechsler, PRELCM, PRELospre}
 
 // ParsePREBackend maps a -pre flag value to a backend; the empty string
 // selects the default (Drechsler–Stadel).
-func ParsePREBackend(s string) (PREBackend, error) {
-	switch s {
-	case "", "drechsler":
-		return PREDrechsler, nil
-	case "lcm":
-		return PRELCM, nil
-	case "lospre":
-		return PRELospre, nil
-	}
-	return "", fmt.Errorf("core: unknown PRE backend %q (want drechsler, lcm or lospre)", s)
+func ParsePREBackend(s string) (PREBackend, error) { return parseBackend("PRE", s, PREBackends) }
+
+// PassName is the pipeline pass implementing this backend.
+func (b PREBackend) PassName() string { return backendPass[orDefault(b, PREBackends)] }
+
+// backendPass is the one backend table: the pass that fills a slot for
+// each selectable backend.  The first backend of GVNBackends and of
+// PREBackends is its slot's default.
+var backendPass = map[any]string{
+	GVNAWZ:       "gvn",
+	GVNPrecise:   "gvn-precise",
+	PREDrechsler: "pre",
+	PRELCM:       "pre-lcm",
+	PRELospre:    "pre-lospre",
 }
 
-// orDefault folds the zero value into the default backend.
-func (b PREBackend) orDefault() PREBackend {
+// orDefault folds the zero value into the slot's default backend.
+func orDefault[B ~string](b B, backends []B) B {
 	if b == "" {
-		return PREDrechsler
+		return backends[0]
 	}
 	return b
 }
 
-// PassName is the pipeline pass implementing this backend.
-func (b PREBackend) PassName() string {
-	switch b.orDefault() {
-	case PRELCM:
-		return "pre-lcm"
-	case PRELospre:
-		return "pre-lospre"
+// parseBackend maps a flag value to one of a slot's backends; the empty
+// string selects the default.
+func parseBackend[B ~string](slot, s string, backends []B) (B, error) {
+	names := make([]string, len(backends))
+	for i, b := range backends {
+		if string(b) == s || s == "" && i == 0 {
+			return b, nil
+		}
+		names[i] = string(b)
 	}
-	return "pre"
+	last := len(names) - 1
+	return "", fmt.Errorf("core: unknown %s backend %q (want %s or %s)",
+		slot, s, strings.Join(names[:last], ", "), names[last])
 }
 
 // ParseLevel maps a level name (or its common abbreviations) to a Level.
@@ -189,32 +176,18 @@ type PassContext struct {
 	Analyses *analysis.Cache
 }
 
-// Analysis names usable in Pass.Preserves.
-const (
-	// PreservesCFG declares that the pass never changes the block/edge
-	// structure, so reverse postorder, dominators and loops stay valid.
-	PreservesCFG = "cfg"
-	// PreservesLiveness declares that the pass never changes
-	// instructions at all, so even liveness stays valid.
-	PreservesLiveness = "liveness"
-)
-
 // Pass is one optimizer phase: a named transformation over a function,
 // mirroring the paper's structure of the optimizer as "a sequence of
 // passes, where each pass is a Unix filter" (§4).
 //
-// Run reports whether it changed the function; false lets the pipeline
-// skip post-pass verification and lets fixpoint drivers terminate.
-// Reporting true conservatively is always sound.  Preserves is the
-// pass's declared worst-case invalidation contract — the analyses it
-// never invalidates on any input.  It is folded into PipelineVersion
-// (a contract change must invalidate content-addressed result caches)
-// and enforced by tests against the observed mutation generations; the
-// pipeline itself trusts the generations, not the declaration.
+// Run returns the pass package's own statistics for the application
+// (pre.Stats, reassoc.Stats, ...), which the driver hands to
+// OptimizeOptions.OnPass as PassInfo.Stats.  Whether the pass changed
+// the function is not the pass's to report: the driver reads it from
+// the function's mutation generations.
 type Pass struct {
-	Name      string
-	Preserves []string
-	Run       func(*PassContext) bool
+	Name string
+	Run  func(*PassContext) any
 }
 
 var (
@@ -253,87 +226,74 @@ func Passes(names ...string) ([]Pass, error) {
 
 // AllPasses enumerates every individually runnable pass.
 func AllPasses() []Pass {
-	// Shared Preserves values.  A pass listing PreservesCFG keeps the
-	// block/edge structure intact on every input; one listing both
-	// never mutates at all.
-	cfgOnly := []string{PreservesCFG}
-	readOnly := []string{PreservesCFG, PreservesLiveness}
 	return []Pass{
-		{"sccp", nil, func(pc *PassContext) bool {
-			return sccp.RunWith(pc.Func, pc.Analyses).Changed()
+		{"sccp", func(pc *PassContext) any {
+			return sccp.RunWith(pc.Func, pc.Analyses)
 		}},
-		{"peephole", cfgOnly, func(pc *PassContext) bool {
-			return peephole.Run(pc.Func, peephole.Options{}).Changed()
+		{"peephole", func(pc *PassContext) any {
+			return peephole.Run(pc.Func, peephole.Options{})
 		}},
-		{"peephole-shift", cfgOnly, func(pc *PassContext) bool {
-			return peephole.Run(pc.Func, peephole.Options{MulToShift: true}).Changed()
+		{"peephole-shift", func(pc *PassContext) any {
+			return peephole.Run(pc.Func, peephole.Options{MulToShift: true})
 		}},
-		{"dce", cfgOnly, func(pc *PassContext) bool {
-			return dce.RunWith(pc.Func, pc.Analyses).Removed > 0
+		{"dce", func(pc *PassContext) any {
+			return dce.RunWith(pc.Func, pc.Analyses)
 		}},
-		{"coalesce", cfgOnly, func(pc *PassContext) bool {
-			st := coalesce.RunWith(pc.Func, pc.Analyses)
-			return st.Coalesced+st.SelfCopy > 0
+		{"coalesce", func(pc *PassContext) any {
+			return coalesce.RunWith(pc.Func, pc.Analyses)
 		}},
-		{"emptyblocks", nil, func(pc *PassContext) bool {
+		// emptyblocks reports how many blocks it removed or merged.
+		{"emptyblocks", func(pc *PassContext) any {
 			n := pc.Analyses.RemoveUnreachable()
 			n += cfg.RemoveEmptyBlocks(pc.Func)
 			n += cfg.MergeStraightLine(pc.Func)
-			return n > 0
+			return n
 		}},
-		{"normalize", cfgOnly, func(pc *PassContext) bool {
-			return Normalize(pc.Func).Changed()
+		{"normalize", func(pc *PassContext) any {
+			return Normalize(pc.Func)
 		}},
-		{"pre", nil, func(pc *PassContext) bool {
-			return pre.RunToFixpoint(pc.Ctx, pc.Func, pc.Analyses, pre.Drechsler).Mutated()
+		{"pre", func(pc *PassContext) any {
+			return pre.RunToFixpoint(pc.Ctx, pc.Func, pc.Analyses, pre.Drechsler)
 		}},
-		{"pre-lcm", nil, func(pc *PassContext) bool {
-			return pre.RunToFixpoint(pc.Ctx, pc.Func, pc.Analyses, pre.LCM).Mutated()
+		{"pre-lcm", func(pc *PassContext) any {
+			return pre.RunToFixpoint(pc.Ctx, pc.Func, pc.Analyses, pre.LCM)
 		}},
-		{"pre-lospre", nil, func(pc *PassContext) bool {
-			return pre.RunToFixpoint(pc.Ctx, pc.Func, pc.Analyses, pre.Lospre).Mutated()
+		{"pre-lospre", func(pc *PassContext) any {
+			return pre.RunToFixpoint(pc.Ctx, pc.Func, pc.Analyses, pre.Lospre)
 		}},
-		// gvn, reassoc and strength rebuild the function through an
-		// SSA round-trip, which renames registers wholesale even when
-		// no optimization fires; they always report changed.
-		{"gvn", nil, func(pc *PassContext) bool {
-			gvn.RunWith(pc.Func, pc.Analyses)
-			return true
+		{"gvn", func(pc *PassContext) any {
+			return gvn.RunWith(pc.Func, pc.Analyses)
 		}},
-		{"gvn-precise", nil, func(pc *PassContext) bool {
-			gvn.RunPreciseWith(pc.Func, pc.Analyses)
-			return true
+		{"gvn-precise", func(pc *PassContext) any {
+			return gvn.RunPreciseWith(pc.Func, pc.Analyses)
 		}},
-		{"reassoc", nil, func(pc *PassContext) bool {
-			reassoc.RunWith(pc.Func, reassoc.Options{AllowFloat: true}, pc.Analyses)
-			return true
+		{"reassoc", func(pc *PassContext) any {
+			return reassoc.RunWith(pc.Func, reassoc.Options{AllowFloat: true}, pc.Analyses)
 		}},
-		{"reassoc-dist", nil, func(pc *PassContext) bool {
-			reassoc.RunWith(pc.Func, reassoc.Options{Distribute: true, AllowFloat: true}, pc.Analyses)
-			return true
+		{"reassoc-dist", func(pc *PassContext) any {
+			return reassoc.RunWith(pc.Func, reassoc.Options{Distribute: true, AllowFloat: true}, pc.Analyses)
 		}},
-		{"cse-dom", nil, func(pc *PassContext) bool {
-			return cse.RunDominatorWith(pc.Func, pc.Analyses).Changed()
+		{"cse-dom", func(pc *PassContext) any {
+			return cse.RunDominatorWith(pc.Func, pc.Analyses)
 		}},
-		{"cse-avail", nil, func(pc *PassContext) bool {
-			return cse.RunAvailWith(pc.Func, pc.Analyses).Changed()
+		{"cse-avail", func(pc *PassContext) any {
+			return cse.RunAvailWith(pc.Func, pc.Analyses)
 		}},
 		// Extensions: the two passes the paper reports missing (§4.1)
 		// and expects to compose with reassociation (§5.2).
-		{"lvn", cfgOnly, func(pc *PassContext) bool {
-			return lvn.Run(pc.Func).Changed()
+		{"lvn", func(pc *PassContext) any {
+			return lvn.Run(pc.Func)
 		}},
-		{"strength", nil, func(pc *PassContext) bool {
-			strength.RunWith(pc.Func, pc.Analyses)
-			return true
+		{"strength", func(pc *PassContext) any {
+			return strength.RunWith(pc.Func, pc.Analyses)
 		}},
 		// Diagnostic pass: transforms nothing, runs the semantic
 		// checkers and reports findings on stderr.  In a filter
 		// pipeline it acts as an assertion stage (cmd/ilocfilter gives
 		// it a failing exit status on errors).
-		{"check", readOnly, func(pc *PassContext) bool {
+		{"check", func(pc *PassContext) any {
 			check.Report(os.Stderr, checkFunc(pc))
-			return false
+			return nil
 		}},
 	}
 }
@@ -377,11 +337,10 @@ func PassNamesWith(level Level, gvn GVNBackend, pre PREBackend) []string {
 }
 
 // PipelineVersion is a fingerprint of the optimizer's pass pipelines:
-// a hash over every level's pass sequence and the full pass inventory
-// with each pass's preservation contract.  Content-addressed caches
-// fold it into their keys so a cached result is invalidated
-// automatically whenever a pass is added, removed, resequenced, or its
-// invalidation contract changes.  It is deterministic across processes
+// a hash over every level's pass sequence and the full pass inventory.
+// Content-addressed caches fold it into their keys so a cached result
+// is invalidated automatically whenever a pass is added, removed,
+// renamed or resequenced.  It is deterministic across processes
 // and runs.
 func PipelineVersion() string { return PipelineVersionFor(GVNAWZ, PREDrechsler) }
 
@@ -396,14 +355,14 @@ func PipelineVersionFor(gvn GVNBackend, pre PREBackend) string {
 }
 
 // pipelineVersion computes the fingerprint over a given pass inventory;
-// split out so tests can prove the hash is sensitive to contract edits.
+// split out so tests can prove the hash is sensitive to inventory edits.
 func pipelineVersion(passes []Pass, gvn GVNBackend, pre PREBackend) string {
 	h := sha256.New()
 	io.WriteString(h, "gvn-backend:")
-	io.WriteString(h, string(gvn.orDefault()))
+	io.WriteString(h, string(orDefault(gvn, GVNBackends)))
 	io.WriteString(h, "\n")
 	io.WriteString(h, "pre-backend:")
-	io.WriteString(h, string(pre.orDefault()))
+	io.WriteString(h, string(orDefault(pre, PREBackends)))
 	io.WriteString(h, "\n")
 	for _, l := range append([]Level{LevelNone}, Levels...) {
 		io.WriteString(h, string(l))
@@ -415,10 +374,6 @@ func pipelineVersion(passes []Pass, gvn GVNBackend, pre PREBackend) string {
 	}
 	for _, p := range passes {
 		io.WriteString(h, p.Name)
-		for _, a := range p.Preserves {
-			io.WriteString(h, " preserves:")
-			io.WriteString(h, a)
-		}
 		io.WriteString(h, "\n")
 	}
 	return "epre-" + hex.EncodeToString(h.Sum(nil))[:16]
@@ -430,9 +385,13 @@ type PassInfo struct {
 	Func     string
 	Pass     string
 	Duration time.Duration
-	// Changed is the pass's own report of whether it modified the
-	// function.
+	// Changed reports that the application moved the function's
+	// mutation generation, i.e. modified it.
 	Changed bool
+	// Stats is the pass's own statistics for this application, as
+	// returned by Pass.Run: pre.Stats, sccp.Stats, reassoc.Stats, ...,
+	// the emptyblocks count (an int), or nil for the check pass.
+	Stats any
 	// Builds counts the analyses the shared cache had to (re)build
 	// during this pass — cache misses, not total queries.
 	Builds analysis.BuildCounts
@@ -522,10 +481,12 @@ func RunPasses(p *ir.Program, passes []Pass, opts OptimizeOptions) (*ir.Program,
 // clones p and applies the passes in order, each over every function;
 // a function keeps one analysis cache for the whole run.  The context
 // is polled before each pass, every application is reported to
-// opts.OnPass, and a function the pass reports changed is re-verified.
-// A non-nil cfg selects checked mode (see CheckedRun), which works on
-// whole-program snapshots and so needs this pass-major order; a pass
-// sees only its own function, so the order does not change the output.
+// opts.OnPass, and a function whose code generation the pass moved is
+// re-verified (the code generation advances on every mutation, CFG
+// edits included).  A non-nil cfg selects checked mode (see
+// CheckedRun), which works on whole-program snapshots and so needs this
+// pass-major order; a pass sees only its own function, so the order
+// does not change the output.
 func run(p *ir.Program, passes []Pass, opts OptimizeOptions, cfg *CheckConfig) (*ir.Program, []check.Diagnostic, error) {
 	ctx := opts.ctx()
 	out := p.Clone()
@@ -549,20 +510,23 @@ func run(p *ir.Program, passes []Pass, opts OptimizeOptions, cfg *CheckConfig) (
 		anyChanged := false
 		for i := range pcs {
 			pc := &pcs[i]
+			gen := pc.Func.CodeGeneration()
 			builds := pc.Analyses.Counts()
 			start := time.Now()
-			changed := pass.Run(pc)
+			stats := pass.Run(pc)
+			changed := pc.Func.CodeGeneration() != gen
 			if opts.OnPass != nil {
 				opts.OnPass(PassInfo{
 					Func:     pc.Func.Name,
 					Pass:     pass.Name,
 					Duration: time.Since(start),
 					Changed:  changed,
+					Stats:    stats,
 					Builds:   pc.Analyses.Counts().Sub(builds),
 				})
 			}
-			// A pass that reports no change cannot have invalidated the
-			// verified invariants; skip re-verification.
+			// A pass that left the function untouched cannot have
+			// invalidated the verified invariants; skip re-verification.
 			if !changed {
 				continue
 			}

@@ -77,7 +77,9 @@ func TestTailPassStateIgnoresUnusedRegisters(t *testing.T) {
 				t.Fatal(err)
 			}
 			run := func(f *ir.Func) (mutated bool) {
-				return p.Run(&core.PassContext{Ctx: context.Background(), Func: f, Analyses: analysis.NewCache(f)})
+				gen := f.CodeGeneration()
+				p.Run(&core.PassContext{Ctx: context.Background(), Func: f, Analyses: analysis.NewCache(f)})
+				return f.CodeGeneration() != gen
 			}
 			plain := ir.MustParseFunc(src)
 			if !run(plain) {

@@ -34,9 +34,6 @@ type Stats struct {
 	RemovedBlocks int // unreachable blocks dropped before analysis
 }
 
-// Changed reports whether the run modified the function.
-func (s Stats) Changed() bool { return s.Removed+s.RemovedBlocks > 0 }
-
 // RunDominator performs dominator-based redundancy elimination: a
 // computation is deleted when a lexically identical computation
 // strictly dominates it with no intervening kill.

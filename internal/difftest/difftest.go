@@ -420,17 +420,24 @@ func blamePass(ctx context.Context, prog *ir.Program, level core.Level, v varian
 }
 
 // shrinkFailure reduces f.Program with delta debugging and updates the
-// failure in place when a smaller reproducer is found.
+// failure in place when a smaller reproducer is found.  The shrinker
+// keeps only the failure's kind, so the reduced program is judged
+// again and the failure takes its detail: the symptom recorded is the
+// one the reproducer shows.
 func shrinkFailure(ctx context.Context, f *Failure, opt Options) {
+	v := variant{f.GVN, f.PRE}
 	reduced, ok := Shrink(ctx, f.Program, ShrinkOptions{
 		Level:    f.Level,
 		Kind:     f.Kind,
-		Optimize: opt.optimizeFor(variant{f.GVN, f.PRE}),
+		Optimize: opt.optimizeFor(v),
 	})
 	if ok && reduced.InstrCount() < f.Program.InstrCount() {
 		f.Program = reduced
 		f.MinInstrs = reduced.InstrCount()
 		f.Shrunk = true
+		if g := testLevel(ctx, reduced, f.Seed, f.Level, v, opt); g != nil && g.Kind == f.Kind {
+			f.Detail = g.Detail
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/progen"
@@ -282,6 +283,67 @@ func assertArtifactsRefail(t *testing.T, rep *Report, optimize OptimizeFunc) {
 			variant{core.GVNAWZ, core.PREDrechsler}, Options{Optimize: optimize})
 		if g == nil || g.Kind != f.Kind {
 			t.Errorf("seed %d: artifact read back gives %v, want a %s:\n%s", f.Seed, g, f.Kind, data)
+		}
+	}
+}
+
+// TestArtifactDetailDescribesReproducer: a shrunk artifact's detail
+// lines describe the program it carries — read back and judged by the
+// oracle, the reproducer fails with exactly the recorded message, not
+// with the symptom of the larger program it was reduced from.
+func TestArtifactDetailDescribesReproducer(t *testing.T) {
+	ctx := context.Background()
+	optimize := sabotage(core.LevelPartial)
+	rep, err := Run(Options{
+		Seed:        1,
+		N:           3,
+		Config:      smallConfig(),
+		Optimize:    optimize,
+		Levels:      []core.Level{core.LevelPartial},
+		Shrink:      true,
+		ArtifactDir: t.TempDir(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Failures) == 0 {
+		t.Fatal("sabotaged pipeline not caught")
+	}
+	for _, f := range rep.Failures {
+		if !f.Shrunk {
+			t.Fatalf("seed %d: failure was not shrunk", f.Seed)
+		}
+		data, err := os.ReadFile(f.Artifact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var recorded []string
+		for _, line := range strings.Split(string(data), "\n") {
+			if d, ok := strings.CutPrefix(line, "# detail: "); ok {
+				recorded = append(recorded, d)
+			}
+		}
+		back, err := ir.ParseProgramString(string(data))
+		if err != nil {
+			t.Fatalf("seed %d: artifact does not reparse: %v", f.Seed, err)
+		}
+		opt, err := optimize(ctx, back.Clone(), f.Level)
+		if err != nil {
+			t.Fatalf("seed %d: %v", f.Seed, err)
+		}
+		judged := ""
+		for _, in := range check.ProgramInputs(back, "main", 3) {
+			if ref, ok := check.Observe(ctx, back, "main", in); ok {
+				if judged = check.Disagree(ctx, opt, "main", ref, 0); judged != "" {
+					break
+				}
+			}
+		}
+		if judged == "" {
+			t.Fatalf("seed %d: artifact read back does not fail:\n%s", f.Seed, data)
+		}
+		if got := strings.Join(recorded, "\n"); got != judged {
+			t.Errorf("seed %d: artifact records %q, its program fails with %q", f.Seed, got, judged)
 		}
 	}
 }

@@ -74,13 +74,6 @@ type Stats struct {
 // fixpoint driver's termination condition.
 func (s Stats) Changed() bool { return s.Inserted+s.Deleted+s.Replaced+s.Rewritten > 0 }
 
-// Mutated reports whether the run modified the function at all,
-// including CFG surgery (edge splits, unreachable-block removal) that
-// Changed does not count as progress.
-func (s Stats) Mutated() bool {
-	return s.Changed() || s.EdgesSplit+s.RemovedBlocks > 0
-}
-
 // add folds one round's stats into a running total.
 func (s *Stats) add(r Stats) {
 	s.Exprs = r.Exprs

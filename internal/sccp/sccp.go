@@ -80,9 +80,6 @@ type Stats struct {
 	BlocksRemoved int
 }
 
-// Changed reports whether the run modified the function.
-func (s Stats) Changed() bool { return s.Folded+s.BranchesFixed+s.BlocksRemoved > 0 }
-
 // Run performs conditional constant propagation on f in place.
 func Run(f *ir.Func) Stats {
 	return RunWith(f, analysis.NewCache(f))

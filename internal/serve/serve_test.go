@@ -632,7 +632,7 @@ func TestDebugVars(t *testing.T) {
 			t.Errorf("pass_nanos missing %q: %v", pass, passNanos)
 		}
 	}
-	// The SSA round-trip passes always report changed, and the run built
+	// The SSA round-trip passes always change the function, and the run built
 	// dominators at least once — the new pass-manager counters must show
 	// both.
 	passChanged, ok := vars["pass_changed"].(map[string]any)

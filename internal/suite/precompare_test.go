@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/pre"
 )
 
 // TestPreCompareAllRoutines is the acceptance check for the alternate
@@ -49,17 +50,22 @@ func TestPreCompareAllRoutines(t *testing.T) {
 	}
 	for _, backend := range core.PREBackends {
 		var got totals
+		count := func(info core.PassInfo) {
+			if info.Pass == backend.PassName() {
+				s := info.Stats.(pre.Stats)
+				got.rewritten += s.Rewritten
+				got.rounds += s.Rounds
+				got.solved += s.Solved
+			}
+		}
 		for _, r := range All() {
-			s, err := preStatic(ctx, r, backend)
-			if err != nil {
+			opts := core.OptimizeOptions{PRE: backend, OnPass: count}
+			if _, err := RunRoutineOpts(ctx, r, core.LevelPartial, opts); err != nil {
 				t.Fatal(err)
 			}
-			got.inserted += s.Inserted
-			got.rewritten += s.Rewritten
-			got.rounds += s.Rounds
-			got.solved += s.Solved
 		}
 		for _, r := range rows {
+			got.inserted += r.stat(backend).Inserted
 			got.eliminated += r.stat(backend).Eliminated
 		}
 		if got != want[backend] {

@@ -7,10 +7,8 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/interp"
-	"repro/internal/ir"
 	"repro/internal/reassoc"
 )
 
@@ -168,14 +166,20 @@ func Table1Opts(ctx context.Context, workers int, opts core.OptimizeOptions) ([]
 	return rows, nil
 }
 
-// Table2 measures forward-propagation code expansion per routine.  The
-// reassociation it measures runs through the pass driver, so with
-// EPRE_CHECK=1 it is checked like any other pass and an error
-// diagnostic fails the table.
-func Table2() ([]Table2Row, error) { return table2(reassoc.RunWith) }
+// Table2 measures forward-propagation code expansion per routine: the
+// reassoc pass's own reassoc.Stats, read from the pass driver's OnPass.
+// With EPRE_CHECK=1 the reassociation is checked like any other pass
+// and an error diagnostic fails the table.
+func Table2() ([]Table2Row, error) {
+	passes, err := core.Passes("reassoc")
+	if err != nil {
+		return nil, err
+	}
+	return table2(passes)
+}
 
 // table2 is Table2 measuring the given reassociation.
-func table2(reassocWith func(*ir.Func, reassoc.Options, *analysis.Cache) reassoc.Stats) ([]Table2Row, error) {
+func table2(passes []core.Pass) ([]Table2Row, error) {
 	var rows []Table2Row
 	for _, r := range All() {
 		prog, err := r.Compile()
@@ -183,13 +187,12 @@ func table2(reassocWith func(*ir.Func, reassoc.Options, *analysis.Cache) reassoc
 			return nil, fmt.Errorf("%s: %w", r.Name, err)
 		}
 		row := Table2Row{Name: r.Name}
-		measured := core.Pass{Name: "reassoc", Run: func(pc *core.PassContext) bool {
-			st := reassocWith(pc.Func, reassoc.DefaultOptions(), pc.Analyses)
+		count := func(info core.PassInfo) {
+			st := info.Stats.(reassoc.Stats)
 			row.Before += st.BeforeProp
 			row.After += st.AfterProp
-			return true
-		}}
-		if _, err := core.RunPasses(prog, []core.Pass{measured}, core.OptimizeOptions{}); err != nil {
+		}
+		if _, err := core.RunPasses(prog, passes, core.OptimizeOptions{OnPass: count}); err != nil {
 			return nil, fmt.Errorf("%s: %w", r.Name, err)
 		}
 		rows = append(rows, row)
