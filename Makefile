@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check build test race vet fmt lint fuzz fuzz-smoke check-suite bench perfbench-test
+.PHONY: check build test race vet fmt lint fuzz fuzz-smoke check-suite bench bench-smoke perfbench-test
 
-check: fmt vet lint build test race fuzz-smoke check-suite perfbench-test
+check: fmt vet lint build test race fuzz-smoke check-suite perfbench-test bench-smoke
 
 build:
 	$(GO) build ./...
@@ -78,6 +78,12 @@ check-suite:
 # `./...` never reaches its own tests; part of `check`.
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# One iteration of the PRE and whole-suite sweep benchmarks, part of
+# `check`: keeps them building and running (each op must succeed), not
+# a measurement.
+bench-smoke:
+	$(GO) test -run '^$$' -bench 'PRE|SuiteSweep' -benchtime 1x .
 
 # Performance tracking, one harness: the Go micro-benchmarks, then the
 # benchmark's three workloads (see BENCHMARK.json and perfbench/) for

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/ir"
+	"repro/internal/lang"
 	"repro/internal/minift"
 	"repro/internal/reassoc"
 	"repro/internal/regalloc"
@@ -34,6 +35,8 @@ import (
 //	                             baseline tail
 //	BenchmarkPRE               — time and bytes of each PRE backend at
 //	                             the distribution level's PRE slot
+//	BenchmarkSuiteSweep        — one sweep of the whole suite under
+//	                             twelve level × backend configurations
 //
 // Wall-clock numbers measure the optimizer itself; the paper's actual
 // metric is the reported dynops/expansion value.
@@ -539,5 +542,44 @@ func BenchmarkPRE(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkSuiteSweep is one sweep of the suite as a build job runs
+// it, in process: every routine compiled from source, optimized with
+// core.OptimizeWith and printed, under twelve configurations —
+// baseline; partial, reassociation and distribution under every PRE
+// backend with AWZ value numbering; and the two reassociating levels
+// with precise value numbering.  One op is one sweep.
+func BenchmarkSuiteSweep(b *testing.B) {
+	type config struct {
+		level core.Level
+		opts  core.OptimizeOptions
+	}
+	configs := []config{{core.LevelBaseline, core.OptimizeOptions{}}}
+	for _, l := range []core.Level{core.LevelPartial, core.LevelReassoc, core.LevelDist} {
+		for _, p := range core.PREBackends {
+			configs = append(configs, config{l, core.OptimizeOptions{GVN: core.GVNAWZ, PRE: p}})
+		}
+	}
+	for _, l := range []core.Level{core.LevelReassoc, core.LevelDist} {
+		configs = append(configs, config{l, core.OptimizeOptions{GVN: core.GVNPrecise, PRE: core.PREDrechsler}})
+	}
+	routines := suite.All()
+	b.ReportAllocs()
+	for range b.N {
+		for _, r := range routines {
+			for _, c := range configs {
+				prog, _, err := lang.Compile(r.Source, "")
+				if err != nil {
+					b.Fatal(err)
+				}
+				out, err := core.OptimizeWith(prog, c.level, c.opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				_ = out.String()
+			}
+		}
 	}
 }

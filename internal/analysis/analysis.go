@@ -149,7 +149,7 @@ func (c *Cache) Loops() *cfg.LoopInfo {
 func (c *Cache) Liveness() *dataflow.Liveness {
 	c.refresh()
 	if c.live == nil {
-		c.live = dataflow.ComputeLiveness(c.fn)
+		c.live = dataflow.ComputeLiveness(c.fn, c.RPO())
 		c.counts.Liveness++
 	}
 	return c.live

@@ -75,9 +75,10 @@ func TestCacheInvalidation(t *testing.T) {
 	if c.Liveness() == lv2 {
 		t.Errorf("Liveness not invalidated by structural mutation")
 	}
-	// DomTree builds its RPO internally, so the cache's own RPO getter
-	// was never exercised here.
-	want := analysis.BuildCounts{Dom: 2, Liveness: 3}
+	// Liveness takes its reverse postorder from the cache: one per CFG
+	// generation, reused across the instruction-level mutation.
+	// DomTree builds its RPO internally.
+	want := analysis.BuildCounts{RPO: 2, Dom: 2, Liveness: 3}
 	if got := c.Counts(); got != want {
 		t.Errorf("Counts() = %+v, want %+v", got, want)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/cfg"
 	"repro/internal/core"
 	"repro/internal/dataflow"
 	"repro/internal/ir"
@@ -91,7 +92,7 @@ func TestTailPassStateIgnoresUnusedRegisters(t *testing.T) {
 			for range pad {
 				padded.NewReg()
 			}
-			livenessBytes := allocated(func() { dataflow.ComputeLiveness(padded) })
+			livenessBytes := allocated(func() { dataflow.ComputeLiveness(padded, cfg.ReversePostorder(padded)) })
 			builds := analysis.GlobalBuilds()
 			total := allocated(func() { run(padded) })
 			liveness := analysis.GlobalBuilds().Sub(builds).Liveness * livenessBytes

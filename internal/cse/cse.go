@@ -140,7 +140,7 @@ func RunAvailWith(f *ir.Func, ac *analysis.Cache) Stats {
 	u := dataflow.BuildUniverse(f, regIndex)
 	canon := pre.CanonicalDsts(f, u, ac)
 	defer ac.ReturnRegs(canon)
-	avin, _ := u.Availability(ac.RPO())
+	avin, _ := u.Availability(ac.RPO(), nil)
 
 	for _, b := range f.Blocks {
 		avail := avin[b.ID]

@@ -41,6 +41,76 @@ func NewBitSetFamily(nb, n int) []*BitSet {
 	return ptrs
 }
 
+// A FamilyStore hands out bitset families from storage it keeps.
+// After Reset the next families reuse the arrays of the last ones, so a
+// caller that solves one round of problems after another allocates
+// only when a round needs more than the rounds before it.  A nil store
+// allocates each family afresh.
+type FamilyStore struct {
+	words chunks[uint64]
+	hdrs  chunks[BitSet]
+	ptrs  chunks[*BitSet]
+}
+
+// Reset takes back every family the store handed out: they must no
+// longer be used.
+func (s *FamilyStore) Reset() {
+	s.words.reset()
+	s.hdrs.reset()
+	s.ptrs.reset()
+}
+
+// Family returns nb empty capacity-n sets, like NewBitSetFamily, valid
+// until the next Reset.
+func (s *FamilyStore) Family(nb, n int) []*BitSet {
+	if s == nil {
+		return NewBitSetFamily(nb, n)
+	}
+	w := max((n+63)/64, 1)
+	words, fresh := s.words.take(nb * w)
+	if !fresh {
+		clear(words)
+	}
+	hdrs, _ := s.hdrs.take(nb)
+	ptrs, _ := s.ptrs.take(nb)
+	for i := range hdrs {
+		hdrs[i] = BitSet{words: words[i*w : (i+1)*w : (i+1)*w], n: n}
+		ptrs[i] = &hdrs[i]
+	}
+	return ptrs
+}
+
+// Set returns one empty capacity-n set, valid until the next Reset.
+func (s *FamilyStore) Set(n int) *BitSet { return s.Family(1, n)[0] }
+
+// chunks hands out slices of the arrays it keeps, in order, and takes
+// them all back at once.  A request that fits in no array left gets an
+// array of its own, which later rounds reuse.
+type chunks[T any] struct {
+	list     [][]T
+	at, used int // the array being handed out, and how much of it is
+}
+
+func (c *chunks[T]) reset() { c.at, c.used = 0, 0 }
+
+// take returns n elements and whether they are freshly allocated
+// zeros; reused ones hold whatever was there.
+func (c *chunks[T]) take(n int) ([]T, bool) {
+	for ; c.at < len(c.list); c.at, c.used = c.at+1, 0 {
+		if end := c.used + n; end <= len(c.list[c.at]) {
+			s := c.list[c.at][c.used:end:end]
+			c.used = end
+			return s, false
+		}
+	}
+	if c.list == nil {
+		c.list = make([][]T, 0, 16)
+	}
+	c.list = append(c.list, make([]T, n))
+	c.used = n
+	return c.list[c.at], true
+}
+
 // Len returns the set's capacity.
 func (s *BitSet) Len() int { return s.n }
 
@@ -73,20 +143,6 @@ func (s *BitSet) trim() {
 	if extra := s.n & 63; extra != 0 && len(s.words) > 0 {
 		s.words[len(s.words)-1] &= (1 << uint(extra)) - 1
 	}
-}
-
-// Reset re-dimensions the set to capacity n and empties it, reusing
-// the backing array when it is large enough.  A Reset set is
-// indistinguishable from a fresh NewBitSet(n).
-func (s *BitSet) Reset(n int) {
-	w := (n + 63) / 64
-	if cap(s.words) < w {
-		s.words = make([]uint64, w)
-	} else {
-		s.words = s.words[:w]
-		clear(s.words)
-	}
-	s.n = n
 }
 
 // Copy returns an independent duplicate of the set.
@@ -212,16 +268,4 @@ func (s *BitSet) String() string {
 	})
 	sb.WriteByte('}')
 	return sb.String()
-}
-
-// Gather re-dimensions s to capacity len(ids), as Reset does, and
-// fills it with the elements ids selects from t: element i of s is
-// element ids[i] of t.
-func (s *BitSet) Gather(t *BitSet, ids []int32) {
-	s.Reset(len(ids))
-	for i, e := range ids {
-		if t.Has(int(e)) {
-			s.Set(i)
-		}
-	}
 }

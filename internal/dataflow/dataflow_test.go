@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/cfg"
 	"repro/internal/dataflow"
 	"repro/internal/ir"
 )
@@ -144,7 +145,7 @@ b3:
 }
 `
 	f := ir.MustParseFunc(src)
-	lv := dataflow.ComputeLiveness(f)
+	lv := dataflow.ComputeLiveness(f, cfg.ReversePostorder(f))
 	byName := map[string]*ir.Block{}
 	for _, b := range f.Blocks {
 		byName[b.Name] = b
@@ -185,7 +186,7 @@ b3:
 }
 `
 	f := ir.MustParseFunc(src)
-	lv := dataflow.ComputeLiveness(f)
+	lv := dataflow.ComputeLiveness(f, cfg.ReversePostorder(f))
 	byName := map[string]*ir.Block{}
 	for _, b := range f.Blocks {
 		byName[b.Name] = b

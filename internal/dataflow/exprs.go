@@ -3,6 +3,7 @@ package dataflow
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/ir"
 )
@@ -89,6 +90,10 @@ type Universe struct {
 	AntLoc []*BitSet // locally anticipatable: computed before any kill
 	Comp   []*BitSet // locally available: computed and not killed after
 
+	// occ holds, by block ID, every expression the block computes; a
+	// full universe keeps it, for Occurrences, Occurs and Computes.
+	occ []*BitSet
+
 	num *numbering // shared by a universe and its restrictions
 	// ids[i] is the full universe's number of expression i, and
 	// local[e] the number of the full universe's expression e here (-1
@@ -124,6 +129,7 @@ type numbering struct {
 	loads []int32 // every load: killed by memory writes
 
 	killed     *BitSet   // Refresh scratch: expressions killed so far in a block
+	seen       *BitSet   // Occurrences scratch: expressions listed so far
 	restricted *Universe // the storage Restrict reuses
 }
 
@@ -224,7 +230,7 @@ func BuildUniverse(f *ir.Func, regIndex []int) *Universe {
 			num.loads = append(num.loads, int32(e))
 		}
 	}
-	num.killed = NewBitSet(n)
+	num.killed, num.seen = NewBitSet(n), NewBitSet(n)
 	u.Refresh(f.Blocks)
 	return u
 }
@@ -275,19 +281,25 @@ func (num *numbering) usedBy(r ir.Reg) []int32 {
 func (u *Universe) Refresh(blocks []*ir.Block) {
 	n, nb := u.NumExprs(), len(u.Fn.Blocks)
 	if have := len(u.Transp); have < nb {
-		u.Transp = append(u.Transp, NewBitSetFamily(nb-have, n)...)
-		u.AntLoc = append(u.AntLoc, NewBitSetFamily(nb-have, n)...)
-		u.Comp = append(u.Comp, NewBitSetFamily(nb-have, n)...)
+		// One family holds the new blocks' vectors of all four
+		// properties.
+		k := nb - have
+		fam := NewBitSetFamily(4*k, n)
+		u.Transp = extend(u.Transp, fam[:k:k])
+		u.AntLoc = extend(u.AntLoc, fam[k:2*k:2*k])
+		u.Comp = extend(u.Comp, fam[2*k:3*k:3*k])
+		u.occ = extend(u.occ, fam[3*k:])
 	} else {
-		u.Transp, u.AntLoc, u.Comp = u.Transp[:nb], u.AntLoc[:nb], u.Comp[:nb]
+		u.Transp, u.AntLoc, u.Comp, u.occ = u.Transp[:nb], u.AntLoc[:nb], u.Comp[:nb], u.occ[:nb]
 	}
 	num := u.num
 	killed := num.killed
 	for _, b := range blocks {
-		transp, antloc, comp := u.Transp[b.ID], u.AntLoc[b.ID], u.Comp[b.ID]
+		transp, antloc, comp, occ := u.Transp[b.ID], u.AntLoc[b.ID], u.Comp[b.ID], u.occ[b.ID]
 		transp.SetAll()
 		antloc.ClearAll()
 		comp.ClearAll()
+		occ.ClearAll()
 		killed.ClearAll()
 		kill := func(e int32) {
 			killed.Set(int(e))
@@ -301,6 +313,7 @@ func (u *Universe) Refresh(blocks []*ir.Block) {
 						antloc.Set(int(e))
 					}
 					comp.Set(int(e))
+					occ.Set(int(e))
 				}
 			}
 			in := u.Fn.Instr(id)
@@ -316,14 +329,22 @@ func (u *Universe) Refresh(blocks []*ir.Block) {
 	}
 }
 
+// extend appends more to vs, or returns more itself when vs is empty.
+func extend(vs, more []*BitSet) []*BitSet {
+	if len(vs) == 0 {
+		return more
+	}
+	return append(vs, more...)
+}
+
 // Restrict returns the universe of the full universe u's expressions
 // ids, in that order: expression i of the result is u's expression
-// ids[i].  Its local properties are copied from u's, and its Expr,
-// MakeInstr and KillScan speak its own numbers.  Restricting to every
-// expression in order returns u itself.  A restriction lives in
-// storage u keeps for the next one, so it is valid until u is
-// restricted again.
-func (u *Universe) Restrict(ids []int32) *Universe {
+// ids[i].  Its local properties are copied from u's into vectors drawn
+// from sets, and its Expr, MakeInstr and KillScan speak its own
+// numbers.  Restricting to every expression in order returns u itself.
+// A restriction's tables live in storage u keeps for the next one, so
+// it is valid until u is restricted again or sets is Reset.
+func (u *Universe) Restrict(ids []int32, sets *FamilyStore) *Universe {
 	n := u.NumExprs()
 	identity := len(ids) == n
 	for i := 0; identity && i < n; i++ {
@@ -343,7 +364,7 @@ func (u *Universe) Restrict(ids []int32) *Universe {
 	for _, e := range r.ids {
 		r.local[e] = -1
 	}
-	r.ids = ids
+	r.ids = append(r.ids[:0], ids...)
 	r.Keys, r.Float, r.IsLoad = r.Keys[:0], r.Float[:0], r.IsLoad[:0]
 	for i, e := range ids {
 		r.Keys = append(r.Keys, u.Keys[e])
@@ -351,22 +372,80 @@ func (u *Universe) Restrict(ids []int32) *Universe {
 		r.IsLoad = append(r.IsLoad, u.IsLoad[e])
 		r.local[e] = int32(i)
 	}
-	// The vectors are sized for the whole universe, so every
-	// restriction fits them.
-	nb := len(u.Fn.Blocks)
-	if have := len(r.Transp); have < nb {
-		r.Transp = append(r.Transp, NewBitSetFamily(nb-have, n)...)
-		r.AntLoc = append(r.AntLoc, NewBitSetFamily(nb-have, n)...)
-		r.Comp = append(r.Comp, NewBitSetFamily(nb-have, n)...)
-	}
-	r.Transp, r.AntLoc, r.Comp = r.Transp[:nb], r.AntLoc[:nb], r.Comp[:nb]
+	nb, m := len(u.Fn.Blocks), len(ids)
+	fam := sets.Family(3*nb, m)
+	r.Transp, r.AntLoc, r.Comp = fam[:nb:nb], fam[nb:2*nb:2*nb], fam[2*nb:]
+	// Element i of a restricted vector is element ids[i] of u's; the
+	// three properties share each element's word and bit.
 	for _, b := range u.Fn.Blocks {
-		r.Transp[b.ID].Gather(u.Transp[b.ID], ids)
-		r.AntLoc[b.ID].Gather(u.AntLoc[b.ID], ids)
-		r.Comp[b.ID].Gather(u.Comp[b.ID], ids)
+		transp, antloc, comp := u.Transp[b.ID].words, u.AntLoc[b.ID].words, u.Comp[b.ID].words
+		rt, ra, rc := r.Transp[b.ID].words, r.AntLoc[b.ID].words, r.Comp[b.ID].words
+		for i, e := range ids {
+			w, bit := e>>6, uint64(1)<<(e&63)
+			ri, rbit := i>>6, uint64(1)<<(i&63)
+			if transp[w]&bit != 0 {
+				rt[ri] |= rbit
+			}
+			if antloc[w]&bit != 0 {
+				ra[ri] |= rbit
+			}
+			if comp[w]&bit != 0 {
+				rc[ri] |= rbit
+			}
+		}
 	}
 	return r
 }
+
+// Occurrences appends to ids the expressions of set, a vector over the
+// full universe u, in order of first occurrence in the function (block
+// order, then instruction order), and marks occurs[b.ID] for every
+// block that computes one of them.  It reads the blocks' occurrence
+// vectors, and a block's instructions only where two or more of set's
+// expressions occur for the first time.
+func (u *Universe) Occurrences(set *BitSet, ids []int32, occurs []bool) []int32 {
+	seen := u.num.seen
+	seen.ClearAll()
+	for _, b := range u.Fn.Blocks {
+		hit, fresh, first := false, 0, 0
+		for i, w := range u.occ[b.ID].words {
+			w &= set.words[i]
+			if w == 0 {
+				continue
+			}
+			hit = true
+			if w &^= seen.words[i]; w != 0 {
+				fresh += bits.OnesCount64(w)
+				first = i*64 + bits.TrailingZeros64(w)
+			}
+		}
+		if !hit {
+			continue
+		}
+		occurs[b.ID] = true
+		switch {
+		case fresh == 1:
+			seen.Set(first)
+			ids = append(ids, int32(first))
+		case fresh > 1:
+			for _, id := range b.Instrs {
+				if e := u.Expr(u.Fn.Instr(id)); e >= 0 && set.Has(e) && !seen.Has(e) {
+					seen.Set(e)
+					ids = append(ids, int32(e))
+				}
+			}
+		}
+	}
+	return ids
+}
+
+// Occurs reports whether block b computes expression e of the full
+// universe u.
+func (u *Universe) Occurs(b *ir.Block, e int) bool { return u.occ[b.ID].Has(e) }
+
+// Computes reports whether block b computes any expression of the full
+// universe u.
+func (u *Universe) Computes(b *ir.Block) bool { return !u.occ[b.ID].Empty() }
 
 // fromFull maps a full-universe expression number to this universe's,
 // -1 when absent.

@@ -30,7 +30,7 @@ func TestKillScanMatchesBruteForce(t *testing.T) {
 				}
 			}
 			rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
-			for _, u := range []*dataflow.Universe{full, full.Restrict(ids)} {
+			for _, u := range []*dataflow.Universe{full, full.Restrict(ids, nil)} {
 				n := u.NumExprs()
 				f.ForEachInstr(func(_ *ir.Block, _ int, in *ir.Instr) {
 					for _, memWrite := range []bool{false, true} {

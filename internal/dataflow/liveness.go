@@ -12,10 +12,12 @@ type Liveness struct {
 	LiveOut []*BitSet
 }
 
-// ComputeLiveness solves backward liveness over the CFG.  φ-nodes are
-// treated the standard way: a φ's operands are live out of the
-// corresponding predecessor, not live into the φ's own block.
-func ComputeLiveness(f *ir.Func) *Liveness {
+// ComputeLiveness solves backward liveness over the reachable blocks,
+// visiting them in postorder: rpo is f's reverse postorder, as
+// analysis.Cache.RPO gives it.  φ-nodes are treated the standard way: a
+// φ's operands are live out of the corresponding predecessor, not live
+// into the φ's own block.
+func ComputeLiveness(f *ir.Func, rpo []*ir.Block) *Liveness {
 	livenessBuilds.Add(1)
 	n := len(f.Blocks)
 	nr := f.NumRegs()
@@ -63,26 +65,26 @@ func ComputeLiveness(f *ir.Func) *Liveness {
 		}
 	}
 
-	// Iterate to fixed point in postorder (reverse RPO) for speed.
-	// One scratch vector serves every block and every round.
-	rpo := cfg.ReversePostorder(f)
+	// Iterate to the least fixed point with a worklist, in postorder
+	// (reverse RPO) sweeps: a block is visited again only after a
+	// successor's live-in set grew.  One scratch vector serves every
+	// visit.
 	in := NewBitSet(nr)
-	for changed := true; changed; {
-		changed = false
+	work := newWorklist(n, rpo)
+	for work.pending > 0 {
 		for i := len(rpo) - 1; i >= 0; i-- {
 			b := rpo[i]
+			if !work.take(b) {
+				continue
+			}
 			out := lv.LiveOut[b.ID]
 			for _, s := range b.Succs {
-				if out.Union(lv.LiveIn[s.ID]) {
-					changed = true
-				}
+				out.Union(lv.LiveIn[s.ID])
 				// φ operands flowing along this edge.
 				pi := s.PredIndex(b)
 				for _, pid := range s.Phis() {
-					phi := f.Instr(pid)
-					if pi < len(phi.Args) && !out.Has(int(phi.Args[pi])) {
+					if phi := f.Instr(pid); pi < len(phi.Args) {
 						out.Set(int(phi.Args[pi]))
-						changed = true
 					}
 				}
 			}
@@ -91,7 +93,7 @@ func ComputeLiveness(f *ir.Func) *Liveness {
 			in.Union(&use[b.ID])
 			if !in.Equal(lv.LiveIn[b.ID]) {
 				lv.LiveIn[b.ID].CopyFrom(in)
-				changed = true
+				work.add(b.Preds)
 			}
 		}
 	}
@@ -103,7 +105,7 @@ func ComputeLiveness(f *ir.Func) *Liveness {
 // §5.1 correctness rule requires that no *expression name* be in this
 // set when PRE runs.
 func LiveAcrossBlocks(f *ir.Func) *BitSet {
-	lv := ComputeLiveness(f)
+	lv := ComputeLiveness(f, cfg.ReversePostorder(f))
 	s := NewBitSet(f.NumRegs())
 	for _, b := range f.Blocks {
 		s.Union(lv.LiveIn[b.ID])

@@ -45,52 +45,107 @@ func meetInto(dst *BitSet, neighbors []*ir.Block, sets []*BitSet, meet Meet) {
 	}
 }
 
+// worklist tracks which blocks of one solve still need a visit.  A
+// block not in the reverse postorder is never pending, so an edge to
+// an unreachable block cannot keep the solve going.
+type worklist struct {
+	state   []uint8 // by block ID: notListed, idle or pending
+	pending int
+}
+
+const (
+	notListed uint8 = iota
+	idle
+	pending
+)
+
+// newWorklist returns a worklist over nb block IDs with every block of
+// rpo pending.
+func newWorklist(nb int, rpo []*ir.Block) *worklist {
+	w := &worklist{state: make([]uint8, nb), pending: len(rpo)}
+	for _, b := range rpo {
+		w.state[b.ID] = pending
+	}
+	return w
+}
+
+// add makes the listed blocks among bs pending.
+func (w *worklist) add(bs []*ir.Block) {
+	for _, b := range bs {
+		if w.state[b.ID] == idle {
+			w.state[b.ID] = pending
+			w.pending++
+		}
+	}
+}
+
+// take reports whether b was pending and makes it idle.
+func (w *worklist) take(b *ir.Block) bool {
+	if w.state[b.ID] != pending {
+		return false
+	}
+	w.state[b.ID] = idle
+	w.pending--
+	return true
+}
+
 // SolveForward iterates a forward bitvector problem to fixpoint over
-// the reachable blocks in reverse postorder.  in and out are
+// the reachable blocks with a worklist.  in and out are
 // block-ID-indexed vectors (as produced by one NewBitSetFamily call
 // per direction); the caller seeds out according to the fixpoint it
-// wants (full for MeetAll, empty for MeetAny).  Each step meets the
+// wants (full for MeetAll, empty for MeetAny).  A visit meets the
 // predecessors' out-sets into in[b.ID], then calls transfer to compute
-// the block's new out-set into dst — one vector shared by every step,
-// which the callback must fully overwrite.  Iteration stops when no
-// out-set changes.  All blocks named by Preds edges must be present in rpo
+// the block's new out-set into dst — one vector shared by every visit,
+// which the callback must fully overwrite.  Every block is visited
+// once, in reverse postorder, and again only after a predecessor's
+// out-set changed; sweeps in reverse postorder repeat until no block
+// is pending.  For these monotone problems any such chaotic iteration
+// from the same seeds reaches the same fixpoint as round-robin
+// iteration.  All blocks named by Preds edges must be present in rpo
 // (run analysis.Cache.RemoveUnreachable first).
 func SolveForward(rpo []*ir.Block, meet Meet, in, out []*BitSet, transfer func(b *ir.Block, in, dst *BitSet)) {
 	if len(rpo) == 0 {
 		return
 	}
 	dst := NewBitSet(out[rpo[0].ID].Len())
-	for changed := true; changed; {
-		changed = false
+	w := newWorklist(len(out), rpo)
+	for w.pending > 0 {
 		for _, b := range rpo {
+			if !w.take(b) {
+				continue
+			}
 			meetInto(in[b.ID], b.Preds, out, meet)
 			transfer(b, in[b.ID], dst)
 			if !dst.Equal(out[b.ID]) {
 				out[b.ID].CopyFrom(dst)
-				changed = true
+				w.add(b.Succs)
 			}
 		}
 	}
 }
 
-// SolveBackward is SolveForward's mirror: it iterates in postorder
-// (reverse RPO), meets the successors' in-sets into out[b.ID], and
-// calls transfer to compute the block's new in-set into dst.  The
-// caller seeds in according to the fixpoint it wants.
+// SolveBackward is SolveForward's mirror: its sweeps run in postorder
+// (reverse RPO), a visit meets the successors' in-sets into out[b.ID]
+// and calls transfer to compute the block's new in-set into dst, and a
+// changed in-set makes the predecessors pending.  The caller seeds in
+// according to the fixpoint it wants.
 func SolveBackward(rpo []*ir.Block, meet Meet, out, in []*BitSet, transfer func(b *ir.Block, out, dst *BitSet)) {
 	if len(rpo) == 0 {
 		return
 	}
 	dst := NewBitSet(in[rpo[0].ID].Len())
-	for changed := true; changed; {
-		changed = false
+	w := newWorklist(len(in), rpo)
+	for w.pending > 0 {
 		for i := len(rpo) - 1; i >= 0; i-- {
 			b := rpo[i]
+			if !w.take(b) {
+				continue
+			}
 			meetInto(out[b.ID], b.Succs, in, meet)
 			transfer(b, out[b.ID], dst)
 			if !dst.Equal(in[b.ID]) {
 				in[b.ID].CopyFrom(dst)
-				changed = true
+				w.add(b.Preds)
 			}
 		}
 	}
@@ -102,10 +157,10 @@ func SolveBackward(rpo []*ir.Block, meet Meet, out, in []*BitSet, transfer func(
 //	ANTOUT(b) = ⋂ ANTIN(succ)                      (∅ at exits)
 //
 // over the blocks of rpo (see SolveForward) and returns both
-// block-ID-indexed families.
-func (u *Universe) Anticipability(rpo []*ir.Block) (antin, antout []*BitSet) {
+// block-ID-indexed families, drawn from sets.
+func (u *Universe) Anticipability(rpo []*ir.Block, sets *FamilyStore) (antin, antout []*BitSet) {
 	nb, n := len(u.Fn.Blocks), u.NumExprs()
-	antin, antout = NewBitSetFamily(nb, n), NewBitSetFamily(nb, n)
+	antin, antout = sets.Family(nb, n), sets.Family(nb, n)
 	for _, set := range antin {
 		set.SetAll()
 	}
@@ -123,10 +178,10 @@ func (u *Universe) Anticipability(rpo []*ir.Block) (antin, antout []*BitSet) {
 //	AVOUT(b) = COMP(b) ∪ (AVIN(b) ∩ TRANSP(b))
 //
 // over the blocks of rpo (see SolveForward) and returns both
-// block-ID-indexed families.
-func (u *Universe) Availability(rpo []*ir.Block) (avin, avout []*BitSet) {
+// block-ID-indexed families, drawn from sets.
+func (u *Universe) Availability(rpo []*ir.Block, sets *FamilyStore) (avin, avout []*BitSet) {
 	nb, n := len(u.Fn.Blocks), u.NumExprs()
-	avin, avout = NewBitSetFamily(nb, n), NewBitSetFamily(nb, n)
+	avin, avout = sets.Family(nb, n), sets.Family(nb, n)
 	for _, set := range avout {
 		set.SetAll()
 	}

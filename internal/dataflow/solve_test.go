@@ -1,11 +1,13 @@
 package dataflow_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/cfg"
 	"repro/internal/dataflow"
 	"repro/internal/ir"
+	"repro/internal/progen"
 )
 
 func TestAndNotOf(t *testing.T) {
@@ -60,7 +62,7 @@ func universeFor(t *testing.T, src string) (*ir.Func, *dataflow.Universe, map[st
 
 func TestSolveForwardAvailability(t *testing.T) {
 	f, u, byName := universeFor(t, solveDiamond)
-	in, out := u.Availability(cfg.ReversePostorder(f))
+	in, out := u.Availability(cfg.ReversePostorder(f), nil)
 
 	k, _ := dataflow.KeyOf(f.NewInstr(ir.OpAdd, 99, 1, 2))
 	e, _ := u.Lookup(k)
@@ -79,7 +81,7 @@ func TestSolveForwardAvailability(t *testing.T) {
 
 func TestSolveBackwardAnticipability(t *testing.T) {
 	f, u, byName := universeFor(t, solveDiamond)
-	in, out := u.Anticipability(cfg.ReversePostorder(f))
+	in, out := u.Anticipability(cfg.ReversePostorder(f), nil)
 
 	k, _ := dataflow.KeyOf(f.NewInstr(ir.OpAdd, 99, 1, 2))
 	e, _ := u.Lookup(k)
@@ -128,4 +130,103 @@ func TestSolveEmptyRPO(t *testing.T) {
 	// Degenerate input must be a no-op, not a panic.
 	dataflow.SolveForward(nil, dataflow.MeetAll, nil, nil, nil)
 	dataflow.SolveBackward(nil, dataflow.MeetAny, nil, nil, nil)
+}
+
+// roundRobin is the reference the worklist solvers must agree with:
+// every block visited in every sweep, in reverse postorder (forward) or
+// postorder (backward), until a sweep changes nothing.  facts are the
+// solved vectors (out forward, in backward), meets the met ones.
+func roundRobin(rpo []*ir.Block, forward bool, meet dataflow.Meet, meets, facts []*dataflow.BitSet, transfer func(b *ir.Block, met, dst *dataflow.BitSet)) {
+	dst := dataflow.NewBitSet(facts[rpo[0].ID].Len())
+	for changed := true; changed; {
+		changed = false
+		for i := range rpo {
+			b, neighbors := rpo[i], rpo[i].Preds
+			if !forward {
+				b = rpo[len(rpo)-1-i]
+				neighbors = b.Succs
+			}
+			met := meets[b.ID]
+			met.ClearAll()
+			if meet == dataflow.MeetAll && len(neighbors) > 0 {
+				met.SetAll()
+			}
+			for _, nb := range neighbors {
+				if meet == dataflow.MeetAll {
+					met.Intersect(facts[nb.ID])
+				} else {
+					met.Union(facts[nb.ID])
+				}
+			}
+			transfer(b, met, dst)
+			if !dst.Equal(facts[b.ID]) {
+				facts[b.ID].CopyFrom(dst)
+				changed = true
+			}
+		}
+	}
+}
+
+// TestWorklistMatchesRoundRobin: on generated CFGs, with random gen and
+// kill sets per block, the worklist solvers reach the round-robin
+// fixpoint for both meets and both directions, in the met vectors as
+// well as the solved ones.
+func TestWorklistMatchesRoundRobin(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const n = 70 // two words per set
+	solved := 0
+	for _, src := range progen.Corpus(1, 60) {
+		prog, err := ir.ParseProgramString(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range prog.Funcs {
+			rpo, nb := cfg.ReversePostorder(f), len(f.Blocks)
+			gen, kill := dataflow.NewBitSetFamily(nb, n), dataflow.NewBitSetFamily(nb, n)
+			for _, b := range f.Blocks {
+				for e := range n {
+					switch rng.Intn(4) {
+					case 0:
+						gen[b.ID].Set(e)
+					case 1:
+						kill[b.ID].Set(e)
+					}
+				}
+			}
+			transfer := func(b *ir.Block, met, dst *dataflow.BitSet) {
+				dst.CopyFrom(met)
+				dst.Subtract(kill[b.ID])
+				dst.Union(gen[b.ID])
+			}
+			for _, forward := range []bool{true, false} {
+				for _, meet := range []dataflow.Meet{dataflow.MeetAll, dataflow.MeetAny} {
+					seed := func() (meets, facts []*dataflow.BitSet) {
+						meets, facts = dataflow.NewBitSetFamily(nb, n), dataflow.NewBitSetFamily(nb, n)
+						if meet == dataflow.MeetAll {
+							for _, s := range facts {
+								s.SetAll()
+							}
+						}
+						return meets, facts
+					}
+					wantMeets, wantFacts := seed()
+					roundRobin(rpo, forward, meet, wantMeets, wantFacts, transfer)
+					gotMeets, gotFacts := seed()
+					if forward {
+						dataflow.SolveForward(rpo, meet, gotMeets, gotFacts, transfer)
+					} else {
+						dataflow.SolveBackward(rpo, meet, gotMeets, gotFacts, transfer)
+					}
+					solved++
+					for _, b := range rpo {
+						if !gotFacts[b.ID].Equal(wantFacts[b.ID]) || !gotMeets[b.ID].Equal(wantMeets[b.ID]) {
+							t.Fatalf("%s forward=%v meet=%v block %s: worklist %s / %s, round-robin %s / %s",
+								f.Name, forward, meet, b.Name, gotMeets[b.ID], gotFacts[b.ID], wantMeets[b.ID], wantFacts[b.ID])
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d problems solved both ways", solved)
 }

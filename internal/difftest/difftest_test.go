@@ -584,3 +584,32 @@ func TestShrinkBudget(t *testing.T) {
 		t.Fatal("shrink with a 10-attempt budget did not return promptly")
 	}
 }
+
+// TestShrinkAddsNoUndefinedReads: a reduction may not read a register
+// in a way check.DefUse rejects unless the program it started from
+// already did — dropping a definition would otherwise let the reducer
+// drift onto the symptoms of reading undefined registers.
+func TestShrinkAddsNoUndefinedReads(t *testing.T) {
+	shrunk := 0
+	for seed := uint64(1); seed <= 3; seed++ {
+		prog := progen.Generate(*smallConfig(), seed)
+		known := defUseErrors(prog)
+		reduced, ok := Shrink(context.Background(), prog, ShrinkOptions{
+			Level:    core.LevelPartial,
+			Kind:     KindMiscompile,
+			Optimize: sabotage(core.LevelPartial),
+		})
+		if !ok {
+			continue
+		}
+		shrunk++
+		for key := range defUseErrors(reduced) {
+			if !known[key] {
+				t.Errorf("seed %d: reduced program has def-use error %q the original lacks:\n%s", seed, key, reduced)
+			}
+		}
+	}
+	if shrunk == 0 {
+		t.Fatal("no seed shrank: the test exercises nothing")
+	}
+}

@@ -3,6 +3,7 @@ package difftest
 import (
 	"context"
 
+	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/ir"
 )
@@ -34,17 +35,21 @@ func (o ShrinkOptions) maxAttempts() int {
 // functions, dropping blocks, dropping instruction runs (at halving
 // granularities, ddmin style), and replacing pure instructions with
 // constant zeros — and a candidate is kept only when, printed and
-// parsed back, it (a) still passes the structural verifier and (b)
-// still reproduces the pinned failure.  Invalid or non-reproducing
-// candidates are discarded, so every intermediate state of the
-// reduction is itself a valid, failing reproducer in the form an
-// artifact re-reads; cancellation simply stops early with the best so
-// far.
+// parsed back, it (a) still passes the structural verifier, (b) reads
+// no register in a way check.DefUse rejects unless the program it was
+// cut from already did, and (c) still reproduces the pinned failure.
+// Invalid or non-reproducing candidates are discarded, so every
+// intermediate state of the reduction is itself a valid, failing
+// reproducer in the form an artifact re-reads, and a reduction cannot
+// drift onto the symptoms of reading undefined registers, which the
+// interpreter reads as zero and SCCP may fold to anything;
+// cancellation simply stops early with the best so far.
 //
 // The second return is false when no candidate was accepted (the
 // original is already minimal or the budget was spent fruitlessly).
 func Shrink(ctx context.Context, prog *ir.Program, opt ShrinkOptions) (*ir.Program, bool) {
 	attempts := 0
+	known := defUseErrors(prog)
 	// try returns the candidate in its re-read form when that form
 	// reproduces, or nil.
 	try := func(cand *ir.Program) *ir.Program {
@@ -52,7 +57,11 @@ func Shrink(ctx context.Context, prog *ir.Program, opt ShrinkOptions) (*ir.Progr
 			return nil
 		}
 		attempts++
-		return reproduces(ctx, cand, opt)
+		next := reproduces(ctx, cand, known, opt)
+		if next != nil {
+			known = defUseErrors(next)
+		}
+		return next
 	}
 
 	cur := prog
@@ -127,15 +136,20 @@ func Shrink(ctx context.Context, prog *ir.Program, opt ShrinkOptions) (*ir.Progr
 // reproduces judges the candidate in the form its artifact would
 // re-read as — printed and parsed back, which drops in-memory state
 // such as the register and block-name counters — and returns that
-// form when it still fails with the pinned kind at the pinned level,
-// or nil.
-func reproduces(ctx context.Context, cand *ir.Program, opt ShrinkOptions) *ir.Program {
+// form when it still fails with the pinned kind at the pinned level
+// and has no def-use error outside known, or nil.
+func reproduces(ctx context.Context, cand *ir.Program, known map[string]bool, opt ShrinkOptions) *ir.Program {
 	if ir.VerifyProgram(cand) != nil {
 		return nil
 	}
 	back, err := ir.ParseProgramString(cand.String())
 	if err != nil || ir.VerifyProgram(back) != nil {
 		return nil
+	}
+	for key := range defUseErrors(back) {
+		if !known[key] {
+			return nil
+		}
 	}
 	// The variant argument is irrelevant here: ShrinkOptions.Optimize is
 	// always set and already bound to the failing pipeline variant.
@@ -144,6 +158,19 @@ func reproduces(ctx context.Context, cand *ir.Program, opt ShrinkOptions) *ir.Pr
 		return nil
 	}
 	return back
+}
+
+// defUseErrors returns the keys of p's check.DefUse errors.  A key
+// names the function, the block and the message, but not the
+// instruction index, which shifts as a reduction drops instructions.
+func defUseErrors(p *ir.Program) map[string]bool {
+	keys := map[string]bool{}
+	for _, f := range p.Funcs {
+		for _, d := range check.Errors(check.DefUse(f, false)) {
+			keys[d.Func+"/"+d.Block+": "+d.Msg] = true
+		}
+	}
+	return keys
 }
 
 // dropFunc removes function fi (never main, index 0).  Calls to it

@@ -1,6 +1,7 @@
 package ir_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -183,6 +184,44 @@ func TestVerifyCatches(t *testing.T) {
 		b2.Preds = append(b2.Preds, b) // bogus: b has no edge to b2
 		if err := ir.Verify(f); err == nil || !strings.Contains(err.Error(), "missing from") {
 			t.Errorf("got %v", err)
+		}
+	})
+	t.Run("duplicate block name", func(t *testing.T) {
+		f := ir.NewFunc("f", 0)
+		b := f.Entry()
+		b2, b3 := f.NewBlockNamed("loop"), f.NewBlockNamed("loop")
+		b.Append(b.Fn.NewInstr(ir.OpJump, ir.NoReg))
+		ir.AddEdge(b, b2)
+		b2.Append(b2.Fn.NewInstr(ir.OpJump, ir.NoReg))
+		ir.AddEdge(b2, b3)
+		b3.Append(b3.Fn.NewInstr(ir.OpRet, ir.NoReg))
+		err := ir.Verify(f)
+		if err == nil || strings.Count(err.Error(), "duplicate block name loop") != 1 {
+			t.Errorf("got %v", err)
+		}
+	})
+	t.Run("duplicate block name among many", func(t *testing.T) {
+		// More blocks than the name check's stack table holds.
+		f := ir.NewFunc("f", 0)
+		prev := f.Entry()
+		for i := range 300 {
+			name := fmt.Sprintf("L%d", i)
+			if i == 299 {
+				name = "L7"
+			}
+			b := f.NewBlockNamed(name)
+			prev.Append(prev.Fn.NewInstr(ir.OpJump, ir.NoReg))
+			ir.AddEdge(prev, b)
+			prev = b
+		}
+		prev.Append(prev.Fn.NewInstr(ir.OpRet, ir.NoReg))
+		err := ir.Verify(f)
+		if err == nil || strings.Count(err.Error(), "duplicate block name L7") != 1 {
+			t.Errorf("got %v", err)
+		}
+		f.Blocks[len(f.Blocks)-1].Name = "L299"
+		if err := ir.Verify(f); err != nil {
+			t.Errorf("distinct names rejected: %v", err)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"hash/maphash"
 	"strings"
 )
 
@@ -48,16 +49,28 @@ func Verify(f *Func) error {
 		errf("entry block has predecessors")
 	}
 
-	seen := map[string]bool{}
-	seenID := make([]bool, f.NumInstrIDs())
+	// Only a function with a repeated label pays for the map that
+	// reports each repeat where it occurs.
+	var seen map[string]bool
+	if repeatsName(f.Blocks) {
+		seen = map[string]bool{}
+	}
+	// One bit per arena ID; most functions fit the stack buffer.
+	var small [64]uint64
+	seenID := small[:]
+	if w := (f.NumInstrIDs() + 63) / 64; w > len(small) {
+		seenID = make([]uint64, w)
+	}
 	for bi, b := range f.Blocks {
 		if b.ID != bi {
 			errf("%s: stale block ID %d (want %d)", b.Name, b.ID, bi)
 		}
-		if seen[b.Name] {
-			errf("duplicate block name %s", b.Name)
+		if seen != nil {
+			if seen[b.Name] {
+				errf("duplicate block name %s", b.Name)
+			}
+			seen[b.Name] = true
 		}
-		seen[b.Name] = true
 		if b.Fn != f {
 			errf("%s: wrong owning function", b.Name)
 		}
@@ -73,10 +86,10 @@ func Verify(f *Func) error {
 				errf("%s: instruction %d has out-of-range arena ID %d", b.Name, i, id)
 				continue
 			}
-			if seenID[id] {
+			if seenID[id>>6]&(1<<(id&63)) != 0 {
 				errf("%s: arena ID %d appears in more than one block position", b.Name, id)
 			}
-			seenID[id] = true
+			seenID[id>>6] |= 1 << (id & 63)
 			in := f.Instr(id)
 			if in.Op.IsTerminator() && i != len(b.Instrs)-1 {
 				errf("%s: terminator %s not at block end", b.Name, in.Op)
@@ -161,6 +174,35 @@ func Verify(f *Func) error {
 		return nil
 	}
 	return &VerifyError{Func: f.Name, Problems: probs}
+}
+
+// nameSeed seeds the hashes repeatsName probes with.
+var nameSeed = maphash.MakeSeed()
+
+// repeatsName reports whether two blocks share a name.  It probes an
+// open-addressing table of block indices, at most half full, that most
+// functions fit on the stack.
+func repeatsName(blocks []*Block) bool {
+	var small [128]int32
+	size := len(small)
+	for size < 2*len(blocks) {
+		size *= 2
+	}
+	table := small[:]
+	if size > len(small) {
+		table = make([]int32, size)
+	}
+	mask := size - 1
+	for i, b := range blocks {
+		h := int(maphash.String(nameSeed, b.Name)) & mask
+		for ; table[h] != 0; h = (h + 1) & mask {
+			if blocks[table[h]-1].Name == b.Name {
+				return true
+			}
+		}
+		table[h] = int32(i + 1)
+	}
+	return false
 }
 
 // VerifyProgram verifies every function in the program.

@@ -37,13 +37,12 @@ func drechslerRound(r *round) {
 	f, ac, u := r.f, r.ac, r.u
 	n := u.NumExprs()
 	rpo := ac.RPO()
-	nb := len(f.Blocks)
-	antin, antout := u.Anticipability(rpo)
-	_, avout := u.Availability(rpo)
+	antin, antout := u.Anticipability(rpo, r.sets)
+	_, avout := u.Availability(rpo, r.sets)
 
 	// X(i) = ¬AVOUT(i) ∩ ¬(TRANSP(i) ∩ ANTOUT(i)).
-	tmp := dataflow.NewBitSet(n)
-	x := dataflow.NewBitSetFamily(nb, n)
+	tmp := r.sets.Set(n)
+	x := r.family()
 	for _, b := range f.Blocks {
 		x[b.ID].SetAll()
 		x[b.ID].Subtract(avout[b.ID])
@@ -54,8 +53,7 @@ func drechslerRound(r *round) {
 
 	// LATERIN (forward, all-paths); the solver's in-sets become LATERIN
 	// once intersected with ANTIN.
-	laterin := dataflow.NewBitSetFamily(nb, n)
-	out := dataflow.NewBitSetFamily(nb, n)
+	laterin, out := r.family(), r.family()
 	for _, set := range out {
 		set.SetAll()
 	}
@@ -87,7 +85,7 @@ func drechslerRound(r *round) {
 		set.UnionDiff(laterin[from.ID], u.AntLoc[from.ID])
 		set.Subtract(laterin[to.ID])
 	}
-	del := dataflow.NewBitSetFamily(nb, n)
+	del := r.family()
 	for _, b := range f.Blocks {
 		del[b.ID].AndNotOf(u.AntLoc[b.ID], laterin[b.ID])
 	}
@@ -112,7 +110,7 @@ func drechslerRound(r *round) {
 	// input code that ignores the naming discipline.
 	modeA := ac.BorrowBools(n)
 	defer ac.ReturnBools(modeA)
-	interesting := dataflow.NewBitSet(n)
+	interesting := r.sets.Set(n)
 	for _, b := range f.Blocks {
 		for _, s := range b.Succs {
 			insertOn(tmp, b, s)

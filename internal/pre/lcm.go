@@ -41,17 +41,15 @@ func lcmRound(r *round) {
 	f, u := r.f, r.u
 	n := u.NumExprs()
 	rpo := r.ac.RPO()
-	nb := len(f.Blocks)
 
-	tmp := dataflow.NewBitSet(n)
+	tmp := r.sets.Set(n)
 
 	// Down-safety: anticipated expressions.
-	antin, _ := u.Anticipability(rpo)
+	antin, _ := u.Anticipability(rpo, r.sets)
 
 	// Availability under the earliest-placement fiction (forward,
 	// all-paths): a down-safe entry point counts as a computation.
-	avin := dataflow.NewBitSetFamily(nb, n)
-	avout := dataflow.NewBitSetFamily(nb, n)
+	avin, avout := r.family(), r.family()
 	for _, b := range f.Blocks {
 		avout[b.ID].SetAll()
 	}
@@ -63,15 +61,14 @@ func lcmRound(r *round) {
 		})
 
 	// The earliest down-safe frontier.
-	earliest := dataflow.NewBitSetFamily(nb, n)
+	earliest := r.family()
 	for _, b := range f.Blocks {
 		earliest[b.ID].AndNotOf(antin[b.ID], avin[b.ID])
 	}
 
 	// Postponability (forward, all-paths): slide insertions down until
 	// a use is about to be passed.
-	pin := dataflow.NewBitSetFamily(nb, n)
-	pout := dataflow.NewBitSetFamily(nb, n)
+	pin, pout := r.family(), r.family()
 	for _, b := range f.Blocks {
 		pout[b.ID].SetAll()
 	}
@@ -85,8 +82,7 @@ func lcmRound(r *round) {
 	// frontier = EARLIEST ∪ PIN: the points still allowed to hold the
 	// insertion.  LATEST keeps the ones that cannot slide any further:
 	// the block uses e itself, or some successor has left the frontier.
-	frontier := dataflow.NewBitSetFamily(nb, n)
-	latest := dataflow.NewBitSetFamily(nb, n)
+	frontier, latest := r.family(), r.family()
 	for _, b := range f.Blocks {
 		fr := frontier[b.ID]
 		fr.CopyFrom(earliest[b.ID])
@@ -105,8 +101,7 @@ func lcmRound(r *round) {
 
 	// Isolation pruning (backward, any-path): is the temporary used on
 	// some path after the block?
-	uin := dataflow.NewBitSetFamily(nb, n)
-	uout := dataflow.NewBitSetFamily(nb, n)
+	uin, uout := r.family(), r.family()
 	dataflow.SolveBackward(rpo, dataflow.MeetAny, uout, uin,
 		func(b *ir.Block, out, dst *dataflow.BitSet) {
 			dst.CopyFrom(out)
@@ -117,9 +112,8 @@ func lcmRound(r *round) {
 	// Insert and replace decisions per block.  An expression whose only
 	// latest point is isolated (LATEST ∖ USEDOUT) keeps its original
 	// occurrence and gets no temp traffic at all.
-	insertHere := dataflow.NewBitSetFamily(nb, n)
-	replaceHere := dataflow.NewBitSetFamily(nb, n)
-	interesting := dataflow.NewBitSet(n)
+	insertHere, replaceHere := r.family(), r.family()
+	interesting := r.sets.Set(n)
 	for _, b := range f.Blocks {
 		ins := insertHere[b.ID]
 		ins.CopyFrom(latest[b.ID])

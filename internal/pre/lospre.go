@@ -80,7 +80,7 @@ func lospreRoundWith(r *round, forcedBudgetTrips int) {
 
 	// Down-safety (anticipability), needed to pin the non-speculatable
 	// expressions to classical placement.
-	antin, antout := u.Anticipability(rpo)
+	antin, antout := u.Anticipability(rpo, r.sets)
 
 	// Definite assignment of registers (forward, all-paths): an
 	// insertion may only be placed where the expression's operands are
@@ -91,7 +91,7 @@ func lospreRoundWith(r *round, forcedBudgetTrips int) {
 			set.Set(s)
 		}
 	}
-	defs := dataflow.NewBitSetFamily(nb, nr)
+	defs := r.sets.Family(nb, nr)
 	for _, b := range f.Blocks {
 		set := defs[b.ID]
 		for _, inID := range b.Instrs {
@@ -104,8 +104,7 @@ func lospreRoundWith(r *round, forcedBudgetTrips int) {
 			def(set, in.Dst)
 		}
 	}
-	defin := dataflow.NewBitSetFamily(nb, nr)
-	defout := dataflow.NewBitSetFamily(nb, nr)
+	defin, defout := r.sets.Family(nb, nr), r.sets.Family(nb, nr)
 	for _, b := range f.Blocks {
 		defout[b.ID].SetAll()
 	}
@@ -138,10 +137,10 @@ func lospreRoundWith(r *round, forcedBudgetTrips int) {
 
 	// Per-expression placement decisions, accumulated and applied in
 	// one rewrite pass at the end.
-	transformed := dataflow.NewBitSet(n)
-	navail := dataflow.NewBitSetFamily(nb, n) // N(b) on the sink side: h valid at entry
-	topIns := make([][]int, nb)               // insertions at block top (edge, single-pred side)
-	botIns := make([][]int, nb)               // insertions before the terminator
+	transformed := r.sets.Set(n)
+	navail := r.family()        // N(b) on the sink side: h valid at entry
+	topIns := make([][]int, nb) // insertions at block top (edge, single-pred side)
+	botIns := make([][]int, nb) // insertions before the terminator
 	g := newMincut(2 + 3*nb)
 	mark := make([]bool, 2+3*nb)
 

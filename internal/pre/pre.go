@@ -42,6 +42,18 @@
 // put it.  So an expression none of whose inputs changed is already in
 // place, and solving it again would find nothing.  The run stops when
 // a round changes nothing or leaves nothing to solve.
+//
+// A later round costs what it solves, not what the function holds.  It
+// lists its expressions from the universe's per-block occurrence
+// vectors instead of scanning every instruction; the naming
+// discipline's counts are kept across rounds, each block's share taken
+// out before a round first changes it and put back afterwards; its
+// bitset families and restricted universe reuse storage the run keeps,
+// sized for its largest round; and the worklist solvers visit a block
+// again only when a neighbour's set changed.  What still scales with
+// the function is dense per-block work over the round's few
+// expressions: each solve's first sweep, gathering the local
+// properties, and the placement loops over blocks and edges.
 package pre
 
 import (
@@ -138,8 +150,8 @@ func RunToFixpoint(ctx context.Context, f *ir.Func, ac *analysis.Cache, s Strate
 
 // driver is what a RunToFixpoint run keeps across its rounds.  The
 // expression universe is numbered once (each instruction's key hashed
-// once) and its local properties are refreshed only in the blocks the
-// last round changed.  Each round solves only the expressions the last
+// once) and its local properties are refreshed only in the blocks a
+// round changed.  Each round solves only the expressions the last
 // round can have affected: those reading a register it redefined (the
 // destination of an occurrence it inserted, removed or rewrote), plus,
 // under the naming discipline, those that gained a canonical
@@ -148,6 +160,13 @@ func RunToFixpoint(ctx context.Context, f *ir.Func, ac *analysis.Cache, s Strate
 // round's placement is final for the inputs it saw: an expression whose
 // inputs did not change is where the last round that solved it put it,
 // and solving it again would find nothing.
+//
+// The rest of what a round needs is kept too, so that a later round
+// costs what it solves: the counts the canonical destinations are
+// decided from (patched from the blocks a round touched), and the
+// storage of the round's bitset families, its restricted universe and
+// its per-expression and per-block tables, sized for the largest round
+// so far.
 type driver struct {
 	f  *ir.Func
 	ac *analysis.Cache
@@ -155,13 +174,19 @@ type driver struct {
 
 	u        *dataflow.Universe // every expression of f; nil before the first round
 	regIndex []int              // u's register index, borrowed from ac
-	canon    []ir.Reg           // naming strategies: CanonicalDsts(u) at the last round
+	counts   *canonCounts       // naming strategies: the counts behind canon
+	canon    []ir.Reg           // naming strategies: the canonical destinations at the last round
 
-	// What the last round did: the registers it redefined, the blocks
-	// whose instructions it changed, and whether it split an edge.
+	// What the last round did: the registers it redefined and the
+	// blocks whose instructions it changed.
 	redefined []ir.Reg
 	changed   []*ir.Block
-	split     bool
+
+	// Round storage.
+	sets             dataflow.FamilyStore
+	ids              []int32
+	temp, roundCanon []ir.Reg
+	occurs, touched  []bool
 }
 
 // release returns the run's borrowed buffers to the analysis cache.
@@ -169,7 +194,8 @@ func (p *driver) release() {
 	if p.u != nil {
 		p.ac.ReturnInts(p.regIndex)
 	}
-	if p.canon != nil {
+	if p.counts != nil {
+		p.counts.release(p.ac)
 		p.ac.ReturnRegs(p.canon)
 	}
 }
@@ -187,90 +213,144 @@ func (p *driver) round() (Stats, bool) {
 	case first:
 		p.regIndex = ac.BorrowInts(f.NumRegs())
 		p.u = dataflow.BuildUniverse(f, p.regIndex)
-	case p.split || st.RemovedBlocks+st.EdgesSplit > 0:
+		p.recount()
+	case st.RemovedBlocks+st.EdgesSplit > 0:
 		p.u.Refresh(f.Blocks)
-	default:
-		p.u.Refresh(p.changed)
+		p.recount()
 	}
 	u, n := p.u, p.u.NumExprs()
 	st.Exprs = n
 
-	dirty := dataflow.NewBitSet(n)
-	if first {
-		dirty.SetAll()
-	}
+	p.sets.Reset()
+	dirty := p.sets.Set(n)
 	for _, r := range p.redefined {
 		u.AddReaders(dirty, r)
 	}
-	if p.s.naming {
+	if p.counts != nil {
 		// A canonical destination that appeared or moved makes Mode A
 		// newly applicable, and Mode A also deletes block-local repeats
 		// the placement equations never see; one that disappeared
 		// leaves the expression to the equations, whose inputs did not
 		// change.
-		canon := CanonicalDsts(f, u, ac)
-		if p.canon != nil {
-			for e, t := range canon {
-				if t != p.canon[e] && t != ir.NoReg {
+		last := p.canon
+		p.canon = ac.BorrowRegs(n)
+		p.counts.names(p.canon)
+		if last != nil {
+			for e, t := range p.canon {
+				if t != last[e] && t != ir.NoReg {
 					dirty.Set(e)
 				}
 			}
-			ac.ReturnRegs(p.canon)
+			ac.ReturnRegs(last)
 		}
-		p.canon = canon
 	}
 	// Number the round's expressions in order of first occurrence, the
 	// order a universe built afresh now would give them, so placements
 	// and temporaries come out in the same order as a full re-solve,
-	// and note the blocks they occur in.
-	var ids []int32
-	seen := dataflow.NewBitSet(n)
-	occurs := make([]bool, len(f.Blocks))
-	for _, b := range f.Blocks {
-		for _, id := range b.Instrs {
-			if e := u.Expr(f.Instr(id)); e >= 0 && dirty.Has(e) {
-				occurs[b.ID] = true
-				if !seen.Has(e) {
-					seen.Set(e)
-					ids = append(ids, int32(e))
-				}
-			}
+	// and note the blocks they occur in.  The first round solves every
+	// expression of a universe just built in that order.
+	nb := len(f.Blocks)
+	p.occurs = resize(p.occurs, nb)
+	ids := p.ids[:0]
+	if first {
+		for e := range n {
+			ids = append(ids, int32(e))
 		}
+		for _, b := range f.Blocks {
+			p.occurs[b.ID] = u.Computes(b)
+		}
+	} else {
+		ids = u.Occurrences(dirty, ids, p.occurs)
 	}
+	p.ids = ids
 	if len(ids) == 0 {
 		return st, false
 	}
 
+	p.touched = resize(p.touched, nb)
+	p.temp = resize(p.temp, len(ids))
 	r := &round{
 		f:       f,
 		ac:      ac,
-		u:       u.Restrict(ids),
+		u:       u.Restrict(ids, &p.sets),
+		sets:    &p.sets,
 		st:      st,
+		temp:    p.temp,
 		fresh:   ir.InstrID(f.NumInstrIDs()),
-		occurs:  occurs,
-		touched: make([]bool, len(f.Blocks)),
+		occurs:  p.occurs,
+		touched: p.touched,
+	}
+	if !first {
+		r.counts = p.counts
 	}
 	r.st.Solved = len(ids)
 	if p.canon != nil {
-		r.canon = ac.BorrowRegs(len(ids))
-		defer ac.ReturnRegs(r.canon)
+		p.roundCanon = resize(p.roundCanon, len(ids))
+		r.canon = p.roundCanon
 		for i, e := range ids {
 			r.canon[i] = p.canon[e]
 		}
 	}
-	r.temp = ac.BorrowRegs(len(ids))
-	defer ac.ReturnRegs(r.temp)
 	p.s.place(r)
 
+	// Bring the universe and the counts up to date with what the round
+	// changed.  An edge the placement split renumbers nothing but adds
+	// a block the touched marks do not cover.  The first round usually
+	// changes most blocks, so its counts are taken afresh rather than
+	// patched block by block.
 	p.redefined = r.redefined
-	p.split = r.st.EdgesSplit > st.EdgesSplit
 	p.changed = p.changed[:0]
 	for _, b := range f.Blocks {
 		if b.ID < len(r.touched) && r.touched[b.ID] {
 			p.changed = append(p.changed, b)
 		}
 	}
+	switch {
+	case r.st.EdgesSplit > st.EdgesSplit:
+		u.Refresh(f.Blocks)
+		p.recount()
+	case first:
+		u.Refresh(p.changed)
+		if len(p.changed) > 0 {
+			p.recount()
+		}
+	default:
+		u.Refresh(p.changed)
+		if p.counts != nil {
+			p.counts.fit(ac)
+			for _, b := range p.changed {
+				p.counts.count(b)
+			}
+		}
+	}
 	return r.st, true
+}
+
+// recount counts the canonical destinations' inputs afresh over the
+// whole function, for a naming strategy.
+func (p *driver) recount() {
+	if !p.s.naming {
+		return
+	}
+	if p.counts == nil {
+		p.counts = newCanonCounts(p.u, p.ac)
+	} else {
+		p.counts.reset(p.ac)
+	}
+	for _, b := range p.f.Blocks {
+		p.counts.count(b)
+	}
+}
+
+// resize returns buf with length n and every element zero, reusing its
+// storage when it is large enough.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // round is the state one strategy round shares with the helpers that
@@ -278,8 +358,9 @@ func (p *driver) round() (Stats, bool) {
 type round struct {
 	f      *ir.Func
 	ac     *analysis.Cache
-	u      *dataflow.Universe // the expressions this round solves
-	canon  []ir.Reg           // naming strategies: each expression's canonical destination
+	u      *dataflow.Universe    // the expressions this round solves
+	sets   *dataflow.FamilyStore // where the round's bitsets come from
+	canon  []ir.Reg              // naming strategies: each expression's canonical destination
 	st     Stats
 	temp   []ir.Reg   // per expression: the register carrying its value
 	fresh  ir.InstrID // instructions from here on were created this round
@@ -289,6 +370,16 @@ type round struct {
 	// instructions it changed and the registers it redefined.
 	touched   []bool // by block ID
 	redefined []ir.Reg
+
+	// counts, for a naming strategy after the first round, loses the
+	// contribution of each block before the round first changes it.
+	counts *canonCounts
+}
+
+// family returns a block-indexed family of empty sets over the round's
+// expressions.
+func (r *round) family() []*dataflow.BitSet {
+	return r.sets.Family(len(r.f.Blocks), r.u.NumExprs())
 }
 
 // bottom is the insert position just before a block's terminator.
@@ -298,22 +389,27 @@ const bottom = -1
 // b, or before b's terminator when pos is bottom.
 func (r *round) insert(b *ir.Block, pos, e int) {
 	in := r.u.MakeInstr(e, r.temp[e])
+	r.edit(b)
 	if pos == bottom {
 		b.Append(in)
 	} else {
 		b.InsertAt(pos, in)
 	}
 	r.st.Inserted++
-	r.touch(b, in.Dst)
+	r.redefined = append(r.redefined, in.Dst)
 }
 
-// touch records that the round changed b's instructions and redefined
-// register d.
-func (r *round) touch(b *ir.Block, d ir.Reg) {
-	if b.ID < len(r.touched) {
+// edit records that the round is about to change b's instructions;
+// the first time, b's contribution leaves the canonical counts.  A
+// block an edge split made this round is not tracked: the driver
+// refreshes everything after such a round.
+func (r *round) edit(b *ir.Block) {
+	if b.ID < len(r.touched) && !r.touched[b.ID] {
 		r.touched[b.ID] = true
+		if r.counts != nil {
+			r.counts.forget(b)
+		}
 	}
-	r.redefined = append(r.redefined, d)
 }
 
 // topPos is the first index of b after its φs and enter: the top-of-
@@ -347,7 +443,7 @@ const (
 // definitions of operands (plus memory writes, for loads) clear it.
 func (r *round) rewrite(start func(b *ir.Block, valid *dataflow.BitSet), decide func(e int, valid bool) action) {
 	f, u := r.f, r.u
-	valid := dataflow.NewBitSet(u.NumExprs())
+	valid := r.sets.Set(u.NumExprs())
 	for _, b := range f.Blocks {
 		if b.ID < len(r.occurs) && !r.occurs[b.ID] && !r.touched[b.ID] {
 			continue // nothing here for the round to keep, define or rewrite
@@ -358,6 +454,7 @@ func (r *round) rewrite(start func(b *ir.Block, valid *dataflow.BitSet), decide 
 		var kept []ir.InstrID
 		edit := func(i int) {
 			if kept == nil {
+				r.edit(b)
 				kept = append(make([]ir.InstrID, 0, len(b.Instrs)+2), b.Instrs[:i]...)
 			}
 		}
@@ -381,7 +478,7 @@ func (r *round) rewrite(start func(b *ir.Block, valid *dataflow.BitSet), decide 
 			case remove:
 				edit(i)
 				r.st.Deleted++
-				r.touch(b, in.Dst)
+				r.redefined = append(r.redefined, in.Dst)
 				continue
 			case define:
 				valid.Set(e)
@@ -389,7 +486,7 @@ func (r *round) rewrite(start func(b *ir.Block, valid *dataflow.BitSet), decide 
 				edit(i)
 				kept = append(kept, f.NewCopy(in.Dst, r.temp[e]).ID())
 				r.st.Replaced++
-				r.touch(b, in.Dst)
+				r.redefined = append(r.redefined, in.Dst)
 				u.KillScan(valid, in.Dst, false)
 				continue
 			case compute:
@@ -397,8 +494,7 @@ func (r *round) rewrite(start func(b *ir.Block, valid *dataflow.BitSet), decide 
 				kept = append(kept, u.MakeInstr(e, r.temp[e]).ID(), f.NewCopy(in.Dst, r.temp[e]).ID())
 				valid.Set(e)
 				r.st.Rewritten++
-				r.touch(b, in.Dst)
-				r.redefined = append(r.redefined, r.temp[e])
+				r.redefined = append(r.redefined, in.Dst, r.temp[e])
 				u.KillScan(valid, in.Dst, false)
 				continue
 			}
@@ -415,76 +511,4 @@ func (r *round) rewrite(start func(b *ir.Block, valid *dataflow.BitSet), decide 
 		// The kept-slice rewrites bypass the Block helpers.
 		f.MarkCodeMutated()
 	}
-}
-
-// CanonicalDsts finds, for each expression, the naming-discipline
-// canonical destination register, or NoReg when the conditions fail:
-// all occurrences share one destination t, t has no other definitions,
-// t is not an operand of the expression, and every use of t is local to
-// a block that defines it first (the §5.1 rule).  Deleting an
-// occurrence whose value is already in t is then always safe.  The
-// occurrences come from the universe's instruction index, and the
-// per-register state is sized by the registers the function names.  The
-// returned slice is borrowed from the cache's arena; the caller returns
-// it with ReturnRegs.
-func CanonicalDsts(f *ir.Func, u *dataflow.Universe, ac *analysis.Cache) []ir.Reg {
-	const unseen = ir.Reg(-1)
-	n, nr := u.NumExprs(), u.NumRegSlots()
-	canon := ac.BorrowRegs(n)
-	for i := range canon {
-		canon[i] = unseen
-	}
-	exprDefCount := ac.BorrowInts(n)
-	defer ac.ReturnInts(exprDefCount)
-	defCount := ac.BorrowInts(nr)
-	defer ac.ReturnInts(defCount)
-	nonLocalUse := ac.BorrowBools(nr)
-	defer ac.ReturnBools(nonLocalUse)
-	definedHere := ac.BorrowInts(nr)
-	defer ac.ReturnInts(definedHere)
-	gen := 0
-	for _, b := range f.Blocks {
-		gen++
-		for _, id := range b.Instrs {
-			in := f.Instr(id)
-			if e := u.Expr(in); e >= 0 {
-				exprDefCount[e]++
-				switch {
-				case canon[e] == unseen:
-					canon[e] = in.Dst
-				case canon[e] != in.Dst:
-					canon[e] = ir.NoReg // mixed destinations
-				}
-			}
-			if in.Op == ir.OpEnter {
-				for _, p := range in.Args {
-					if s := u.RegSlot(p); s >= 0 {
-						defCount[s]++
-					}
-				}
-			} else {
-				for _, a := range in.Args {
-					if s := u.RegSlot(a); s >= 0 && definedHere[s] != gen {
-						nonLocalUse[s] = true
-					}
-				}
-			}
-			if s := u.RegSlot(in.Dst); s >= 0 {
-				defCount[s]++
-				definedHere[s] = gen
-			}
-		}
-	}
-	// Reject: other defs of t, t an operand of e, or t used non-locally.
-	for e, t := range canon {
-		if t == unseen || t == ir.NoReg {
-			canon[e] = ir.NoReg
-			continue
-		}
-		k, s := u.Keys[e], u.RegSlot(t)
-		if s < 0 || defCount[s] != exprDefCount[e] || k.A == t || k.B == t || nonLocalUse[s] {
-			canon[e] = ir.NoReg
-		}
-	}
-	return canon
 }

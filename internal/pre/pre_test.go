@@ -109,11 +109,6 @@ func TestKeptUniverseMatchesRebuild(t *testing.T) {
 					if !ok || !st.Changed() {
 						break
 					}
-					if p.split {
-						p.u.Refresh(f.Blocks)
-					} else {
-						p.u.Refresh(p.changed)
-					}
 					fresh := dataflow.BuildUniverse(f, nil)
 					compared++
 					for e, k := range fresh.Keys {
@@ -134,6 +129,9 @@ func TestKeptUniverseMatchesRebuild(t *testing.T) {
 									t.Fatalf("%s %s round %d: %s of %s in %s differs from a rebuild\n%s", name, f.Name, round, prop.what, k, b.Name, f)
 								}
 							}
+							if fresh.Occurs(b, e) != p.u.Occurs(b, kept) {
+								t.Fatalf("%s %s round %d: occurrence of %s in %s differs from a rebuild\n%s", name, f.Name, round, k, b.Name, f)
+							}
 						}
 					}
 				}
@@ -145,4 +143,47 @@ func TestKeptUniverseMatchesRebuild(t *testing.T) {
 		t.Fatal("no round changed anything: the corpus exercises nothing")
 	}
 	t.Logf("%d rounds compared", compared)
+}
+
+// TestCountsRecountLostDestination: when every occurrence computing
+// into an expression's kept destination is gone but others remain, the
+// counts find the destination the rest share.  Here add r1, r2 computes
+// into r5 in b1 and into r6 in b2; once b1's occurrence is deleted, r6
+// is canonical.
+func TestCountsRecountLostDestination(t *testing.T) {
+	f := ir.MustParseFunc(`
+func f(r1, r2) {
+b0:
+    enter(r1, r2)
+    cbr r1 -> b1, b2
+b1:
+    add r1, r2 => r5
+    ret r5
+b2:
+    add r1, r2 => r6
+    ret r6
+}
+`)
+	ac := analysis.NewCache(f)
+	u := dataflow.BuildUniverse(f, nil)
+	c := newCanonCounts(u, ac)
+	defer c.release(ac)
+	for _, b := range f.Blocks {
+		c.count(b)
+	}
+	b1 := f.Blocks[1]
+	c.forget(b1)
+	b1.RemoveAt(0)
+	b1.Terminator().Args[0] = 1
+	u.Refresh([]*ir.Block{b1})
+	c.count(b1)
+
+	kept := make([]ir.Reg, u.NumExprs())
+	c.names(kept)
+	fresh := CanonicalDsts(f, u, ac)
+	defer ac.ReturnRegs(fresh)
+	e, _ := u.Lookup(dataflow.ExprKey{Op: ir.OpAdd, A: 1, B: 2})
+	if kept[e] != 6 || fresh[e] != 6 {
+		t.Fatalf("canonical destination of add r1, r2: kept %s, recounted %s, want r6", kept[e], fresh[e])
+	}
 }

@@ -265,9 +265,9 @@ func structuralKey(n *Node) string {
 func appendStructuralKey(buf []byte, n *Node) []byte {
 	switch {
 	case n.IsLeafReg():
-		return fmt.Appendf(buf, "r%09d", n.Leaf)
+		return appendPadded(append(buf, 'r'), int64(n.Leaf), 9)
 	case n.Op == ir.OpLoadI:
-		return fmt.Appendf(buf, "c%020d", n.Imm)
+		return appendPadded(append(buf, 'c'), n.Imm, 20)
 	case n.Op == ir.OpLoadF:
 		return fmt.Appendf(buf, "f%020g", n.FImm)
 	}
@@ -284,6 +284,23 @@ func appendStructuralKey(buf []byte, n *Node) []byte {
 		buf = appendStructuralKey(buf, k)
 	}
 	return buf
+}
+
+// appendPadded appends v in decimal, zero-padded to width characters
+// with the sign first: the bytes fmt's %0<width>d writes.
+func appendPadded(buf []byte, v int64, width int) []byte {
+	var digits [20]byte
+	mag := uint64(v)
+	if v < 0 {
+		buf = append(buf, '-')
+		mag = -mag
+		width--
+	}
+	d := strconv.AppendUint(digits[:0], mag, 10)
+	for range width - len(d) {
+		buf = append(buf, '0')
+	}
+	return append(buf, d...)
 }
 
 // maxDistributeSize caps tree growth during distribution; beyond this

@@ -1,6 +1,8 @@
 package reassoc
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/ir"
@@ -45,5 +47,25 @@ func TestDistributeAddress(t *testing.T) {
 	// top-level sum.
 	if got.Op != ir.OpAdd || len(got.Kids) < 3 {
 		t.Fatalf("expected distributed top-level sum with ≥3 terms, got %s", got)
+	}
+}
+
+// TestStructuralKeyMatchesFmt: the sort keys are written without fmt
+// but must be the bytes "r%09d" and "c%020d" give, sign and padding
+// included, so the order sortKids imposes does not move.
+func TestStructuralKeyMatchesFmt(t *testing.T) {
+	for _, v := range []int64{0, 1, -1, 42, -42, 999999999, 1000000000, math.MinInt64, math.MaxInt64} {
+		if got, want := structuralKey(IntLeaf(v)), fmt.Sprintf("c%020d", v); got != want {
+			t.Errorf("constant %d: key %q, fmt %q", v, got, want)
+		}
+	}
+	for _, r := range []ir.Reg{0, 1, 7, 123456789, 999999999, 1000000000, math.MaxInt32} {
+		if got, want := structuralKey(RegLeaf(r, 1)), fmt.Sprintf("r%09d", r); got != want {
+			t.Errorf("register %d: key %q, fmt %q", r, got, want)
+		}
+	}
+	n := NewNode(ir.OpAdd, RegLeaf(5, 1), IntLeaf(-3))
+	if got, want := structuralKey(n), fmt.Sprintf("o%03d|r%09d|c%020d", ir.OpAdd, 5, -3); got != want {
+		t.Errorf("add node: key %q, want %q", got, want)
 	}
 }

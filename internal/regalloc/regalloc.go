@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/cfg"
 	"repro/internal/dataflow"
 	"repro/internal/ir"
 )
@@ -148,7 +149,7 @@ func (g *graph) add(a, b ir.Reg) {
 // buildInterference computes the interference graph and the set of
 // registers that appear in the function.
 func buildInterference(f *ir.Func) (*graph, map[ir.Reg]bool) {
-	lv := dataflow.ComputeLiveness(f)
+	lv := dataflow.ComputeLiveness(f, cfg.ReversePostorder(f))
 	g := &graph{adj: map[ir.Reg]map[ir.Reg]bool{}}
 	present := map[ir.Reg]bool{}
 	note := func(r ir.Reg) {
