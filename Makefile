@@ -81,9 +81,10 @@ perfbench-test:
 
 # One iteration of the PRE and whole-suite sweep benchmarks, part of
 # `check`: keeps them building and running (each op must succeed), not
-# a measurement.
+# a measurement.  -benchmem prints their B/op and allocs/op to read;
+# no figure is gated.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'PRE|SuiteSweep' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'PRE|SuiteSweep' -benchtime 1x -benchmem .
 
 # Performance tracking, one harness: the Go micro-benchmarks, then the
 # benchmark's three workloads (see BENCHMARK.json and perfbench/) for

@@ -109,14 +109,13 @@ func DefUseWith(f *ir.Func, strictSSA bool, ac *analysis.Cache) []Diagnostic {
 
 	// Definite assignment for multi-definition registers: out[b] is the
 	// set of registers assigned on every path from entry through b.
-	outs := make([]*dataflow.BitSet, len(f.Blocks))
+	outs := dataflow.NewBitMatrix(len(f.Blocks), nr)
 	for _, b := range f.Blocks {
-		outs[b.ID] = dataflow.NewBitSet(nr)
 		if b != f.Entry() {
-			outs[b.ID].SetAll()
+			outs.Row(b.ID).SetAll()
 		}
 	}
-	addDefs := func(b *ir.Block, s *dataflow.BitSet) {
+	addDefs := func(b *ir.Block, s dataflow.BitSet) {
 		for _, inID := range b.Instrs {
 			in := b.Fn.Instr(inID)
 			if in.Op == ir.OpEnter {
@@ -130,12 +129,12 @@ func DefUseWith(f *ir.Func, strictSSA bool, ac *analysis.Cache) []Diagnostic {
 			}
 		}
 	}
-	blockIn := func(b *ir.Block, dst *dataflow.BitSet) {
+	blockIn := func(b *ir.Block, dst dataflow.BitSet) {
 		dst.SetAll()
 		any := false
 		for _, p := range b.Preds {
 			if reachable[p.ID] {
-				dst.Intersect(outs[p.ID])
+				dst.Intersect(outs.Row(p.ID))
 				any = true
 			}
 		}
@@ -143,15 +142,15 @@ func DefUseWith(f *ir.Func, strictSSA bool, ac *analysis.Cache) []Diagnostic {
 			dst.ClearAll()
 		}
 	}
-	addDefs(f.Entry(), outs[f.Entry().ID])
+	addDefs(f.Entry(), outs.Row(f.Entry().ID))
 	tmp := dataflow.NewBitSet(nr)
 	for changed := true; changed; {
 		changed = false
 		for _, b := range rpo[1:] {
 			blockIn(b, tmp)
 			addDefs(b, tmp)
-			if !tmp.Equal(outs[b.ID]) {
-				outs[b.ID].CopyFrom(tmp)
+			if out := outs.Row(b.ID); !tmp.Equal(out) {
+				out.CopyFrom(tmp)
 				changed = true
 			}
 		}
@@ -159,7 +158,7 @@ func DefUseWith(f *ir.Func, strictSSA bool, ac *analysis.Cache) []Diagnostic {
 
 	// checkUse reports whether register r is surely defined when read at
 	// (b, i); for φ operands the reading point is the end of pred.
-	checkUse := func(r ir.Reg, b *ir.Block, i int, pred *ir.Block, live *dataflow.BitSet) {
+	checkUse := func(r ir.Reg, b *ir.Block, i int, pred *ir.Block, live dataflow.BitSet) {
 		if !inRange(r) {
 			return // ir.Verify reports out-of-range operands
 		}
@@ -183,7 +182,7 @@ func DefUseWith(f *ir.Func, strictSSA bool, ac *analysis.Cache) []Diagnostic {
 			}
 		default:
 			if pred != nil {
-				if !outs[pred.ID].Has(int(r)) {
+				if !outs.Row(pred.ID).Has(int(r)) {
 					errf(b, i, "φ operand %s may be undefined on edge %s->%s", r, pred.Name, b.Name)
 				}
 			} else if !live.Has(int(r)) {
@@ -215,7 +214,7 @@ func DefUseWith(f *ir.Func, strictSSA bool, ac *analysis.Cache) []Diagnostic {
 						warnf(b, i, "dead φ operand %s from unreachable predecessor %s", a, p.Name)
 						continue
 					}
-					checkUse(a, b, i, p, nil)
+					checkUse(a, b, i, p, dataflow.BitSet{})
 				}
 				if inRange(in.Dst) && !used[in.Dst] {
 					warnf(b, i, "dead φ: result %s is never used", in.Dst)

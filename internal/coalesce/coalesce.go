@@ -182,7 +182,7 @@ func coalesceRound(f *ir.Func, ac *analysis.Cache, c *candidates, g *interferenc
 	// live candidates only.
 	live := dataflow.NewBitSet(n)
 	for _, b := range f.Blocks {
-		liveOut := lv.LiveOut[b.ID]
+		liveOut := lv.LiveOut.Row(b.ID)
 		live.ClearAll()
 		for k := 1; k < n; k++ {
 			if liveOut.Has(int(c.regs[k])) {

@@ -58,8 +58,8 @@ func RunDominatorWith(f *ir.Func, ac *analysis.Cache) Stats {
 	// current walk position with operands unmodified since.
 	available := dataflow.NewBitSet(n)
 
-	var walk func(b *ir.Block, avail *dataflow.BitSet)
-	walk = func(b *ir.Block, avail *dataflow.BitSet) {
+	var walk func(b *ir.Block, avail dataflow.BitSet)
+	walk = func(b *ir.Block, avail dataflow.BitSet) {
 		local := avail.Copy()
 		kept := b.Instrs[:0]
 		for _, inID := range b.Instrs {
@@ -108,7 +108,7 @@ func RunDominatorWith(f *ir.Func, ac *analysis.Cache) Stats {
 // those dominated by the child is transparent for e, whenever child
 // has multiple predecessors; when child's only predecessor is b, the
 // state passes through unchanged.
-func pruneNonTransparentPath(u *dataflow.Universe, dom *cfg.DomTree, b, child *ir.Block, avail *dataflow.BitSet) *dataflow.BitSet {
+func pruneNonTransparentPath(u *dataflow.Universe, dom *cfg.DomTree, b, child *ir.Block, avail dataflow.BitSet) dataflow.BitSet {
 	out := avail.Copy()
 	if len(child.Preds) == 1 && child.Preds[0] == b {
 		return out
@@ -119,7 +119,7 @@ func pruneNonTransparentPath(u *dataflow.Universe, dom *cfg.DomTree, b, child *i
 		if blk == child || dom.Dominates(child, blk) {
 			continue
 		}
-		out.Intersect(u.Transp[blk.ID])
+		out.Intersect(u.Transp.Row(blk.ID))
 	}
 	return out
 }
@@ -143,7 +143,7 @@ func RunAvailWith(f *ir.Func, ac *analysis.Cache) Stats {
 	avin, _ := u.Availability(ac.RPO(), nil)
 
 	for _, b := range f.Blocks {
-		avail := avin[b.ID]
+		avail := avin.Row(b.ID)
 		kept := b.Instrs[:0]
 		for _, inID := range b.Instrs {
 			in := b.Fn.Instr(inID)

@@ -1,4 +1,4 @@
-// Package dataflow provides the dense bitset type and the iterative
+// Package dataflow provides the dense bit vectors and the iterative
 // dataflow analyses (liveness, availability, anticipability) that the
 // optimization passes share.
 package dataflow
@@ -9,122 +9,136 @@ import (
 	"strings"
 )
 
-// BitSet is a fixed-capacity dense bit vector.  All binary operations
-// require operands of identical capacity.
+// BitSet is a fixed-capacity dense bit vector.  A BitSet value is a
+// view of words it shares with its copies, so sets — a row of a
+// BitMatrix included — are passed and returned by value without
+// allocating.  All binary operations require operands of identical
+// capacity.
 type BitSet struct {
 	words []uint64
 	n     int
 }
 
 // NewBitSet returns an empty set with capacity for n elements.
-func NewBitSet(n int) *BitSet {
-	return &BitSet{words: make([]uint64, (n+63)/64), n: n}
+func NewBitSet(n int) BitSet {
+	return BitSet{words: make([]uint64, wordsFor(n)), n: n}
 }
 
-// NewBitSetFamily returns nb independent empty capacity-n sets backed
-// by three bulk allocations (the headers, one flat word array, and the
-// pointer table) instead of nb separate NewBitSet calls.  The members
-// are ordinary BitSets in every observable way; their word slices are
-// disjoint views of the shared backing.
-func NewBitSetFamily(nb, n int) []*BitSet {
-	w := (n + 63) / 64
-	if w == 0 {
-		w = 1
-	}
-	hdrs := make([]BitSet, nb)
-	words := make([]uint64, nb*w)
-	ptrs := make([]*BitSet, nb)
-	for i := range hdrs {
-		hdrs[i] = BitSet{words: words[i*w : (i+1)*w : (i+1)*w], n: n}
-		ptrs[i] = &hdrs[i]
-	}
-	return ptrs
+// wordsFor returns the number of words a capacity-n set takes.
+func wordsFor(n int) int { return (n + 63) / 64 }
+
+// A BitMatrix is a family of capacity-n sets, one per row — the
+// per-block vectors of a dataflow problem are indexed by block ID — in
+// one flat array of words.  Row returns a BitSet view of a row's words:
+// no row has a header or a pointer of its own.
+type BitMatrix struct {
+	words   []uint64
+	rows, n int
+	w       int // words per row
 }
 
-// A FamilyStore hands out bitset families from storage it keeps.
-// After Reset the next families reuse the arrays of the last ones, so a
+// NewBitMatrix returns rows empty capacity-n sets.
+func NewBitMatrix(rows, n int) BitMatrix {
+	w := wordsFor(n)
+	return BitMatrix{words: make([]uint64, rows*w), rows: rows, n: n, w: w}
+}
+
+// Row returns row i, a view of the matrix's words.
+func (m BitMatrix) Row(i int) BitSet {
+	return BitSet{words: m.words[i*m.w : (i+1)*m.w : (i+1)*m.w], n: m.n}
+}
+
+// Rows returns the number of rows.
+func (m BitMatrix) Rows() int { return m.rows }
+
+// Len returns the capacity of every row.
+func (m BitMatrix) Len() int { return m.n }
+
+// Sub returns rows [lo, hi) of m as a matrix that shares m's words.
+func (m BitMatrix) Sub(lo, hi int) BitMatrix {
+	return BitMatrix{words: m.words[lo*m.w : hi*m.w : hi*m.w], rows: hi - lo, n: m.n, w: m.w}
+}
+
+// SetAll fills every row.
+func (m BitMatrix) SetAll() {
+	for i := range m.rows {
+		m.Row(i).SetAll()
+	}
+}
+
+// Resize makes m hold rows rows: rows past the new count are dropped
+// and added rows are empty.  Rows kept keep their contents, but views
+// taken before a Resize that adds rows may no longer be m's.
+func (m *BitMatrix) Resize(rows int) {
+	if need := rows * m.w; need <= len(m.words) {
+		m.words = m.words[:need]
+	} else {
+		m.words = append(m.words, make([]uint64, need-len(m.words))...)
+	}
+	m.rows = rows
+}
+
+// A FamilyStore hands out matrices and sets from word arrays it keeps.
+// After Reset the next ones reuse the arrays of the last ones, so a
 // caller that solves one round of problems after another allocates
 // only when a round needs more than the rounds before it.  A nil store
-// allocates each family afresh.
+// allocates each afresh.
 type FamilyStore struct {
-	words chunks[uint64]
-	hdrs  chunks[BitSet]
-	ptrs  chunks[*BitSet]
-}
-
-// Reset takes back every family the store handed out: they must no
-// longer be used.
-func (s *FamilyStore) Reset() {
-	s.words.reset()
-	s.hdrs.reset()
-	s.ptrs.reset()
-}
-
-// Family returns nb empty capacity-n sets, like NewBitSetFamily, valid
-// until the next Reset.
-func (s *FamilyStore) Family(nb, n int) []*BitSet {
-	if s == nil {
-		return NewBitSetFamily(nb, n)
-	}
-	w := max((n+63)/64, 1)
-	words, fresh := s.words.take(nb * w)
-	if !fresh {
-		clear(words)
-	}
-	hdrs, _ := s.hdrs.take(nb)
-	ptrs, _ := s.ptrs.take(nb)
-	for i := range hdrs {
-		hdrs[i] = BitSet{words: words[i*w : (i+1)*w : (i+1)*w], n: n}
-		ptrs[i] = &hdrs[i]
-	}
-	return ptrs
-}
-
-// Set returns one empty capacity-n set, valid until the next Reset.
-func (s *FamilyStore) Set(n int) *BitSet { return s.Family(1, n)[0] }
-
-// chunks hands out slices of the arrays it keeps, in order, and takes
-// them all back at once.  A request that fits in no array left gets an
-// array of its own, which later rounds reuse.
-type chunks[T any] struct {
-	list     [][]T
+	chunks   [][]uint64
 	at, used int // the array being handed out, and how much of it is
 }
 
-func (c *chunks[T]) reset() { c.at, c.used = 0, 0 }
+// Reset takes back every matrix and set the store handed out: they
+// must no longer be used.
+func (s *FamilyStore) Reset() { s.at, s.used = 0, 0 }
 
-// take returns n elements and whether they are freshly allocated
-// zeros; reused ones hold whatever was there.
-func (c *chunks[T]) take(n int) ([]T, bool) {
-	for ; c.at < len(c.list); c.at, c.used = c.at+1, 0 {
-		if end := c.used + n; end <= len(c.list[c.at]) {
-			s := c.list[c.at][c.used:end:end]
-			c.used = end
-			return s, false
+// Family returns rows empty capacity-n sets, like NewBitMatrix, valid
+// until the next Reset.
+func (s *FamilyStore) Family(rows, n int) BitMatrix {
+	if s == nil {
+		return NewBitMatrix(rows, n)
+	}
+	w := wordsFor(n)
+	return BitMatrix{words: s.take(rows * w), rows: rows, n: n, w: w}
+}
+
+// Set returns one empty capacity-n set, valid until the next Reset.
+func (s *FamilyStore) Set(n int) BitSet { return s.Family(1, n).Row(0) }
+
+// take returns k zeroed words: the next k of an array the store keeps,
+// or, when no array left has room, a new array that later rounds
+// reuse.
+func (s *FamilyStore) take(k int) []uint64 {
+	for ; s.at < len(s.chunks); s.at, s.used = s.at+1, 0 {
+		if end := s.used + k; end <= len(s.chunks[s.at]) {
+			words := s.chunks[s.at][s.used:end:end]
+			s.used = end
+			clear(words)
+			return words
 		}
 	}
-	if c.list == nil {
-		c.list = make([][]T, 0, 16)
+	if s.chunks == nil {
+		s.chunks = make([][]uint64, 0, 16)
 	}
-	c.list = append(c.list, make([]T, n))
-	c.used = n
-	return c.list[c.at], true
+	s.chunks = append(s.chunks, make([]uint64, k))
+	s.used = k
+	return s.chunks[s.at]
 }
 
 // Len returns the set's capacity.
-func (s *BitSet) Len() int { return s.n }
+func (s BitSet) Len() int { return s.n }
 
 // Set adds element i.
-func (s *BitSet) Set(i int) { s.words[i>>6] |= 1 << uint(i&63) }
+func (s BitSet) Set(i int) { s.words[i>>6] |= 1 << uint(i&63) }
 
 // Clear removes element i.
-func (s *BitSet) Clear(i int) { s.words[i>>6] &^= 1 << uint(i&63) }
+func (s BitSet) Clear(i int) { s.words[i>>6] &^= 1 << uint(i&63) }
 
 // Has reports whether element i is in the set.
-func (s *BitSet) Has(i int) bool { return s.words[i>>6]&(1<<uint(i&63)) != 0 }
+func (s BitSet) Has(i int) bool { return s.words[i>>6]&(1<<uint(i&63)) != 0 }
 
 // SetAll adds every element in [0, Len).
-func (s *BitSet) SetAll() {
+func (s BitSet) SetAll() {
 	for i := range s.words {
 		s.words[i] = ^uint64(0)
 	}
@@ -132,31 +146,31 @@ func (s *BitSet) SetAll() {
 }
 
 // ClearAll empties the set.
-func (s *BitSet) ClearAll() {
+func (s BitSet) ClearAll() {
 	for i := range s.words {
 		s.words[i] = 0
 	}
 }
 
 // trim zeroes the bits beyond capacity so Equal and Count stay exact.
-func (s *BitSet) trim() {
+func (s BitSet) trim() {
 	if extra := s.n & 63; extra != 0 && len(s.words) > 0 {
 		s.words[len(s.words)-1] &= (1 << uint(extra)) - 1
 	}
 }
 
 // Copy returns an independent duplicate of the set.
-func (s *BitSet) Copy() *BitSet {
-	return &BitSet{words: append([]uint64(nil), s.words...), n: s.n}
+func (s BitSet) Copy() BitSet {
+	return BitSet{words: append([]uint64(nil), s.words...), n: s.n}
 }
 
 // CopyFrom overwrites s with t's contents.
-func (s *BitSet) CopyFrom(t *BitSet) {
+func (s BitSet) CopyFrom(t BitSet) {
 	copy(s.words, t.words)
 }
 
 // Union adds every element of t; it reports whether s changed.
-func (s *BitSet) Union(t *BitSet) bool {
+func (s BitSet) Union(t BitSet) bool {
 	changed := false
 	for i, w := range t.words {
 		if nw := s.words[i] | w; nw != s.words[i] {
@@ -168,7 +182,7 @@ func (s *BitSet) Union(t *BitSet) bool {
 }
 
 // Intersect keeps only the elements also in t; reports whether s changed.
-func (s *BitSet) Intersect(t *BitSet) bool {
+func (s BitSet) Intersect(t BitSet) bool {
 	changed := false
 	for i, w := range t.words {
 		if nw := s.words[i] & w; nw != s.words[i] {
@@ -183,7 +197,7 @@ func (s *BitSet) Intersect(t *BitSet) bool {
 // without materializing the difference.  The dataflow solvers use it
 // for terms like LATERIN(i) ∩ ¬ANTLOC(i) that would otherwise cost a
 // temporary vector per edge per iteration.
-func (s *BitSet) UnionDiff(t, u *BitSet) {
+func (s BitSet) UnionDiff(t, u BitSet) {
 	for i, w := range t.words {
 		s.words[i] |= w &^ u.words[i]
 	}
@@ -193,14 +207,14 @@ func (s *BitSet) UnionDiff(t, u *BitSet) {
 // s's previous contents, so a scratch vector can absorb difference
 // terms like EARLIEST(b) = ANTIN(b) ∖ AVIN(b) in one pass with no
 // intermediate copy.
-func (s *BitSet) AndNotOf(t, u *BitSet) {
+func (s BitSet) AndNotOf(t, u BitSet) {
 	for i, w := range t.words {
 		s.words[i] = w &^ u.words[i]
 	}
 }
 
 // Subtract removes every element of t; reports whether s changed.
-func (s *BitSet) Subtract(t *BitSet) bool {
+func (s BitSet) Subtract(t BitSet) bool {
 	changed := false
 	for i, w := range t.words {
 		if nw := s.words[i] &^ w; nw != s.words[i] {
@@ -212,7 +226,7 @@ func (s *BitSet) Subtract(t *BitSet) bool {
 }
 
 // Equal reports whether the two sets hold exactly the same elements.
-func (s *BitSet) Equal(t *BitSet) bool {
+func (s BitSet) Equal(t BitSet) bool {
 	if s.n != t.n {
 		return false
 	}
@@ -225,7 +239,7 @@ func (s *BitSet) Equal(t *BitSet) bool {
 }
 
 // Count returns the number of elements in the set.
-func (s *BitSet) Count() int {
+func (s BitSet) Count() int {
 	c := 0
 	for _, w := range s.words {
 		c += bits.OnesCount64(w)
@@ -234,7 +248,7 @@ func (s *BitSet) Count() int {
 }
 
 // Empty reports whether the set has no elements.
-func (s *BitSet) Empty() bool {
+func (s BitSet) Empty() bool {
 	for _, w := range s.words {
 		if w != 0 {
 			return false
@@ -244,7 +258,7 @@ func (s *BitSet) Empty() bool {
 }
 
 // ForEach calls fn for each element in ascending order.
-func (s *BitSet) ForEach(fn func(i int)) {
+func (s BitSet) ForEach(fn func(i int)) {
 	for wi, w := range s.words {
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
@@ -255,7 +269,7 @@ func (s *BitSet) ForEach(fn func(i int)) {
 }
 
 // String renders the set as {1, 5, 9} for debugging.
-func (s *BitSet) String() string {
+func (s BitSet) String() string {
 	var sb strings.Builder
 	sb.WriteByte('{')
 	first := true

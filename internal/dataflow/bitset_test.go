@@ -22,7 +22,7 @@ func TestUnionDiff(t *testing.T) {
 	}
 }
 
-func benchSets(n int) (*BitSet, *BitSet) {
+func benchSets(n int) (BitSet, BitSet) {
 	a, b := NewBitSet(n), NewBitSet(n)
 	for i := 0; i < n; i += 3 {
 		a.Set(i)

@@ -2,6 +2,7 @@ package dataflow_test
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -11,7 +12,7 @@ import (
 )
 
 // mkSet builds a bitset of capacity n from a bitmask over the low 64.
-func mkSet(n int, mask uint64) *dataflow.BitSet {
+func mkSet(n int, mask uint64) dataflow.BitSet {
 	s := dataflow.NewBitSet(n)
 	for i := 0; i < n && i < 64; i++ {
 		if mask&(1<<uint(i)) != 0 {
@@ -22,7 +23,7 @@ func mkSet(n int, mask uint64) *dataflow.BitSet {
 }
 
 // elems extracts a canonical slice form.
-func elems(s *dataflow.BitSet) []int {
+func elems(s dataflow.BitSet) []int {
 	var out []int
 	s.ForEach(func(i int) { out = append(out, i) })
 	return out
@@ -123,6 +124,136 @@ func TestBitSetLaws(t *testing.T) {
 	}
 }
 
+// The same laws hold for the rows of a matrix whose row width is not a
+// multiple of 64: an operation on row i reads and writes row i alone,
+// and Count stays exact.
+func TestBitMatrixRowIsolation(t *testing.T) {
+	const n = 100 // two words per row, the second partly used
+	cfgQ := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(11))}
+	ops := []struct {
+		name string
+		op   func(row, x, y dataflow.BitSet)
+		want func(row, x, y dataflow.BitSet) int // the row's count afterwards
+	}{
+		{"SetAll", func(row, _, _ dataflow.BitSet) { row.SetAll() },
+			func(_, _, _ dataflow.BitSet) int { return n }},
+		{"ClearAll", func(row, _, _ dataflow.BitSet) { row.ClearAll() },
+			func(_, _, _ dataflow.BitSet) int { return 0 }},
+		{"Subtract", func(row, x, _ dataflow.BitSet) { row.Subtract(x) },
+			func(row, x, _ dataflow.BitSet) int { return andNotCount(row, x) }},
+		{"CopyFrom", func(row, x, _ dataflow.BitSet) { row.CopyFrom(x) },
+			func(_, x, _ dataflow.BitSet) int { return x.Count() }},
+		{"AndNotOf", func(row, x, y dataflow.BitSet) { row.AndNotOf(x, y) },
+			func(_, x, y dataflow.BitSet) int { return andNotCount(x, y) }},
+	}
+	for _, o := range ops {
+		for _, full := range []bool{false, true} {
+			if err := quick.Check(func(a, b, c uint64) bool {
+				m := dataflow.NewBitMatrix(5, n)
+				if full {
+					m.SetAll()
+				}
+				x, y := mkSet(n, a), mkSet(n, b)
+				x.Set(n - 1) // the last bit of a partly used word
+				row := m.Row(2)
+				row.CopyFrom(mkSet(n, c))
+				want := o.want(row, x, y)
+				before := []dataflow.BitSet{m.Row(1).Copy(), m.Row(3).Copy()}
+				o.op(row, x, y)
+				return m.Row(1).Equal(before[0]) && m.Row(3).Equal(before[1]) &&
+					row.Count() == want && len(elems(row)) == want
+			}, cfgQ); err != nil {
+				t.Errorf("%s (neighbours full: %v): %v", o.name, full, err)
+			}
+		}
+	}
+}
+
+// andNotCount returns |x ∖ y|.
+func andNotCount(x, y dataflow.BitSet) int {
+	d := x.Copy()
+	d.Subtract(y)
+	return d.Count()
+}
+
+// A store that is Reset hands out zeroed rows again, whatever the rows
+// it handed out before held.
+func TestFamilyStoreResetZeroes(t *testing.T) {
+	var s dataflow.FamilyStore
+	for round := range 3 {
+		m, v := s.Family(4, 70), s.Set(70)
+		for i := range m.Rows() {
+			if !m.Row(i).Empty() {
+				t.Fatalf("round %d: row %d = %s, want empty", round, i, m.Row(i))
+			}
+		}
+		if !v.Empty() {
+			t.Fatalf("round %d: set = %s, want empty", round, v)
+		}
+		m.SetAll()
+		v.SetAll()
+		s.Reset()
+	}
+}
+
+// Resize keeps the rows it keeps and adds empty ones, also where it
+// grows into storage an earlier shrink left behind.
+func TestBitMatrixResize(t *testing.T) {
+	const n = 70
+	m := dataflow.NewBitMatrix(3, n)
+	for i := range 3 {
+		m.Row(i).Set(i)
+		m.Row(i).Set(n - 1)
+	}
+	m.Resize(2)
+	m.Resize(6)
+	if m.Rows() != 6 {
+		t.Fatalf("Rows = %d, want 6", m.Rows())
+	}
+	for i := range 6 {
+		want := "{}"
+		if i < 2 {
+			want = "{" + strconv.Itoa(i) + ", 69}"
+		}
+		if got := m.Row(i).String(); got != want {
+			t.Errorf("row %d = %s, want %s", i, got, want)
+		}
+	}
+}
+
+// The rows Refresh adds for new blocks leave the old blocks' rows as
+// they were, and describe the new block as a universe built afresh
+// does.
+func TestRefreshAddedRows(t *testing.T) {
+	f, u, byName := universeFor(t, solveDiamond)
+	props := func(u *dataflow.Universe) []dataflow.BitMatrix {
+		return []dataflow.BitMatrix{u.Transp, u.AntLoc, u.Comp}
+	}
+	var before []string
+	for _, m := range props(u) {
+		for _, b := range f.Blocks {
+			before = append(before, m.Row(b.ID).String())
+		}
+	}
+	nb := len(f.Blocks)
+	mid := cfg.SplitEdge(byName["b1"], byName["b3"])
+	u.Refresh([]*ir.Block{mid})
+	fresh := dataflow.BuildUniverse(f, nil)
+	for p, m := range props(u) {
+		if m.Rows() != len(f.Blocks) {
+			t.Fatalf("property %d has %d rows, want %d", p, m.Rows(), len(f.Blocks))
+		}
+		for i, b := range f.Blocks[:nb] {
+			if got, want := m.Row(b.ID).String(), before[p*nb+i]; got != want {
+				t.Errorf("property %d of %s = %s after Refresh, was %s", p, b.Name, got, want)
+			}
+		}
+		if got, want := m.Row(mid.ID).String(), props(fresh)[p].Row(mid.ID).String(); got != want {
+			t.Errorf("property %d of the new block = %s, a rebuild says %s", p, got, want)
+		}
+	}
+}
+
 func TestLiveness(t *testing.T) {
 	// b0: r3 = r1+r2; cbr r3 -> b1 b2
 	// b1: r4 = r1+r1; jump b3
@@ -152,7 +283,7 @@ b3:
 	}
 	check := func(block string, reg ir.Reg, wantIn bool) {
 		t.Helper()
-		if got := lv.LiveIn[byName[block].ID].Has(int(reg)); got != wantIn {
+		if got := lv.LiveIn.Row(byName[block].ID).Has(int(reg)); got != wantIn {
 			t.Errorf("LiveIn[%s][r%d] = %v, want %v", block, reg, got, wantIn)
 		}
 	}
@@ -191,13 +322,13 @@ b3:
 	for _, b := range f.Blocks {
 		byName[b.Name] = b
 	}
-	if !lv.LiveOut[byName["b1"].ID].Has(3) {
+	if !lv.LiveOut.Row(byName["b1"].ID).Has(3) {
 		t.Error("r3 must be live out of b1 (φ use)")
 	}
-	if lv.LiveOut[byName["b2"].ID].Has(3) {
+	if lv.LiveOut.Row(byName["b2"].ID).Has(3) {
 		t.Error("r3 must not be live out of b2")
 	}
-	if lv.LiveIn[byName["b3"].ID].Has(3) {
+	if lv.LiveIn.Row(byName["b3"].ID).Has(3) {
 		t.Error("φ operands are not live-in to the φ's block")
 	}
 }
@@ -258,22 +389,22 @@ b0:
 	// add r1,r2 is computed before any kill → ANTLOC; recomputed after
 	// the copy redefines r1, so the *last* computation leaves it
 	// available → COMP; r1 is redefined → not transparent.
-	if !u.AntLoc[bid].Has(add) {
+	if !u.AntLoc.Row(bid).Has(add) {
 		t.Error("add should be locally anticipatable")
 	}
-	if !u.Comp[bid].Has(add) {
+	if !u.Comp.Row(bid).Has(add) {
 		t.Error("add should be locally available (recomputed after kill)")
 	}
-	if u.Transp[bid].Has(add) {
+	if u.Transp.Row(bid).Has(add) {
 		t.Error("add must not be transparent (r1 redefined)")
 	}
 	// The load is computed after a store; stores kill loads, but this
 	// load comes after the store and survives until the copy kills its
 	// address... the copy defines r1 which is the load's address.
-	if u.Transp[bid].Has(ld) {
+	if u.Transp.Row(bid).Has(ld) {
 		t.Error("load must not be transparent (store + address redef)")
 	}
-	if u.AntLoc[bid].Has(ld) {
+	if u.AntLoc.Row(bid).Has(ld) {
 		t.Error("load follows a store: not upward-exposed")
 	}
 }

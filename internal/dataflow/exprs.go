@@ -85,14 +85,14 @@ type Universe struct {
 	// IsLoad marks memory loads, which are killed by stores and calls.
 	IsLoad []bool
 
-	// Local properties, indexed [block ID] then expression.
-	Transp []*BitSet // operands (and memory, for loads) untouched in block
-	AntLoc []*BitSet // locally anticipatable: computed before any kill
-	Comp   []*BitSet // locally available: computed and not killed after
+	// Local properties: one row per block, indexed by block ID.
+	Transp BitMatrix // operands (and memory, for loads) untouched in block
+	AntLoc BitMatrix // locally anticipatable: computed before any kill
+	Comp   BitMatrix // locally available: computed and not killed after
 
 	// occ holds, by block ID, every expression the block computes; a
 	// full universe keeps it, for Occurrences, Occurs and Computes.
-	occ []*BitSet
+	occ BitMatrix
 
 	num *numbering // shared by a universe and its restrictions
 	// ids[i] is the full universe's number of expression i, and
@@ -128,8 +128,8 @@ type numbering struct {
 	users []int32
 	loads []int32 // every load: killed by memory writes
 
-	killed     *BitSet   // Refresh scratch: expressions killed so far in a block
-	seen       *BitSet   // Occurrences scratch: expressions listed so far
+	killed     BitSet    // Refresh scratch: expressions killed so far in a block
+	seen       BitSet    // Occurrences scratch: expressions listed so far
 	restricted *Universe // the storage Restrict reuses
 }
 
@@ -230,7 +230,12 @@ func BuildUniverse(f *ir.Func, regIndex []int) *Universe {
 			num.loads = append(num.loads, int32(e))
 		}
 	}
-	num.killed, num.seen = NewBitSet(n), NewBitSet(n)
+	// The four local properties of every block, and the two scratch
+	// vectors, in one matrix.
+	nb := len(f.Blocks)
+	local := NewBitMatrix(4*nb+2, n)
+	u.Transp, u.AntLoc, u.Comp, u.occ = local.Sub(0, nb), local.Sub(nb, 2*nb), local.Sub(2*nb, 3*nb), local.Sub(3*nb, 4*nb)
+	num.killed, num.seen = local.Row(4*nb), local.Row(4*nb+1)
 	u.Refresh(f.Blocks)
 	return u
 }
@@ -274,28 +279,20 @@ func (num *numbering) usedBy(r ir.Reg) []int32 {
 
 // Refresh recomputes the local properties of the given blocks, which
 // must belong to the full universe's function, after a pass changed
-// their instructions.  The per-block vectors first follow the
-// function's block list: blocks added since get fresh vectors and
-// removed ones are dropped.  A block removal renumbers the blocks, so
-// after one every block must be refreshed.
+// their instructions.  The property matrices first follow the
+// function's block list: rows for blocks added since are appended and
+// rows for removed ones dropped.  A block removal renumbers the
+// blocks, so after one every block must be refreshed.
 func (u *Universe) Refresh(blocks []*ir.Block) {
-	n, nb := u.NumExprs(), len(u.Fn.Blocks)
-	if have := len(u.Transp); have < nb {
-		// One family holds the new blocks' vectors of all four
-		// properties.
-		k := nb - have
-		fam := NewBitSetFamily(4*k, n)
-		u.Transp = extend(u.Transp, fam[:k:k])
-		u.AntLoc = extend(u.AntLoc, fam[k:2*k:2*k])
-		u.Comp = extend(u.Comp, fam[2*k:3*k:3*k])
-		u.occ = extend(u.occ, fam[3*k:])
-	} else {
-		u.Transp, u.AntLoc, u.Comp, u.occ = u.Transp[:nb], u.AntLoc[:nb], u.Comp[:nb], u.occ[:nb]
-	}
+	nb := len(u.Fn.Blocks)
+	u.Transp.Resize(nb)
+	u.AntLoc.Resize(nb)
+	u.Comp.Resize(nb)
+	u.occ.Resize(nb)
 	num := u.num
 	killed := num.killed
 	for _, b := range blocks {
-		transp, antloc, comp, occ := u.Transp[b.ID], u.AntLoc[b.ID], u.Comp[b.ID], u.occ[b.ID]
+		transp, antloc, comp, occ := u.Transp.Row(b.ID), u.AntLoc.Row(b.ID), u.Comp.Row(b.ID), u.occ.Row(b.ID)
 		transp.SetAll()
 		antloc.ClearAll()
 		comp.ClearAll()
@@ -329,18 +326,10 @@ func (u *Universe) Refresh(blocks []*ir.Block) {
 	}
 }
 
-// extend appends more to vs, or returns more itself when vs is empty.
-func extend(vs, more []*BitSet) []*BitSet {
-	if len(vs) == 0 {
-		return more
-	}
-	return append(vs, more...)
-}
-
 // Restrict returns the universe of the full universe u's expressions
 // ids, in that order: expression i of the result is u's expression
-// ids[i].  Its local properties are copied from u's into vectors drawn
-// from sets, and its Expr, MakeInstr and KillScan speak its own
+// ids[i].  Its local properties are gathered from u's into matrices
+// drawn from sets, and its Expr, MakeInstr and KillScan speak its own
 // numbers.  Restricting to every expression in order returns u itself.
 // A restriction's tables live in storage u keeps for the next one, so
 // it is valid until u is restricted again or sets is Reset.
@@ -374,12 +363,12 @@ func (u *Universe) Restrict(ids []int32, sets *FamilyStore) *Universe {
 	}
 	nb, m := len(u.Fn.Blocks), len(ids)
 	fam := sets.Family(3*nb, m)
-	r.Transp, r.AntLoc, r.Comp = fam[:nb:nb], fam[nb:2*nb:2*nb], fam[2*nb:]
+	r.Transp, r.AntLoc, r.Comp = fam.Sub(0, nb), fam.Sub(nb, 2*nb), fam.Sub(2*nb, 3*nb)
 	// Element i of a restricted vector is element ids[i] of u's; the
 	// three properties share each element's word and bit.
 	for _, b := range u.Fn.Blocks {
-		transp, antloc, comp := u.Transp[b.ID].words, u.AntLoc[b.ID].words, u.Comp[b.ID].words
-		rt, ra, rc := r.Transp[b.ID].words, r.AntLoc[b.ID].words, r.Comp[b.ID].words
+		transp, antloc, comp := u.Transp.Row(b.ID).words, u.AntLoc.Row(b.ID).words, u.Comp.Row(b.ID).words
+		rt, ra, rc := r.Transp.Row(b.ID).words, r.AntLoc.Row(b.ID).words, r.Comp.Row(b.ID).words
 		for i, e := range ids {
 			w, bit := e>>6, uint64(1)<<(e&63)
 			ri, rbit := i>>6, uint64(1)<<(i&63)
@@ -403,12 +392,12 @@ func (u *Universe) Restrict(ids []int32, sets *FamilyStore) *Universe {
 // block that computes one of them.  It reads the blocks' occurrence
 // vectors, and a block's instructions only where two or more of set's
 // expressions occur for the first time.
-func (u *Universe) Occurrences(set *BitSet, ids []int32, occurs []bool) []int32 {
+func (u *Universe) Occurrences(set BitSet, ids []int32, occurs []bool) []int32 {
 	seen := u.num.seen
 	seen.ClearAll()
 	for _, b := range u.Fn.Blocks {
 		hit, fresh, first := false, 0, 0
-		for i, w := range u.occ[b.ID].words {
+		for i, w := range u.occ.Row(b.ID).words {
 			w &= set.words[i]
 			if w == 0 {
 				continue
@@ -441,11 +430,11 @@ func (u *Universe) Occurrences(set *BitSet, ids []int32, occurs []bool) []int32 
 
 // Occurs reports whether block b computes expression e of the full
 // universe u.
-func (u *Universe) Occurs(b *ir.Block, e int) bool { return u.occ[b.ID].Has(e) }
+func (u *Universe) Occurs(b *ir.Block, e int) bool { return u.occ.Row(b.ID).Has(e) }
 
 // Computes reports whether block b computes any expression of the full
 // universe u.
-func (u *Universe) Computes(b *ir.Block) bool { return !u.occ[b.ID].Empty() }
+func (u *Universe) Computes(b *ir.Block) bool { return !u.occ.Row(b.ID).Empty() }
 
 // fromFull maps a full-universe expression number to this universe's,
 // -1 when absent.
@@ -529,7 +518,7 @@ func (u *Universe) MakeInstr(e int, dst ir.Reg) *ir.Instr {
 // instructions with a "temporary still holds expression e" vector.  It
 // visits only the expressions that read dst (and the loads), never the
 // whole universe.
-func (u *Universe) KillScan(valid *BitSet, dst ir.Reg, memWrite bool) {
+func (u *Universe) KillScan(valid BitSet, dst ir.Reg, memWrite bool) {
 	if memWrite {
 		for _, e := range u.num.loads {
 			if e := u.fromFull(e); e >= 0 {
@@ -546,7 +535,7 @@ func (u *Universe) KillScan(valid *BitSet, dst ir.Reg, memWrite bool) {
 
 // AddReaders adds to set, a vector over this universe, every
 // expression that reads register r.
-func (u *Universe) AddReaders(set *BitSet, r ir.Reg) {
+func (u *Universe) AddReaders(set BitSet, r ir.Reg) {
 	for _, e := range u.num.usedBy(r) {
 		if e := u.fromFull(e); e >= 0 {
 			set.Set(e)

@@ -25,9 +25,9 @@ const (
 	MeetAny
 )
 
-// meetInto overwrites dst with the meet of sets[b.ID] over the given
-// neighbor blocks.  No neighbors yields ∅ under either operator.
-func meetInto(dst *BitSet, neighbors []*ir.Block, sets []*BitSet, meet Meet) {
+// meetInto overwrites dst with the meet of row b.ID of sets over the
+// given neighbor blocks.  No neighbors yields ∅ under either operator.
+func meetInto(dst BitSet, neighbors []*ir.Block, sets BitMatrix, meet Meet) {
 	if len(neighbors) == 0 {
 		dst.ClearAll()
 		return
@@ -35,13 +35,13 @@ func meetInto(dst *BitSet, neighbors []*ir.Block, sets []*BitSet, meet Meet) {
 	if meet == MeetAll {
 		dst.SetAll()
 		for _, nb := range neighbors {
-			dst.Intersect(sets[nb.ID])
+			dst.Intersect(sets.Row(nb.ID))
 		}
 		return
 	}
 	dst.ClearAll()
 	for _, nb := range neighbors {
-		dst.Union(sets[nb.ID])
+		dst.Union(sets.Row(nb.ID))
 	}
 }
 
@@ -90,34 +90,34 @@ func (w *worklist) take(b *ir.Block) bool {
 }
 
 // SolveForward iterates a forward bitvector problem to fixpoint over
-// the reachable blocks with a worklist.  in and out are
-// block-ID-indexed vectors (as produced by one NewBitSetFamily call
-// per direction); the caller seeds out according to the fixpoint it
-// wants (full for MeetAll, empty for MeetAny).  A visit meets the
-// predecessors' out-sets into in[b.ID], then calls transfer to compute
-// the block's new out-set into dst — one vector shared by every visit,
-// which the callback must fully overwrite.  Every block is visited
-// once, in reverse postorder, and again only after a predecessor's
-// out-set changed; sweeps in reverse postorder repeat until no block
-// is pending.  For these monotone problems any such chaotic iteration
+// the reachable blocks with a worklist.  in and out hold one row per
+// block, indexed by block ID; the caller seeds out according to the
+// fixpoint it wants (full for MeetAll, empty for MeetAny).  A visit
+// meets the predecessors' out-sets into in's row b.ID, then calls
+// transfer to compute the block's new out-set into dst — one vector
+// shared by every visit, which the callback must fully overwrite.
+// Every block is visited once, in reverse postorder, and again only
+// after a predecessor's out-set changed; sweeps in reverse postorder
+// repeat until no block is pending.  For these monotone problems any such chaotic iteration
 // from the same seeds reaches the same fixpoint as round-robin
 // iteration.  All blocks named by Preds edges must be present in rpo
 // (run analysis.Cache.RemoveUnreachable first).
-func SolveForward(rpo []*ir.Block, meet Meet, in, out []*BitSet, transfer func(b *ir.Block, in, dst *BitSet)) {
+func SolveForward(rpo []*ir.Block, meet Meet, in, out BitMatrix, transfer func(b *ir.Block, in, dst BitSet)) {
 	if len(rpo) == 0 {
 		return
 	}
-	dst := NewBitSet(out[rpo[0].ID].Len())
-	w := newWorklist(len(out), rpo)
+	dst := NewBitSet(out.Len())
+	w := newWorklist(out.Rows(), rpo)
 	for w.pending > 0 {
 		for _, b := range rpo {
 			if !w.take(b) {
 				continue
 			}
-			meetInto(in[b.ID], b.Preds, out, meet)
-			transfer(b, in[b.ID], dst)
-			if !dst.Equal(out[b.ID]) {
-				out[b.ID].CopyFrom(dst)
+			bin, bout := in.Row(b.ID), out.Row(b.ID)
+			meetInto(bin, b.Preds, out, meet)
+			transfer(b, bin, dst)
+			if !dst.Equal(bout) {
+				bout.CopyFrom(dst)
 				w.add(b.Succs)
 			}
 		}
@@ -125,26 +125,27 @@ func SolveForward(rpo []*ir.Block, meet Meet, in, out []*BitSet, transfer func(b
 }
 
 // SolveBackward is SolveForward's mirror: its sweeps run in postorder
-// (reverse RPO), a visit meets the successors' in-sets into out[b.ID]
-// and calls transfer to compute the block's new in-set into dst, and a
+// (reverse RPO), a visit meets the successors' in-sets into out's row
+// b.ID and calls transfer to compute the block's new in-set into dst, and a
 // changed in-set makes the predecessors pending.  The caller seeds in
 // according to the fixpoint it wants.
-func SolveBackward(rpo []*ir.Block, meet Meet, out, in []*BitSet, transfer func(b *ir.Block, out, dst *BitSet)) {
+func SolveBackward(rpo []*ir.Block, meet Meet, out, in BitMatrix, transfer func(b *ir.Block, out, dst BitSet)) {
 	if len(rpo) == 0 {
 		return
 	}
-	dst := NewBitSet(in[rpo[0].ID].Len())
-	w := newWorklist(len(in), rpo)
+	dst := NewBitSet(in.Len())
+	w := newWorklist(in.Rows(), rpo)
 	for w.pending > 0 {
 		for i := len(rpo) - 1; i >= 0; i-- {
 			b := rpo[i]
 			if !w.take(b) {
 				continue
 			}
-			meetInto(out[b.ID], b.Succs, in, meet)
-			transfer(b, out[b.ID], dst)
-			if !dst.Equal(in[b.ID]) {
-				in[b.ID].CopyFrom(dst)
+			bout, bin := out.Row(b.ID), in.Row(b.ID)
+			meetInto(bout, b.Succs, in, meet)
+			transfer(b, bout, dst)
+			if !dst.Equal(bin) {
+				bin.CopyFrom(dst)
 				w.add(b.Preds)
 			}
 		}
@@ -157,17 +158,15 @@ func SolveBackward(rpo []*ir.Block, meet Meet, out, in []*BitSet, transfer func(
 //	ANTOUT(b) = ⋂ ANTIN(succ)                      (∅ at exits)
 //
 // over the blocks of rpo (see SolveForward) and returns both
-// block-ID-indexed families, drawn from sets.
-func (u *Universe) Anticipability(rpo []*ir.Block, sets *FamilyStore) (antin, antout []*BitSet) {
+// block-ID-indexed matrices, drawn from sets.
+func (u *Universe) Anticipability(rpo []*ir.Block, sets *FamilyStore) (antin, antout BitMatrix) {
 	nb, n := len(u.Fn.Blocks), u.NumExprs()
 	antin, antout = sets.Family(nb, n), sets.Family(nb, n)
-	for _, set := range antin {
-		set.SetAll()
-	}
-	SolveBackward(rpo, MeetAll, antout, antin, func(b *ir.Block, out, dst *BitSet) {
+	antin.SetAll()
+	SolveBackward(rpo, MeetAll, antout, antin, func(b *ir.Block, out, dst BitSet) {
 		dst.CopyFrom(out)
-		dst.Intersect(u.Transp[b.ID])
-		dst.Union(u.AntLoc[b.ID])
+		dst.Intersect(u.Transp.Row(b.ID))
+		dst.Union(u.AntLoc.Row(b.ID))
 	})
 	return antin, antout
 }
@@ -178,17 +177,15 @@ func (u *Universe) Anticipability(rpo []*ir.Block, sets *FamilyStore) (antin, an
 //	AVOUT(b) = COMP(b) ∪ (AVIN(b) ∩ TRANSP(b))
 //
 // over the blocks of rpo (see SolveForward) and returns both
-// block-ID-indexed families, drawn from sets.
-func (u *Universe) Availability(rpo []*ir.Block, sets *FamilyStore) (avin, avout []*BitSet) {
+// block-ID-indexed matrices, drawn from sets.
+func (u *Universe) Availability(rpo []*ir.Block, sets *FamilyStore) (avin, avout BitMatrix) {
 	nb, n := len(u.Fn.Blocks), u.NumExprs()
 	avin, avout = sets.Family(nb, n), sets.Family(nb, n)
-	for _, set := range avout {
-		set.SetAll()
-	}
-	SolveForward(rpo, MeetAll, avin, avout, func(b *ir.Block, in, dst *BitSet) {
+	avout.SetAll()
+	SolveForward(rpo, MeetAll, avin, avout, func(b *ir.Block, in, dst BitSet) {
 		dst.CopyFrom(in)
-		dst.Intersect(u.Transp[b.ID])
-		dst.Union(u.Comp[b.ID])
+		dst.Intersect(u.Transp.Row(b.ID))
+		dst.Union(u.Comp.Row(b.ID))
 	})
 	return avin, avout
 }

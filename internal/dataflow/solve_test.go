@@ -68,13 +68,13 @@ func TestSolveForwardAvailability(t *testing.T) {
 	e, _ := u.Lookup(k)
 	// r1+r2 is available out of b1, killed by b2's write to r2, so the
 	// all-paths meet at the join must drop it.
-	if !out[byName["b1"].ID].Has(e) {
+	if !out.Row(byName["b1"].ID).Has(e) {
 		t.Error("r1+r2 must be available out of b1")
 	}
-	if out[byName["b2"].ID].Has(e) {
+	if out.Row(byName["b2"].ID).Has(e) {
 		t.Error("r1+r2 must not be available out of b2 (r2 redefined)")
 	}
-	if in[byName["b3"].ID].Has(e) {
+	if in.Row(byName["b3"].ID).Has(e) {
 		t.Error("MeetAll at the join must intersect away r1+r2")
 	}
 }
@@ -87,16 +87,16 @@ func TestSolveBackwardAnticipability(t *testing.T) {
 	e, _ := u.Lookup(k)
 	// Every path from b0 reaches b3's r1+r2, but b2 redefines r2 on the
 	// way, so the expression is anticipated at b0's exit only via b1.
-	if !in[byName["b3"].ID].Has(e) {
+	if !in.Row(byName["b3"].ID).Has(e) {
 		t.Error("r1+r2 must be anticipated into b3")
 	}
-	if !in[byName["b1"].ID].Has(e) {
+	if !in.Row(byName["b1"].ID).Has(e) {
 		t.Error("r1+r2 must be anticipated into b1 (transparent)")
 	}
-	if in[byName["b2"].ID].Has(e) {
+	if in.Row(byName["b2"].ID).Has(e) {
 		t.Error("r1+r2 must not be anticipated into b2 (kill)")
 	}
-	if out[byName["b3"].ID].Count() != 0 {
+	if out.Row(byName["b3"].ID).Count() != 0 {
 		t.Error("exit block's out-set must be the empty-meet boundary ∅")
 	}
 }
@@ -109,35 +109,35 @@ func TestSolveBackwardMeetAny(t *testing.T) {
 	rpo := cfg.ReversePostorder(f)
 	nb := len(f.Blocks)
 
-	in, out := dataflow.NewBitSetFamily(nb, n), dataflow.NewBitSetFamily(nb, n)
+	in, out := dataflow.NewBitMatrix(nb, n), dataflow.NewBitMatrix(nb, n)
 	dataflow.SolveBackward(rpo, dataflow.MeetAny, out, in,
-		func(b *ir.Block, bout, dst *dataflow.BitSet) {
+		func(b *ir.Block, bout, dst dataflow.BitSet) {
 			dst.CopyFrom(bout)
-			dst.Union(u.AntLoc[b.ID])
+			dst.Union(u.AntLoc.Row(b.ID))
 		})
 
 	k, _ := dataflow.KeyOf(f.NewInstr(ir.OpAdd, 99, 1, 2))
 	e, _ := u.Lookup(k)
-	if !out[byName["b0"].ID].Has(e) {
+	if !out.Row(byName["b0"].ID).Has(e) {
 		t.Error("union meet at the fork must see the use in b1")
 	}
-	if !out[byName["b2"].ID].Has(e) {
+	if !out.Row(byName["b2"].ID).Has(e) {
 		t.Error("b2 must see b3's use downstream")
 	}
 }
 
 func TestSolveEmptyRPO(t *testing.T) {
 	// Degenerate input must be a no-op, not a panic.
-	dataflow.SolveForward(nil, dataflow.MeetAll, nil, nil, nil)
-	dataflow.SolveBackward(nil, dataflow.MeetAny, nil, nil, nil)
+	dataflow.SolveForward(nil, dataflow.MeetAll, dataflow.BitMatrix{}, dataflow.BitMatrix{}, nil)
+	dataflow.SolveBackward(nil, dataflow.MeetAny, dataflow.BitMatrix{}, dataflow.BitMatrix{}, nil)
 }
 
 // roundRobin is the reference the worklist solvers must agree with:
 // every block visited in every sweep, in reverse postorder (forward) or
 // postorder (backward), until a sweep changes nothing.  facts are the
 // solved vectors (out forward, in backward), meets the met ones.
-func roundRobin(rpo []*ir.Block, forward bool, meet dataflow.Meet, meets, facts []*dataflow.BitSet, transfer func(b *ir.Block, met, dst *dataflow.BitSet)) {
-	dst := dataflow.NewBitSet(facts[rpo[0].ID].Len())
+func roundRobin(rpo []*ir.Block, forward bool, meet dataflow.Meet, meets, facts dataflow.BitMatrix, transfer func(b *ir.Block, met, dst dataflow.BitSet)) {
+	dst := dataflow.NewBitSet(facts.Len())
 	for changed := true; changed; {
 		changed = false
 		for i := range rpo {
@@ -146,21 +146,21 @@ func roundRobin(rpo []*ir.Block, forward bool, meet dataflow.Meet, meets, facts 
 				b = rpo[len(rpo)-1-i]
 				neighbors = b.Succs
 			}
-			met := meets[b.ID]
+			met := meets.Row(b.ID)
 			met.ClearAll()
 			if meet == dataflow.MeetAll && len(neighbors) > 0 {
 				met.SetAll()
 			}
 			for _, nb := range neighbors {
 				if meet == dataflow.MeetAll {
-					met.Intersect(facts[nb.ID])
+					met.Intersect(facts.Row(nb.ID))
 				} else {
-					met.Union(facts[nb.ID])
+					met.Union(facts.Row(nb.ID))
 				}
 			}
 			transfer(b, met, dst)
-			if !dst.Equal(facts[b.ID]) {
-				facts[b.ID].CopyFrom(dst)
+			if !dst.Equal(facts.Row(b.ID)) {
+				facts.Row(b.ID).CopyFrom(dst)
 				changed = true
 			}
 		}
@@ -182,30 +182,28 @@ func TestWorklistMatchesRoundRobin(t *testing.T) {
 		}
 		for _, f := range prog.Funcs {
 			rpo, nb := cfg.ReversePostorder(f), len(f.Blocks)
-			gen, kill := dataflow.NewBitSetFamily(nb, n), dataflow.NewBitSetFamily(nb, n)
+			gen, kill := dataflow.NewBitMatrix(nb, n), dataflow.NewBitMatrix(nb, n)
 			for _, b := range f.Blocks {
 				for e := range n {
 					switch rng.Intn(4) {
 					case 0:
-						gen[b.ID].Set(e)
+						gen.Row(b.ID).Set(e)
 					case 1:
-						kill[b.ID].Set(e)
+						kill.Row(b.ID).Set(e)
 					}
 				}
 			}
-			transfer := func(b *ir.Block, met, dst *dataflow.BitSet) {
+			transfer := func(b *ir.Block, met, dst dataflow.BitSet) {
 				dst.CopyFrom(met)
-				dst.Subtract(kill[b.ID])
-				dst.Union(gen[b.ID])
+				dst.Subtract(kill.Row(b.ID))
+				dst.Union(gen.Row(b.ID))
 			}
 			for _, forward := range []bool{true, false} {
 				for _, meet := range []dataflow.Meet{dataflow.MeetAll, dataflow.MeetAny} {
-					seed := func() (meets, facts []*dataflow.BitSet) {
-						meets, facts = dataflow.NewBitSetFamily(nb, n), dataflow.NewBitSetFamily(nb, n)
+					seed := func() (meets, facts dataflow.BitMatrix) {
+						meets, facts = dataflow.NewBitMatrix(nb, n), dataflow.NewBitMatrix(nb, n)
 						if meet == dataflow.MeetAll {
-							for _, s := range facts {
-								s.SetAll()
-							}
+							facts.SetAll()
 						}
 						return meets, facts
 					}
@@ -219,9 +217,9 @@ func TestWorklistMatchesRoundRobin(t *testing.T) {
 					}
 					solved++
 					for _, b := range rpo {
-						if !gotFacts[b.ID].Equal(wantFacts[b.ID]) || !gotMeets[b.ID].Equal(wantMeets[b.ID]) {
+						if !gotFacts.Row(b.ID).Equal(wantFacts.Row(b.ID)) || !gotMeets.Row(b.ID).Equal(wantMeets.Row(b.ID)) {
 							t.Fatalf("%s forward=%v meet=%v block %s: worklist %s / %s, round-robin %s / %s",
-								f.Name, forward, meet, b.Name, gotMeets[b.ID], gotFacts[b.ID], wantMeets[b.ID], wantFacts[b.ID])
+								f.Name, forward, meet, b.Name, gotMeets.Row(b.ID), gotFacts.Row(b.ID), wantMeets.Row(b.ID), wantFacts.Row(b.ID))
 						}
 					}
 				}
@@ -229,4 +227,64 @@ func TestWorklistMatchesRoundRobin(t *testing.T) {
 		}
 	}
 	t.Logf("%d problems solved both ways", solved)
+}
+
+// TestSolversAllocateIndependentOfSize: the solvers and liveness
+// allocate as many times on a large function as on a small one, so no
+// per-block row view or vector reaches the heap.
+func TestSolversAllocateIndependentOfSize(t *testing.T) {
+	var small, large *ir.Func
+	for _, src := range progen.Corpus(1, 60) {
+		prog, err := ir.ParseProgramString(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range prog.Funcs {
+			if small == nil || len(f.Blocks) < len(small.Blocks) {
+				small = f
+			}
+			if large == nil || len(f.Blocks) > len(large.Blocks) {
+				large = f
+			}
+		}
+	}
+	if len(large.Blocks) < 8*len(small.Blocks) {
+		t.Fatalf("corpus too uniform: %d and %d blocks", len(small.Blocks), len(large.Blocks))
+	}
+	const n = 70
+	allocs := func(f *ir.Func) [3]float64 {
+		rpo, nb := cfg.ReversePostorder(f), len(f.Blocks)
+		gen := dataflow.NewBitMatrix(nb, n)
+		for _, b := range f.Blocks {
+			gen.Row(b.ID).Set(b.ID % n)
+		}
+		in, out := dataflow.NewBitMatrix(nb, n), dataflow.NewBitMatrix(nb, n)
+		transfer := func(b *ir.Block, met, dst dataflow.BitSet) {
+			dst.CopyFrom(met)
+			dst.Union(gen.Row(b.ID))
+		}
+		reset := func() {
+			for i := range nb {
+				in.Row(i).ClearAll()
+				out.Row(i).ClearAll()
+			}
+		}
+		return [3]float64{
+			testing.AllocsPerRun(20, func() {
+				reset()
+				dataflow.SolveForward(rpo, dataflow.MeetAny, in, out, transfer)
+			}),
+			testing.AllocsPerRun(20, func() {
+				reset()
+				dataflow.SolveBackward(rpo, dataflow.MeetAny, out, in, transfer)
+			}),
+			testing.AllocsPerRun(20, func() { dataflow.ComputeLiveness(f, rpo) }),
+		}
+	}
+	got, want := allocs(large), allocs(small)
+	for i, name := range []string{"SolveForward", "SolveBackward", "ComputeLiveness"} {
+		if got[i] != want[i] {
+			t.Errorf("%s: %v allocations on %d blocks, %v on %d", name, got[i], len(large.Blocks), want[i], len(small.Blocks))
+		}
+	}
 }

@@ -7,6 +7,7 @@ package dce
 
 import (
 	"repro/internal/analysis"
+	"repro/internal/dataflow"
 	"repro/internal/ir"
 )
 
@@ -26,11 +27,12 @@ func Run(f *ir.Func) Stats {
 // liveness in the cache for the next pass.
 func RunWith(f *ir.Func, ac *analysis.Cache) Stats {
 	var st Stats
+	live := dataflow.NewBitSet(f.NumRegs()) // refilled per block; DCE adds no register
 	for {
 		lv := ac.Liveness()
 		removed := 0
 		for _, b := range f.Blocks {
-			live := lv.LiveOut[b.ID].Copy()
+			live.CopyFrom(lv.LiveOut.Row(b.ID))
 			// Walk backwards; collect deletions by index.
 			var dead []int
 			for i := len(b.Instrs) - 1; i >= 0; i-- {

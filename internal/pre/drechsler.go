@@ -44,50 +44,49 @@ func drechslerRound(r *round) {
 	tmp := r.sets.Set(n)
 	x := r.family()
 	for _, b := range f.Blocks {
-		x[b.ID].SetAll()
-		x[b.ID].Subtract(avout[b.ID])
-		tmp.CopyFrom(u.Transp[b.ID])
-		tmp.Intersect(antout[b.ID])
-		x[b.ID].Subtract(tmp)
+		xb := x.Row(b.ID)
+		xb.SetAll()
+		xb.Subtract(avout.Row(b.ID))
+		tmp.CopyFrom(u.Transp.Row(b.ID))
+		tmp.Intersect(antout.Row(b.ID))
+		xb.Subtract(tmp)
 	}
 
 	// LATERIN (forward, all-paths); the solver's in-sets become LATERIN
 	// once intersected with ANTIN.
 	laterin, out := r.family(), r.family()
-	for _, set := range out {
-		set.SetAll()
-	}
+	out.SetAll()
 	// laterIn computes LATERIN(b) into dst from the meet in.
-	laterIn := func(b *ir.Block, in, dst *dataflow.BitSet) {
+	laterIn := func(b *ir.Block, in, dst dataflow.BitSet) {
 		if len(b.Preds) == 0 {
-			dst.CopyFrom(antin[b.ID])
+			dst.CopyFrom(antin.Row(b.ID))
 			return
 		}
 		dst.CopyFrom(in)
-		dst.Intersect(antin[b.ID])
+		dst.Intersect(antin.Row(b.ID))
 	}
 	dataflow.SolveForward(rpo, dataflow.MeetAll, laterin, out,
-		func(b *ir.Block, in, dst *dataflow.BitSet) {
+		func(b *ir.Block, in, dst dataflow.BitSet) {
 			laterIn(b, in, dst)
-			dst.Subtract(u.AntLoc[b.ID])
-			dst.Union(x[b.ID])
+			dst.Subtract(u.AntLoc.Row(b.ID))
+			dst.Union(x.Row(b.ID))
 		})
 	for _, b := range f.Blocks {
-		laterIn(b, laterin[b.ID], laterin[b.ID])
+		laterIn(b, laterin.Row(b.ID), laterin.Row(b.ID))
 	}
 
 	// --- INSERT / DELETE ---
 	// insertOn computes INSERT(from→to) into set; it is cheap enough to
 	// compute twice rather than keep per edge.
-	insertOn := func(set *dataflow.BitSet, from, to *ir.Block) {
-		set.CopyFrom(antin[to.ID])
-		set.Intersect(x[from.ID])
-		set.UnionDiff(laterin[from.ID], u.AntLoc[from.ID])
-		set.Subtract(laterin[to.ID])
+	insertOn := func(set dataflow.BitSet, from, to *ir.Block) {
+		set.CopyFrom(antin.Row(to.ID))
+		set.Intersect(x.Row(from.ID))
+		set.UnionDiff(laterin.Row(from.ID), u.AntLoc.Row(from.ID))
+		set.Subtract(laterin.Row(to.ID))
 	}
 	del := r.family()
 	for _, b := range f.Blocks {
-		del[b.ID].AndNotOf(u.AntLoc[b.ID], laterin[b.ID])
+		del.Row(b.ID).AndNotOf(u.AntLoc.Row(b.ID), laterin.Row(b.ID))
 	}
 
 	// --- Allocate temporaries for interesting expressions ---
@@ -117,8 +116,8 @@ func drechslerRound(r *round) {
 			interesting.Union(tmp)
 		}
 	}
-	for _, set := range del {
-		interesting.Union(set)
+	for _, b := range f.Blocks {
+		interesting.Union(del.Row(b.ID))
 	}
 	canon := r.canon
 	// Mode A applies to every canonically named expression, not just
@@ -155,8 +154,8 @@ func drechslerRound(r *round) {
 	}
 
 	// --- Rewrite original computations ---
-	r.rewrite(func(b *ir.Block, valid *dataflow.BitSet) {
-		valid.CopyFrom(del[b.ID])
+	r.rewrite(func(b *ir.Block, valid dataflow.BitSet) {
+		valid.CopyFrom(del.Row(b.ID))
 		valid.Intersect(interesting)
 	}, func(e int, valid bool) action {
 		switch {

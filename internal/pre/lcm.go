@@ -50,33 +50,29 @@ func lcmRound(r *round) {
 	// Availability under the earliest-placement fiction (forward,
 	// all-paths): a down-safe entry point counts as a computation.
 	avin, avout := r.family(), r.family()
-	for _, b := range f.Blocks {
-		avout[b.ID].SetAll()
-	}
+	avout.SetAll()
 	dataflow.SolveForward(rpo, dataflow.MeetAll, avin, avout,
-		func(b *ir.Block, in, dst *dataflow.BitSet) {
+		func(b *ir.Block, in, dst dataflow.BitSet) {
 			dst.CopyFrom(in)
-			dst.Union(antin[b.ID])
-			dst.Intersect(u.Transp[b.ID])
+			dst.Union(antin.Row(b.ID))
+			dst.Intersect(u.Transp.Row(b.ID))
 		})
 
 	// The earliest down-safe frontier.
 	earliest := r.family()
 	for _, b := range f.Blocks {
-		earliest[b.ID].AndNotOf(antin[b.ID], avin[b.ID])
+		earliest.Row(b.ID).AndNotOf(antin.Row(b.ID), avin.Row(b.ID))
 	}
 
 	// Postponability (forward, all-paths): slide insertions down until
 	// a use is about to be passed.
 	pin, pout := r.family(), r.family()
-	for _, b := range f.Blocks {
-		pout[b.ID].SetAll()
-	}
+	pout.SetAll()
 	dataflow.SolveForward(rpo, dataflow.MeetAll, pin, pout,
-		func(b *ir.Block, in, dst *dataflow.BitSet) {
+		func(b *ir.Block, in, dst dataflow.BitSet) {
 			dst.CopyFrom(in)
-			dst.Union(earliest[b.ID])
-			dst.Subtract(u.AntLoc[b.ID])
+			dst.Union(earliest.Row(b.ID))
+			dst.Subtract(u.AntLoc.Row(b.ID))
 		})
 
 	// frontier = EARLIEST ∪ PIN: the points still allowed to hold the
@@ -84,29 +80,29 @@ func lcmRound(r *round) {
 	// the block uses e itself, or some successor has left the frontier.
 	frontier, latest := r.family(), r.family()
 	for _, b := range f.Blocks {
-		fr := frontier[b.ID]
-		fr.CopyFrom(earliest[b.ID])
-		fr.Union(pin[b.ID])
+		fr := frontier.Row(b.ID)
+		fr.CopyFrom(earliest.Row(b.ID))
+		fr.Union(pin.Row(b.ID))
 	}
 	for _, b := range f.Blocks {
 		tmp.SetAll() // ⋂ over no successors is ⊤: exits keep ANTLOC only
 		for _, s := range b.Succs {
-			tmp.Intersect(frontier[s.ID])
+			tmp.Intersect(frontier.Row(s.ID))
 		}
-		set := latest[b.ID]
-		set.CopyFrom(frontier[b.ID])
-		set.Intersect(u.AntLoc[b.ID])
-		set.UnionDiff(frontier[b.ID], tmp)
+		set := latest.Row(b.ID)
+		set.CopyFrom(frontier.Row(b.ID))
+		set.Intersect(u.AntLoc.Row(b.ID))
+		set.UnionDiff(frontier.Row(b.ID), tmp)
 	}
 
 	// Isolation pruning (backward, any-path): is the temporary used on
 	// some path after the block?
 	uin, uout := r.family(), r.family()
 	dataflow.SolveBackward(rpo, dataflow.MeetAny, uout, uin,
-		func(b *ir.Block, out, dst *dataflow.BitSet) {
+		func(b *ir.Block, out, dst dataflow.BitSet) {
 			dst.CopyFrom(out)
-			dst.Union(u.AntLoc[b.ID])
-			dst.Subtract(latest[b.ID])
+			dst.Union(u.AntLoc.Row(b.ID))
+			dst.Subtract(latest.Row(b.ID))
 		})
 
 	// Insert and replace decisions per block.  An expression whose only
@@ -115,12 +111,12 @@ func lcmRound(r *round) {
 	insertHere, replaceHere := r.family(), r.family()
 	interesting := r.sets.Set(n)
 	for _, b := range f.Blocks {
-		ins := insertHere[b.ID]
-		ins.CopyFrom(latest[b.ID])
-		ins.Intersect(uout[b.ID])
+		ins := insertHere.Row(b.ID)
+		ins.CopyFrom(latest.Row(b.ID))
+		ins.Intersect(uout.Row(b.ID))
 		interesting.Union(ins)
-		tmp.AndNotOf(latest[b.ID], uout[b.ID])
-		replaceHere[b.ID].AndNotOf(u.AntLoc[b.ID], tmp)
+		tmp.AndNotOf(latest.Row(b.ID), uout.Row(b.ID))
+		replaceHere.Row(b.ID).AndNotOf(u.AntLoc.Row(b.ID), tmp)
 	}
 	if interesting.Empty() {
 		return
@@ -131,7 +127,7 @@ func lcmRound(r *round) {
 	// Perform insertions at block tops, after any φs and the enter.
 	for _, b := range f.Blocks {
 		pos := topPos(b)
-		insertHere[b.ID].ForEach(func(e int) {
+		insertHere.Row(b.ID).ForEach(func(e int) {
 			r.insert(b, pos, e)
 			pos++
 		})
@@ -142,8 +138,8 @@ func lcmRound(r *round) {
 	// at kills, so occurrences past the first kill stay untouched (they
 	// are not upward-exposed and the equations made no promise about
 	// them — any redundancy there is re-exposed to the next round).
-	r.rewrite(func(b *ir.Block, valid *dataflow.BitSet) {
-		valid.CopyFrom(replaceHere[b.ID])
+	r.rewrite(func(b *ir.Block, valid dataflow.BitSet) {
+		valid.CopyFrom(replaceHere.Row(b.ID))
 		valid.Intersect(interesting)
 	}, func(e int, valid bool) action {
 		if valid {

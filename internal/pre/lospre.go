@@ -86,14 +86,14 @@ func lospreRoundWith(r *round, forcedBudgetTrips int) {
 	// insertion may only be placed where the expression's operands are
 	// certainly defined, or checked mode would reject the output.
 	nr := u.NumRegSlots()
-	def := func(set *dataflow.BitSet, reg ir.Reg) {
+	def := func(set dataflow.BitSet, reg ir.Reg) {
 		if s := u.RegSlot(reg); s >= 0 {
 			set.Set(s)
 		}
 	}
 	defs := r.sets.Family(nb, nr)
 	for _, b := range f.Blocks {
-		set := defs[b.ID]
+		set := defs.Row(b.ID)
 		for _, inID := range b.Instrs {
 			in := b.Fn.Instr(inID)
 			if in.Op == ir.OpEnter {
@@ -105,20 +105,18 @@ func lospreRoundWith(r *round, forcedBudgetTrips int) {
 		}
 	}
 	defin, defout := r.sets.Family(nb, nr), r.sets.Family(nb, nr)
-	for _, b := range f.Blocks {
-		defout[b.ID].SetAll()
-	}
+	defout.SetAll()
 	dataflow.SolveForward(rpo, dataflow.MeetAll, defin, defout,
-		func(b *ir.Block, in, dst *dataflow.BitSet) {
+		func(b *ir.Block, in, dst dataflow.BitSet) {
 			dst.CopyFrom(in)
-			dst.Union(defs[b.ID])
+			dst.Union(defs.Row(b.ID))
 		})
-	definedAt := func(sets []*dataflow.BitSet, b *ir.Block, e int) bool {
+	definedAt := func(sets dataflow.BitMatrix, b *ir.Block, e int) bool {
 		k := u.Keys[e]
-		if k.A != ir.NoReg && !sets[b.ID].Has(u.RegSlot(k.A)) {
+		if k.A != ir.NoReg && !sets.Row(b.ID).Has(u.RegSlot(k.A)) {
 			return false
 		}
-		if k.B != ir.NoReg && !sets[b.ID].Has(u.RegSlot(k.B)) {
+		if k.B != ir.NoReg && !sets.Row(b.ID).Has(u.RegSlot(k.B)) {
 			return false
 		}
 		return true
@@ -148,7 +146,7 @@ func lospreRoundWith(r *round, forcedBudgetTrips int) {
 		spec := speculatable(u.Keys[e].Op)
 		trivial := int64(0)
 		for _, b := range f.Blocks {
-			if u.AntLoc[b.ID].Has(e) {
+			if u.AntLoc.Row(b.ID).Has(e) {
 				trivial += freq[b.ID]
 			}
 		}
@@ -162,9 +160,9 @@ func lospreRoundWith(r *round, forcedBudgetTrips int) {
 		entry := f.Entry()
 		g.addEdge(srcNode, nNode(entry), inf)
 		for _, b := range f.Blocks {
-			comp := u.Comp[b.ID].Has(e)
-			transp := u.Transp[b.ID].Has(e)
-			if !definedAt(defin, b, e) || (!spec && !antin[b.ID].Has(e)) {
+			comp := u.Comp.Row(b.ID).Has(e)
+			transp := u.Transp.Row(b.ID).Has(e)
+			if !definedAt(defin, b, e) || (!spec && !antin.Row(b.ID).Has(e)) {
 				if b != entry {
 					g.addEdge(srcNode, nNode(b), inf)
 				}
@@ -172,12 +170,12 @@ func lospreRoundWith(r *round, forcedBudgetTrips int) {
 			switch {
 			case comp:
 				g.addEdge(xNode(b), sinkNode, inf)
-			case !transp || !definedAt(defout, b, e) || (!spec && !antout[b.ID].Has(e)):
+			case !transp || !definedAt(defout, b, e) || (!spec && !antout.Row(b.ID).Has(e)):
 				g.addEdge(srcNode, xNode(b), inf)
 			default:
 				g.addEdge(nNode(b), xNode(b), freq[b.ID])
 			}
-			if u.AntLoc[b.ID].Has(e) {
+			if u.AntLoc.Row(b.ID).Has(e) {
 				g.addEdge(nNode(b), uNode(b), freq[b.ID])
 				g.addEdge(uNode(b), sinkNode, inf)
 			}
@@ -206,9 +204,9 @@ func lospreRoundWith(r *round, forcedBudgetTrips int) {
 		r.st.Transformed++
 		for _, b := range f.Blocks {
 			if !mark[nNode(b)] {
-				navail[b.ID].Set(e)
+				navail.Row(b.ID).Set(e)
 			}
-			if mark[nNode(b)] && !mark[xNode(b)] && !u.Comp[b.ID].Has(e) {
+			if mark[nNode(b)] && !mark[xNode(b)] && !u.Comp.Row(b.ID).Has(e) {
 				botIns[b.ID] = append(botIns[b.ID], e)
 			}
 		}
@@ -246,8 +244,8 @@ func lospreRoundWith(r *round, forcedBudgetTrips int) {
 	// cut proved h valid the occurrence becomes a copy; elsewhere it
 	// recomputes through h so downstream labels stay honest (the Comp
 	// forcing assumed exactly this).
-	r.rewrite(func(b *ir.Block, valid *dataflow.BitSet) {
-		valid.CopyFrom(navail[b.ID])
+	r.rewrite(func(b *ir.Block, valid dataflow.BitSet) {
+		valid.CopyFrom(navail.Row(b.ID))
 	}, func(e int, valid bool) action {
 		switch {
 		case !transformed.Has(e):

@@ -48,7 +48,7 @@
 // vectors instead of scanning every instruction; the naming
 // discipline's counts are kept across rounds, each block's share taken
 // out before a round first changes it and put back afterwards; its
-// bitset families and restricted universe reuse storage the run keeps,
+// bit matrices and restricted universe reuse storage the run keeps,
 // sized for its largest round; and the worklist solvers visit a block
 // again only when a neighbour's set changed.  What still scales with
 // the function is dense per-block work over the round's few
@@ -164,7 +164,7 @@ func RunToFixpoint(ctx context.Context, f *ir.Func, ac *analysis.Cache, s Strate
 // The rest of what a round needs is kept too, so that a later round
 // costs what it solves: the counts the canonical destinations are
 // decided from (patched from the blocks a round touched), and the
-// storage of the round's bitset families, its restricted universe and
+// storage of the round's bit matrices, its restricted universe and
 // its per-expression and per-block tables, sized for the largest round
 // so far.
 type driver struct {
@@ -376,9 +376,9 @@ type round struct {
 	counts *canonCounts
 }
 
-// family returns a block-indexed family of empty sets over the round's
+// family returns a block-indexed matrix of empty sets over the round's
 // expressions.
-func (r *round) family() []*dataflow.BitSet {
+func (r *round) family() dataflow.BitMatrix {
 	return r.sets.Family(len(r.f.Blocks), r.u.NumExprs())
 }
 
@@ -441,7 +441,7 @@ const (
 // expression; decide picks the action for every original occurrence of
 // an expression given whether its temporary is valid there; and
 // definitions of operands (plus memory writes, for loads) clear it.
-func (r *round) rewrite(start func(b *ir.Block, valid *dataflow.BitSet), decide func(e int, valid bool) action) {
+func (r *round) rewrite(start func(b *ir.Block, valid dataflow.BitSet), decide func(e int, valid bool) action) {
 	f, u := r.f, r.u
 	valid := r.sets.Set(u.NumExprs())
 	for _, b := range f.Blocks {

@@ -119,13 +119,13 @@ func TestKeptUniverseMatchesRebuild(t *testing.T) {
 						for _, b := range f.Blocks {
 							for _, prop := range []struct {
 								what        string
-								fresh, kept []*dataflow.BitSet
+								fresh, kept dataflow.BitMatrix
 							}{
 								{"TRANSP", fresh.Transp, p.u.Transp},
 								{"ANTLOC", fresh.AntLoc, p.u.AntLoc},
 								{"COMP", fresh.Comp, p.u.Comp},
 							} {
-								if prop.fresh[b.ID].Has(e) != prop.kept[b.ID].Has(kept) {
+								if prop.fresh.Row(b.ID).Has(e) != prop.kept.Row(b.ID).Has(kept) {
 									t.Fatalf("%s %s round %d: %s of %s in %s differs from a rebuild\n%s", name, f.Name, round, prop.what, k, b.Name, f)
 								}
 							}

@@ -160,8 +160,9 @@ func buildInterference(f *ir.Func) (*graph, map[ir.Reg]bool) {
 			}
 		}
 	}
+	live := dataflow.NewBitSet(f.NumRegs())
 	for _, b := range f.Blocks {
-		live := lv.LiveOut[b.ID].Copy()
+		live.CopyFrom(lv.LiveOut.Row(b.ID))
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
 			in := b.Instr(i)
 			defs := []ir.Reg(nil)

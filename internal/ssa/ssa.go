@@ -104,7 +104,7 @@ func BuildWith(f *ir.Func, opt BuildOptions, ac *analysis.Cache) {
 				if placedAt[d.ID] == gen {
 					continue
 				}
-				if opt.Prune && !lv.LiveIn[d.ID].Has(int(v)) {
+				if opt.Prune && !lv.LiveIn.Row(d.ID).Has(int(v)) {
 					continue
 				}
 				placedAt[d.ID] = gen
@@ -304,7 +304,7 @@ func DestructWith(f *ir.Func, ac *analysis.Cache) {
 			if t == s {
 				continue
 			}
-			if lv.LiveIn[t.ID].Has(int(d)) {
+			if lv.LiveIn.Row(t.ID).Has(int(d)) {
 				return true
 			}
 			pi := t.PredIndex(p)
