@@ -31,15 +31,25 @@ const (
 	bottom = 3
 )
 
+// value is one lattice cell: 16 bytes, because a float constant keeps
+// its bits in the integer word.  Two cells are equal exactly when they
+// are the same lattice element.
 type value struct {
 	kind int8
-	i    int64
-	f    float64
+	i    int64 // an integer constant, or a float constant's bits
 }
+
+func constF(x float64) value { return value{kind: constf, i: int64(math.Float64bits(x))} }
+
+// f returns a float constant's value.
+func (v value) f() float64 { return math.Float64frombits(uint64(v.i)) }
 
 func (v value) isConst() bool { return v.kind == consti || v.kind == constf }
 
-// meet combines two lattice values.
+// meet combines two lattice values.  Constants meet to themselves only
+// when their kind and bit pattern agree: +0.0 and −0.0 compare equal but
+// are different constants, and a NaN is the same constant as a NaN with
+// its bits.
 func meet(a, b value) value {
 	switch {
 	case a.kind == top:
@@ -48,9 +58,7 @@ func meet(a, b value) value {
 		return a
 	case a.kind == bottom || b.kind == bottom:
 		return value{kind: bottom}
-	case a.kind == b.kind && a.i == b.i && (a.kind != constf || a.f == b.f):
-		return a
-	case a.kind == constf && b.kind == constf && a.f == b.f:
+	case a == b:
 		return a
 	default:
 		return value{kind: bottom}
@@ -193,7 +201,7 @@ func RunWith(f *ir.Func, ac *analysis.Cache) Stats {
 			if v.kind == consti {
 				b.Instrs[i] = f.NewLoadI(instr.Dst, v.i).ID()
 			} else {
-				b.Instrs[i] = f.NewLoadF(instr.Dst, v.f).ID()
+				b.Instrs[i] = f.NewLoadF(instr.Dst, v.f()).ID()
 			}
 			st.Folded++
 		}
@@ -249,7 +257,7 @@ func evalInstr(in *ir.Instr, s state, local []int) value {
 	case ir.OpLoadI:
 		return set(value{kind: consti, i: in.Imm})
 	case ir.OpLoadF:
-		return set(value{kind: constf, f: in.FImm})
+		return set(constF(in.FImm))
 	case ir.OpCopy:
 		return set(s[local[in.Args[0]]])
 	case ir.OpPhi:
@@ -303,7 +311,7 @@ func evalInstr(in *ir.Instr, s state, local []int) value {
 // or modulus by zero refuses to fold (the runtime will trap).
 func foldOp(op ir.Op, a []value) (value, bool) {
 	ci := func(x int64) (value, bool) { return value{kind: consti, i: x}, true }
-	cf := func(x float64) (value, bool) { return value{kind: constf, f: x}, true }
+	cf := func(x float64) (value, bool) { return constF(x), true }
 	b2i := func(x bool) (value, bool) {
 		if x {
 			return ci(1)
@@ -351,27 +359,27 @@ func foldOp(op ir.Op, a []value) (value, bool) {
 		}
 		return ci(a[0].i)
 	case ir.OpFAdd:
-		return cf(a[0].f + a[1].f)
+		return cf(a[0].f() + a[1].f())
 	case ir.OpFSub:
-		return cf(a[0].f - a[1].f)
+		return cf(a[0].f() - a[1].f())
 	case ir.OpFMul:
-		return cf(a[0].f * a[1].f)
+		return cf(a[0].f() * a[1].f())
 	case ir.OpFDiv:
-		return cf(a[0].f / a[1].f)
+		return cf(a[0].f() / a[1].f())
 	case ir.OpFNeg:
-		return cf(-a[0].f)
+		return cf(-a[0].f())
 	case ir.OpFMin:
-		return cf(math.Min(a[0].f, a[1].f))
+		return cf(math.Min(a[0].f(), a[1].f()))
 	case ir.OpFMax:
-		return cf(math.Max(a[0].f, a[1].f))
+		return cf(math.Max(a[0].f(), a[1].f()))
 	case ir.OpSqrt:
-		return cf(math.Sqrt(a[0].f))
+		return cf(math.Sqrt(a[0].f()))
 	case ir.OpFAbs:
-		return cf(math.Abs(a[0].f))
+		return cf(math.Abs(a[0].f()))
 	case ir.OpI2F:
 		return cf(float64(a[0].i))
 	case ir.OpF2I:
-		return ci(int64(a[0].f))
+		return ci(int64(a[0].f()))
 	case ir.OpCmpEQ:
 		return b2i(a[0].i == a[1].i)
 	case ir.OpCmpNE:
@@ -385,17 +393,17 @@ func foldOp(op ir.Op, a []value) (value, bool) {
 	case ir.OpCmpGE:
 		return b2i(a[0].i >= a[1].i)
 	case ir.OpFCmpEQ:
-		return b2i(a[0].f == a[1].f)
+		return b2i(a[0].f() == a[1].f())
 	case ir.OpFCmpNE:
-		return b2i(a[0].f != a[1].f)
+		return b2i(a[0].f() != a[1].f())
 	case ir.OpFCmpLT:
-		return b2i(a[0].f < a[1].f)
+		return b2i(a[0].f() < a[1].f())
 	case ir.OpFCmpLE:
-		return b2i(a[0].f <= a[1].f)
+		return b2i(a[0].f() <= a[1].f())
 	case ir.OpFCmpGT:
-		return b2i(a[0].f > a[1].f)
+		return b2i(a[0].f() > a[1].f())
 	case ir.OpFCmpGE:
-		return b2i(a[0].f >= a[1].f)
+		return b2i(a[0].f() >= a[1].f())
 	}
 	return value{}, false
 }
@@ -413,7 +421,7 @@ func Fold(op ir.Op, ints []int64, floats []float64, isFloat []bool) (int64, floa
 	args := argbuf[:len(ints)]
 	for i := range args {
 		if isFloat[i] {
-			args[i] = value{kind: constf, f: floats[i]}
+			args[i] = constF(floats[i])
 		} else {
 			args[i] = value{kind: consti, i: ints[i]}
 		}
@@ -422,5 +430,8 @@ func Fold(op ir.Op, ints []int64, floats []float64, isFloat []bool) (int64, floa
 	if !ok {
 		return 0, 0, false, false
 	}
-	return v.i, v.f, v.kind == constf, true
+	if v.kind == constf {
+		return 0, v.f(), true, true
+	}
+	return v.i, 0, false, true
 }

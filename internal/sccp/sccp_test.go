@@ -1,6 +1,7 @@
 package sccp_test
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/interp"
@@ -282,5 +283,103 @@ b1:
 	}
 	if st.Folded != 1 {
 		t.Errorf("Folded = %d, want 1 (4+4)\n%s", st.Folded, f)
+	}
+}
+
+// TestSignedZerosDoNotMeet: +0.0 and −0.0 compare equal but are
+// different constants (1/+0 is +Inf, 1/−0 is −Inf), so where the two
+// meet the register is not a constant and the division must not fold.
+func TestSignedZerosDoNotMeet(t *testing.T) {
+	const src = `
+func f(r1) {
+b0:
+    enter(r1)
+    loadI 0 => r5
+    cmpGT r1, r5 => r6
+    cbr r6 -> b1, b2
+b1:
+    loadF 0.0 => r2
+    jump -> b3
+b2:
+    loadF -0.0 => r2
+    jump -> b3
+b3:
+    loadF 1.0 => r3
+    fdiv r3, r2 => r4
+    ret r4
+}
+`
+	f := ir.MustParseFunc(src)
+	sccp.Run(f)
+	for arg, want := range map[int64]float64{1: math.Inf(1), -1: math.Inf(-1)} {
+		if got := run(t, f, arg); got.F != want {
+			t.Errorf("f(%d) = %v, want %v\n%s", arg, got.F, want, f)
+		}
+	}
+	if countOps(f, ir.OpFDiv) != 1 {
+		t.Errorf("division by a signed zero folded\n%s", f)
+	}
+}
+
+// TestEqualNaNsMeet: constants meet by bit pattern, so a NaN that
+// reaches a join with the same bits on every path stays a constant
+// (it is not ⊥ merely because NaN ≠ NaN), and its use folds.
+func TestEqualNaNsMeet(t *testing.T) {
+	const src = `
+func f(r1) {
+b0:
+    enter(r1)
+    cbr r1 -> b1, b2
+b1:
+    loadF 0.0 => r7
+    fdiv r7, r7 => r2
+    jump -> b3
+b2:
+    loadF 0.0 => r8
+    fdiv r8, r8 => r2
+    jump -> b3
+b3:
+    loadF 1.0 => r3
+    fadd r2, r3 => r4
+    ret r4
+}
+`
+	f := ir.MustParseFunc(src)
+	sccp.Run(f)
+	if countOps(f, ir.OpFAdd) != 0 {
+		t.Errorf("NaN + 1 at the join not folded\n%s", f)
+	}
+	if err := ir.Verify(ir.MustParseFunc(f.String())); err != nil {
+		t.Fatalf("folded function does not round-trip: %v\n%s", err, f)
+	}
+	for _, arg := range []int64{0, 1} {
+		if got := run(t, f, arg); !math.IsNaN(got.F) {
+			t.Errorf("f(%d) = %v, want NaN", arg, got.F)
+		}
+	}
+	// A NaN carried around a loop meets itself at the header on every
+	// visit; the propagation must see no change and stop.
+	const loop = `
+func g(r1) {
+b0:
+    enter(r1)
+    loadF 0.0 => r7
+    fdiv r7, r7 => r2
+    jump -> b1
+b1:
+    fadd r2, r2 => r3
+    loadI 1 => r4
+    sub r1, r4 => r1
+    cbr r1 -> b1, b2
+b2:
+    ret r3
+}
+`
+	g := ir.MustParseFunc(loop)
+	if st := sccp.Run(g); st.Folded != 2 {
+		t.Errorf("Folded = %d, want 2 (0/0 and NaN+NaN)\n%s", st.Folded, g)
+	}
+	if got := run(t, g, 3); !math.IsNaN(got.F) {
+		t.Errorf("g(3) = %v, want NaN", got.F)
 	}
 }
