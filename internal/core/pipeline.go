@@ -228,7 +228,7 @@ func Passes(names ...string) ([]Pass, error) {
 func AllPasses() []Pass {
 	return []Pass{
 		{"sccp", func(pc *PassContext) any {
-			return sccp.RunWith(pc.Func, pc.Analyses)
+			return sccp.RunWith(pc.Ctx, pc.Func, pc.Analyses)
 		}},
 		{"peephole", func(pc *PassContext) any {
 			return peephole.Run(pc.Func, peephole.Options{})

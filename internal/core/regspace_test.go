@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataflow"
 	"repro/internal/ir"
+	"repro/internal/sccp"
 )
 
 // diamondChain renders a function of n if/else diamonds in sequence,
@@ -118,5 +119,76 @@ func TestTailPassStateIgnoresUnusedRegisters(t *testing.T) {
 					tc.pass, own, total, len(padded.Blocks), padded.NumRegs(), tc.bound)
 			}
 		})
+	}
+}
+
+// TestSCCPStateIgnoresBlockLocalRegisters pads a 79-block function
+// with 20000 temporaries, each defined and read inside one block, and
+// runs SCCP.  Only registers that carry a value into a block need a
+// cell at each block entry, so the pass must allocate well under the
+// blocks × temporaries cells a state over every named register needs
+// (about 38 MB here), and it must fold exactly what it folds on the
+// unpadded function.
+func TestSCCPStateIgnoresBlockLocalRegisters(t *testing.T) {
+	const pad, base = 20000, 300
+	src := diamondChain(25)
+	p, err := core.PassByName("sccp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(f *ir.Func) (st sccp.Stats) {
+		st, _ = p.Run(&core.PassContext{Ctx: context.Background(), Func: f, Analyses: analysis.NewCache(f)}).(sccp.Stats)
+		return st
+	}
+
+	// Spread the temporaries over the blocks, just before each
+	// terminator: loadI k => rT; copy rT => rSink.
+	lines := strings.Split(src, "\n")
+	var terms []int
+	for i, l := range lines {
+		if strings.HasPrefix(l, "    jump") || strings.HasPrefix(l, "    cbr") || strings.HasPrefix(l, "    ret") {
+			terms = append(terms, i)
+		}
+	}
+	padding := make(map[int][]string)
+	isPad := make(map[string]bool)
+	for k := range pad {
+		at := terms[k%len(terms)]
+		for _, l := range []string{fmt.Sprintf("    loadI %d => r%d", k, base+1+k), fmt.Sprintf("    copy r%d => r%d", base+1+k, base)} {
+			padding[at] = append(padding[at], l)
+			isPad[l] = true
+		}
+	}
+	var sb strings.Builder
+	for i, l := range lines {
+		for _, p := range padding[i] {
+			sb.WriteString(p + "\n")
+		}
+		sb.WriteString(l + "\n")
+	}
+
+	plain := ir.MustParseFunc(src)
+	want := run(plain)
+	if want.Folded == 0 {
+		t.Fatal("sccp folded nothing on the test function")
+	}
+	padded := ir.MustParseFunc(sb.String())
+	var got sccp.Stats
+	total := allocated(func() { got = run(padded) })
+	if got != want {
+		t.Errorf("padding changed what sccp did: %+v, want %+v", got, want)
+	}
+	var kept []string
+	for _, l := range strings.Split(padded.String(), "\n") {
+		if !isPad[l] {
+			kept = append(kept, l)
+		}
+	}
+	if got, want := strings.Join(kept, "\n"), plain.String(); got != want {
+		t.Errorf("padding changed the output:\n%s\nwant:\n%s", got, want)
+	}
+	t.Logf("sccp: %d bytes allocated on %d blocks × %d registers", total, len(padded.Blocks), padded.NumRegs())
+	if total > 1<<20 {
+		t.Errorf("sccp allocated %d bytes on %d blocks × %d registers, bound %d", total, len(padded.Blocks), padded.NumRegs(), 1<<20)
 	}
 }

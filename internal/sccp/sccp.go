@@ -4,18 +4,26 @@
 //
 // The implementation is a dense conditional constant propagation over
 // the CFG, not Wegman and Zadeck's sparse SSA algorithm: a lattice value
-// (⊤ unvisited / constant / ⊥) is tracked at every block entry for each
-// register some instruction names — registers are renumbered densely
-// first, so the state does not grow with unused register numbers —
-// blocks are processed from a LIFO worklist, and branch edges are
-// marked executable only when the branch condition does not rule them
-// out.  A φ meets all of its operands, ignoring which edge each comes
-// from.  Instructions whose results are constant are rewritten to
+// (⊤ unvisited / constant / ⊥) is tracked at every block entry, and
+// branch edges are marked executable only when the branch condition
+// does not rule them out.  Entry states cover only the global names, in
+// the sense of Briggs et al. (SPE 1998): registers some block reads
+// before it writes them, and φ operands.  A block-local register is
+// always written before it is read, so it lives only in the one
+// evaluation buffer, and the state does not grow with temporaries or
+// unused register numbers.  Blocks are evaluated in reverse-postorder
+// sweeps, each visiting the blocks whose entry state or executable
+// in-edges changed.  Constants meet by kind and bit pattern, which
+// makes the lattice a semilattice, so on code that reads no undefined
+// register the fixpoint does not depend on the visiting order.  A φ
+// meets all of its operands, ignoring which edge each comes from.
+// Instructions whose results are constant are rewritten to
 // loadI/loadF; conditional branches with constant conditions become
 // jumps and unreachable code is removed.
 package sccp
 
 import (
+	"context"
 	"math"
 	"slices"
 
@@ -90,88 +98,87 @@ type Stats struct {
 
 // Run performs conditional constant propagation on f in place.
 func Run(f *ir.Func) Stats {
-	return RunWith(f, analysis.NewCache(f))
+	return RunWith(context.Background(), f, analysis.NewCache(f))
 }
 
-// RunWith is Run drawing CFG analyses from the given cache.
-func RunWith(f *ir.Func, ac *analysis.Cache) Stats {
+// RunWith is Run drawing CFG analyses from the given cache.  It checks
+// ctx before it starts and between sweeps; once ctx is done it returns
+// without rewriting any instruction.
+func RunWith(ctx context.Context, f *ir.Func, ac *analysis.Cache) Stats {
 	var st Stats
+	if ctx.Err() != nil {
+		return st
+	}
 	st.BlocksRemoved = ac.RemoveUnreachable()
 	nb := len(f.Blocks)
 
-	// Dense local numbering: every register an instruction names gets a
-	// slot in 1..nr-1 (slot 0 stands for NoReg and is never read), and
-	// every CFG edge b→s a slot in b's run of edgeBase.  A register no
-	// instruction mentions is never read or written, so states hold
-	// cells only for the registers the function touches.
-	local := ac.BorrowInts(f.NumRegs())
-	defer ac.ReturnInts(local)
-	nr := 1
+	slot := ac.BorrowInts(f.NumRegs())
+	defer ac.ReturnInts(slot)
+	ng, nr := numberRegs(f, slot)
+
+	// Every CFG edge b→s gets a slot in b's run of edgeBase.
 	edgeBase := make([]int, nb+1)
 	for _, b := range f.Blocks {
 		edgeBase[b.ID+1] = len(b.Succs)
-		for _, instrID := range b.Instrs {
-			instr := b.Fn.Instr(instrID)
-			if instr.Dst != ir.NoReg && local[instr.Dst] == 0 {
-				local[instr.Dst] = nr
-				nr++
-			}
-			for _, a := range instr.Args {
-				if local[a] == 0 {
-					local[a] = nr
-					nr++
-				}
-			}
-		}
 	}
 	for i := range nb {
 		edgeBase[i+1] += edgeBase[i]
 	}
 
-	// One backing array holds every block's entry state; out is a
-	// single reused evaluation buffer (its contents are dead once the
-	// successors have been met into).
-	backing := make([]value, nb*nr)
-	in := make([]state, nb)
-	for i := range in {
-		in[i] = backing[i*nr : (i+1)*nr : (i+1)*nr]
-	}
+	// One backing array holds every block's entry state over the global
+	// names; out is a single reused evaluation buffer over all names
+	// (its contents are dead once the successors have been met into).
+	backing := make([]value, nb*ng)
+	entry := func(b *ir.Block) state { return backing[b.ID*ng : (b.ID+1)*ng : (b.ID+1)*ng] }
 	out := make(state, nr)
 	edgeExec := make([]bool, edgeBase[nb])
-	blockSeen := make([]bool, nb)
+	// seen marks the blocks an executable edge reaches (and the entry);
+	// pending those whose entry state or executable in-edges changed
+	// since they were last evaluated.
+	flags := make([]bool, 2*nb)
+	seen, pending := flags[:nb], flags[nb:]
 
-	work := []*ir.Block{f.Entry()}
-	blockSeen[f.Entry().ID] = true
-	for len(work) > 0 {
-		b := work[len(work)-1]
-		work = work[:len(work)-1]
-		copy(out, in[b.ID])
-		var condVal value
-		for _, instrID := range b.Instrs {
-			instr := b.Fn.Instr(instrID)
-			condVal = evalInstr(instr, out, local)
+	seen[f.Entry().ID], pending[f.Entry().ID] = true, true
+	rpo := ac.RPO()
+	for queued := 1; queued > 0; {
+		if ctx.Err() != nil {
+			return st
 		}
-		t := b.Terminator()
-		push := func(s *ir.Block) {
-			// A repeated successor shares its first occurrence's slot,
-			// so the edge b→s is one flag however often s is listed.
-			e := edgeBase[b.ID] + slices.Index(b.Succs, s)
-			changedEdge := !edgeExec[e]
-			edgeExec[e] = true
-			if in[s.ID].meetInto(out) || changedEdge || !blockSeen[s.ID] {
-				blockSeen[s.ID] = true
-				work = append(work, s)
+		for _, b := range rpo {
+			if !pending[b.ID] {
+				continue
 			}
-		}
-		if t != nil && t.Op == ir.OpCBr && condVal.kind == consti {
-			if condVal.i != 0 {
-				push(b.Succs[0])
+			pending[b.ID] = false
+			queued--
+			copy(out, entry(b))
+			var condVal value
+			for _, instrID := range b.Instrs {
+				condVal = evalInstr(b.Fn.Instr(instrID), out, slot)
+			}
+			push := func(s *ir.Block) {
+				// A repeated successor shares its first occurrence's slot,
+				// so the edge b→s is one flag however often s is listed.
+				e := edgeBase[b.ID] + slices.Index(b.Succs, s)
+				newEdge := !edgeExec[e]
+				edgeExec[e] = true
+				if entry(s).meetInto(out) || newEdge {
+					seen[s.ID] = true
+					if !pending[s.ID] {
+						pending[s.ID] = true
+						queued++
+					}
+				}
+			}
+			if t := b.Terminator(); t != nil && t.Op == ir.OpCBr && condVal.kind == consti {
+				if condVal.i != 0 {
+					push(b.Succs[0])
+				} else {
+					push(b.Succs[1])
+				}
 			} else {
-				push(b.Succs[1])
-			}
-		} else {
-			for _, s := range b.Succs {
-				push(s)
+				for _, s := range b.Succs {
+					push(s)
+				}
 			}
 		}
 	}
@@ -179,13 +186,13 @@ func RunWith(f *ir.Func, ac *analysis.Cache) Stats {
 	// Rewrite: replace constant-valued pure instructions, then fix
 	// branches whose conditions are known.
 	for _, b := range f.Blocks {
-		if !blockSeen[b.ID] {
+		if !seen[b.ID] {
 			continue
 		}
-		copy(out, in[b.ID])
+		copy(out, entry(b))
 		for i, instrID := range b.Instrs {
 			instr := b.Fn.Instr(instrID)
-			evalInstr(instr, out, local)
+			evalInstr(instr, out, slot)
 			// Copies are never rewritten: re-materializing a constant
 			// at each copy would undo PRE's hoisting of loadI out of
 			// loops (the copy is the coalescer's business).  Constant
@@ -194,7 +201,7 @@ func RunWith(f *ir.Func, ac *analysis.Cache) Stats {
 				instr.Op == ir.OpPhi || instr.Op == ir.OpCopy {
 				continue
 			}
-			v := out[local[instr.Dst]]
+			v := out[slot[instr.Dst]]
 			if !v.isConst() {
 				continue
 			}
@@ -206,7 +213,7 @@ func RunWith(f *ir.Func, ac *analysis.Cache) Stats {
 			st.Folded++
 		}
 		if t := b.Terminator(); t != nil && t.Op == ir.OpCBr {
-			v := out[local[t.Args[0]]]
+			v := out[slot[t.Args[0]]]
 			if v.kind == consti {
 				keep := b.Succs[0]
 				drop := b.Succs[1]
@@ -236,22 +243,91 @@ func RunWith(f *ir.Func, ac *analysis.Cache) Stats {
 	return st
 }
 
+// numberRegs gives every register an instruction names a slot in slot
+// (which must arrive zeroed; slot 0 stands for NoReg and is never read)
+// and returns the bounds of two ranges.  Global names — registers some
+// block reads before it writes them, and φ operands — take slots
+// 1..ng-1; only they can carry a value into a block.  Block-local names
+// take slots ng..nr-1; every read of one follows a write in the same
+// block.  While scanning, slot[r] is -1 for a global name and -(b+2)
+// for a register last written in block b.
+func numberRegs(f *ir.Func, slot []int) (ng, nr int) {
+	named, globals := 0, 0
+	for _, b := range f.Blocks {
+		here := -(b.ID + 2)
+		def := func(r ir.Reg) {
+			switch slot[r] {
+			case -1:
+			case 0:
+				named++
+				fallthrough
+			default:
+				slot[r] = here
+			}
+		}
+		for _, instrID := range b.Instrs {
+			in := b.Fn.Instr(instrID)
+			if in.Op == ir.OpEnter {
+				for _, a := range in.Args {
+					def(a)
+				}
+				continue
+			}
+			for _, a := range in.Args {
+				if s := slot[a]; s != -1 && (s != here || in.Op == ir.OpPhi) {
+					if s == 0 {
+						named++
+					}
+					slot[a] = -1
+					globals++
+				}
+			}
+			if in.Dst != ir.NoReg {
+				def(in.Dst)
+			}
+		}
+	}
+	ng, nr = 1, 1+globals
+	number := func(r ir.Reg) {
+		switch s := slot[r]; {
+		case s == -1:
+			slot[r] = ng
+			ng++
+		case s < -1:
+			slot[r] = nr
+			nr++
+		}
+	}
+	for _, b := range f.Blocks {
+		for _, instrID := range b.Instrs {
+			in := b.Fn.Instr(instrID)
+			for _, a := range in.Args {
+				number(a)
+			}
+			if in.Dst != ir.NoReg {
+				number(in.Dst)
+			}
+		}
+	}
+	return ng, nr
+}
+
 // evalInstr updates the state with the effect of one instruction and
 // returns the value of the register tested by a trailing cbr (i.e. the
 // last defined value; callers only use it for the branch condition).
-// local maps each register to its slot in s.
-func evalInstr(in *ir.Instr, s state, local []int) value {
+// slot maps each register to its cell in s.
+func evalInstr(in *ir.Instr, s state, slot []int) value {
 	bot := value{kind: bottom}
 	set := func(v value) value {
 		if in.Dst != ir.NoReg {
-			s[local[in.Dst]] = v
+			s[slot[in.Dst]] = v
 		}
 		return v
 	}
 	switch in.Op {
 	case ir.OpEnter:
 		for _, a := range in.Args {
-			s[local[a]] = bot
+			s[slot[a]] = bot
 		}
 		return bot
 	case ir.OpLoadI:
@@ -259,19 +335,19 @@ func evalInstr(in *ir.Instr, s state, local []int) value {
 	case ir.OpLoadF:
 		return set(constF(in.FImm))
 	case ir.OpCopy:
-		return set(s[local[in.Args[0]]])
+		return set(s[slot[in.Args[0]]])
 	case ir.OpPhi:
 		// φ inputs are per-edge; a flow-insensitive approximation
 		// meets all of them (correct, though weaker than SSA SCCP).
 		v := value{kind: top}
 		for _, a := range in.Args {
-			v = meet(v, s[local[a]])
+			v = meet(v, s[slot[a]])
 		}
 		return set(v)
 	case ir.OpCall, ir.OpLoadW, ir.OpLoadD, ir.OpLoadS:
 		return set(bot)
 	case ir.OpCBr:
-		return s[local[in.Args[0]]]
+		return s[slot[in.Args[0]]]
 	case ir.OpJump, ir.OpRet, ir.OpStoreW, ir.OpStoreD, ir.OpStoreS:
 		return bot
 	}
@@ -287,7 +363,7 @@ func evalInstr(in *ir.Instr, s state, local []int) value {
 	allConst := true
 	anyBottom := false
 	for i, a := range in.Args {
-		args[i] = s[local[a]]
+		args[i] = s[slot[a]]
 		if !args[i].isConst() {
 			allConst = false
 		}

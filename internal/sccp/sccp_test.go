@@ -1,9 +1,12 @@
 package sccp_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"repro/internal/analysis"
+	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/sccp"
@@ -381,5 +384,63 @@ b2:
 	}
 	if got := run(t, g, 3); !math.IsNaN(got.F) {
 		t.Errorf("g(3) = %v, want NaN", got.F)
+	}
+}
+
+// errAfter is a context that reports done from its n-th Err call on.
+type errAfter struct {
+	context.Context
+	n int
+}
+
+func (c *errAfter) Err() error {
+	if c.n--; c.n <= 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCancelledContextRewritesNothing: SCCP checks its context before
+// it starts and between sweeps, and a run that finds it done rewrites
+// nothing, though the function holds foldable code.
+func TestCancelledContextRewritesNothing(t *testing.T) {
+	const src = `
+func f(r1) {
+b0:
+    enter(r1)
+    loadI 3 => r2
+    loadI 4 => r3
+    jump -> b1
+b1:
+    add r2, r3 => r4
+    sub r1, r4 => r1
+    cmpGT r1, r4 => r5
+    cbr r5 -> b1, b2
+b2:
+    mul r4, r4 => r6
+    ret r6
+}
+`
+	p, err := core.PassByName("sccp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	// The loop needs a second sweep, so the third Err call falls
+	// between sweeps.
+	for name, ctx := range map[string]context.Context{
+		"before":  cancelled,
+		"between": &errAfter{Context: context.Background(), n: 3},
+	} {
+		f := ir.MustParseFunc(src)
+		gen := f.CodeGeneration()
+		p.Run(&core.PassContext{Ctx: ctx, Func: f, Analyses: analysis.NewCache(f)})
+		if f.CodeGeneration() != gen {
+			t.Errorf("%s: cancelled context rewrote the function\n%s", name, f)
+		}
+		if st := sccp.Run(f); st.Folded != 2 {
+			t.Errorf("%s: live context folded %d instructions, want 2 (3+4 and 7*7)\n%s", name, st.Folded, f)
+		}
 	}
 }
