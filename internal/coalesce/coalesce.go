@@ -41,11 +41,11 @@ func RunWith(f *ir.Func, ac *analysis.Cache) Stats {
 			}
 		}
 	}
-	g := &interference{pairs: make(map[uint64]struct{})}
+	var g interference
 	var c candidates
 	for {
 		st.Rounds++
-		merged := coalesceRound(f, ac, &c, g, &st)
+		merged := coalesceRound(f, ac, &c, &g, &st)
 		if !merged {
 			return st
 		}
@@ -101,20 +101,24 @@ func (c *candidates) index(r ir.Reg) int {
 }
 
 // interference is a sparse symmetric adjacency over candidate
-// indices: a hash set of packed index pairs answers membership, and an
+// indices: a pairSet of packed index pairs answers membership, and an
 // index-linked edge list drives neighbor iteration.  Edges live in two
 // flat arrays (to, next) threaded through per-candidate head indices,
 // so adding an edge never allocates beyond the amortized growth of
 // those arrays — per-candidate append slices would pay a
-// grow-allocation per candidate instead.  All storage survives round
-// over round (reset, not reallocated).
+// grow-allocation per candidate instead.  Every structure is linear in
+// the number of edges or candidates (a candidates² bit matrix would
+// need gigabytes for one function with 10^5 copies), and all storage
+// survives round over round (reset, not reallocated).
 type interference struct {
-	pairs map[uint64]struct{}
+	pairs pairSet
 	head  []int32 // first edge index per candidate, -1 when none
 	to    []int32
 	next  []int32
 }
 
+// pairKey packs two candidate indices, smaller first.  Candidates are
+// numbered from 1, so a key is never 0.
 func pairKey(a, b int) uint64 {
 	if a > b {
 		a, b = b, a
@@ -122,9 +126,64 @@ func pairKey(a, b int) uint64 {
 	return uint64(a)<<32 | uint64(b)
 }
 
+// pairSet is an open-addressing hash set of nonzero keys: linear
+// probing over a power-of-two table kept at most half full, with 0
+// marking an empty slot.  reset empties it and keeps the table, so a
+// run sizes it once for its largest round.
+type pairSet struct {
+	slots []uint64
+	n     int
+	shift uint8 // 64 - log2(len(slots))
+}
+
+func (s *pairSet) reset() {
+	clear(s.slots)
+	s.n = 0
+}
+
+// home is k's first probe: the top bits of a Fibonacci hash, so keys
+// that differ only in their high word spread as well as the rest.
+func (s *pairSet) home(k uint64) int { return int((k * 0x9e3779b97f4a7c15) >> s.shift) }
+
+func (s *pairSet) has(k uint64) bool {
+	if s.n == 0 {
+		return false
+	}
+	for i := s.home(k); s.slots[i] != 0; i = (i + 1) & (len(s.slots) - 1) {
+		if s.slots[i] == k {
+			return true
+		}
+	}
+	return false
+}
+
+// insert adds k and reports whether it was absent.
+func (s *pairSet) insert(k uint64) bool {
+	if 2*(s.n+1) > len(s.slots) {
+		old := s.slots
+		s.slots = make([]uint64, max(16, 2*len(old)))
+		s.shift = uint8(64 - bits.TrailingZeros(uint(len(s.slots))))
+		s.n = 0
+		for _, o := range old {
+			if o != 0 {
+				s.insert(o)
+			}
+		}
+	}
+	i := s.home(k)
+	for ; s.slots[i] != 0; i = (i + 1) & (len(s.slots) - 1) {
+		if s.slots[i] == k {
+			return false
+		}
+	}
+	s.slots[i] = k
+	s.n++
+	return true
+}
+
 // reset empties the graph and re-dimensions it for n candidates.
 func (g *interference) reset(n int) {
-	clear(g.pairs)
+	g.pairs.reset()
 	if cap(g.head) < n {
 		g.head = make([]int32, n)
 	} else {
@@ -141,11 +200,9 @@ func (g *interference) add(a, b int) {
 	if a == b {
 		return
 	}
-	k := pairKey(a, b)
-	if _, dup := g.pairs[k]; dup {
+	if !g.pairs.insert(pairKey(a, b)) {
 		return
 	}
-	g.pairs[k] = struct{}{}
 	g.to = append(g.to, int32(b))
 	g.next = append(g.next, g.head[a])
 	g.head[a] = int32(len(g.to) - 1)
@@ -155,8 +212,7 @@ func (g *interference) add(a, b int) {
 }
 
 func (g *interference) has(a, b int) bool {
-	_, ok := g.pairs[pairKey(a, b)]
-	return ok
+	return g.pairs.has(pairKey(a, b))
 }
 
 // union merges b's adjacency into a's (conservative after coalescing).
