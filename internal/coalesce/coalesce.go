@@ -128,17 +128,31 @@ func pairKey(a, b int) uint64 {
 
 // pairSet is an open-addressing hash set of nonzero keys: linear
 // probing over a power-of-two table kept at most half full, with 0
-// marking an empty slot.  reset empties it and keeps the table, so a
-// run sizes it once for its largest round.
+// marking an empty slot.
 type pairSet struct {
 	slots []uint64
 	n     int
 	shift uint8 // 64 - log2(len(slots))
 }
 
-func (s *pairSet) reset() {
-	clear(s.slots)
+// reset empties the set and makes room for hint keys.  A table already
+// large enough is kept, so a run sizes it once for its largest round.
+func (s *pairSet) reset(hint int) {
 	s.n = 0
+	if 2*hint <= len(s.slots) {
+		clear(s.slots)
+		return
+	}
+	size := 16
+	for size < 2*hint {
+		size *= 2
+	}
+	s.alloc(size)
+}
+
+func (s *pairSet) alloc(size int) {
+	s.slots = make([]uint64, size)
+	s.shift = uint8(64 - bits.TrailingZeros(uint(size)))
 }
 
 // home is k's first probe: the top bits of a Fibonacci hash, so keys
@@ -161,8 +175,7 @@ func (s *pairSet) has(k uint64) bool {
 func (s *pairSet) insert(k uint64) bool {
 	if 2*(s.n+1) > len(s.slots) {
 		old := s.slots
-		s.slots = make([]uint64, max(16, 2*len(old)))
-		s.shift = uint8(64 - bits.TrailingZeros(uint(len(s.slots))))
+		s.alloc(max(16, 2*len(old)))
 		s.n = 0
 		for _, o := range old {
 			if o != 0 {
@@ -183,7 +196,9 @@ func (s *pairSet) insert(k uint64) bool {
 
 // reset empties the graph and re-dimensions it for n candidates.
 func (g *interference) reset(n int) {
-	g.pairs.reset()
+	// Over the suite a function's interference pairs number about
+	// twice its candidates.
+	g.pairs.reset(4 * n)
 	if cap(g.head) < n {
 		g.head = make([]int32, n)
 	} else {

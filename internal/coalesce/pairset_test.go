@@ -5,6 +5,7 @@ import "testing"
 // TestPairSet checks the interference pair set against a map: insert,
 // membership, duplicate inserts, growth through several doublings,
 // keys that differ only in their high 32 bits, and reuse after reset.
+// A reset whose hint the table already holds keeps the table.
 func TestPairSet(t *testing.T) {
 	var s pairSet
 	if s.has(pairKey(1, 2)) {
@@ -38,7 +39,7 @@ func TestPairSet(t *testing.T) {
 			t.Fatalf("round %d: %d keys in %d slots", round, s.n, len(s.slots))
 		}
 		slots := len(s.slots)
-		s.reset()
+		s.reset(len(keys))
 		if len(s.slots) != slots {
 			t.Fatalf("reset reallocated: %d slots, was %d", len(s.slots), slots)
 		}
@@ -47,5 +48,22 @@ func TestPairSet(t *testing.T) {
 				t.Fatalf("has(%#x) after reset", k)
 			}
 		}
+	}
+}
+
+// TestPairSetResetHint: a reset makes room for its hint, so that many
+// inserts never grow the table.
+func TestPairSetResetHint(t *testing.T) {
+	var s pairSet
+	s.reset(100)
+	slots := len(s.slots)
+	if slots < 200 {
+		t.Fatalf("reset(100) made %d slots", slots)
+	}
+	for k := range uint64(100) {
+		s.insert(k<<32 | 1)
+	}
+	if len(s.slots) != slots || s.n != 100 {
+		t.Fatalf("100 keys grew the table from %d to %d slots (n = %d)", slots, len(s.slots), s.n)
 	}
 }

@@ -252,16 +252,11 @@ func RunWith(ctx context.Context, f *ir.Func, ac *analysis.Cache) Stats {
 // block.  While scanning, slot[r] is -1 for a global name and -(b+2)
 // for a register last written in block b.
 func numberRegs(f *ir.Func, slot []int) (ng, nr int) {
-	named, globals := 0, 0
+	globals := 0
 	for _, b := range f.Blocks {
 		here := -(b.ID + 2)
 		def := func(r ir.Reg) {
-			switch slot[r] {
-			case -1:
-			case 0:
-				named++
-				fallthrough
-			default:
+			if slot[r] != -1 {
 				slot[r] = here
 			}
 		}
@@ -275,9 +270,6 @@ func numberRegs(f *ir.Func, slot []int) (ng, nr int) {
 			}
 			for _, a := range in.Args {
 				if s := slot[a]; s != -1 && (s != here || in.Op == ir.OpPhi) {
-					if s == 0 {
-						named++
-					}
 					slot[a] = -1
 					globals++
 				}
