@@ -106,10 +106,9 @@ func (c *candidates) index(r ir.Reg) int {
 // flat arrays (to, next) threaded through per-candidate head indices,
 // so adding an edge never allocates beyond the amortized growth of
 // those arrays — per-candidate append slices would pay a
-// grow-allocation per candidate instead.  Every structure is linear in
-// the number of edges or candidates (a candidates² bit matrix would
-// need gigabytes for one function with 10^5 copies), and all storage
-// survives round over round (reset, not reallocated).
+// grow-allocation per candidate instead.  Memory is linear in edges (a
+// candidates² bit matrix would need gigabytes for 10^5 copies), and all
+// storage survives round over round (reset, not reallocated).
 type interference struct {
 	pairs pairSet
 	head  []int32 // first edge index per candidate, -1 when none
@@ -117,8 +116,7 @@ type interference struct {
 	next  []int32
 }
 
-// pairKey packs two candidate indices, smaller first.  Candidates are
-// numbered from 1, so a key is never 0.
+// pairKey packs two candidate indices (from 1, so never 0), smaller first.
 func pairKey(a, b int) uint64 {
 	if a > b {
 		a, b = b, a
@@ -126,68 +124,53 @@ func pairKey(a, b int) uint64 {
 	return uint64(a)<<32 | uint64(b)
 }
 
-// pairSet is an open-addressing hash set of nonzero keys: linear
-// probing over a power-of-two table kept at most half full, with 0
-// marking an empty slot.
+// pairSet is an open-addressing set of nonzero keys: linear probing in
+// a power-of-two table at most half full, 0 marking an empty slot.
 type pairSet struct {
 	slots []uint64
 	n     int
-	shift uint8 // 64 - log2(len(slots))
 }
 
-// reset empties the set and makes room for hint keys.  A table already
+// reset empties the set and makes room for hint keys; a table already
 // large enough is kept, so a run sizes it once for its largest round.
 func (s *pairSet) reset(hint int) {
 	s.n = 0
 	if 2*hint <= len(s.slots) {
 		clear(s.slots)
-		return
+	} else {
+		s.slots = make([]uint64, max(16, 1<<bits.Len(uint(2*hint-1))))
 	}
-	size := 16
-	for size < 2*hint {
-		size *= 2
-	}
-	s.alloc(size)
 }
 
-func (s *pairSet) alloc(size int) {
-	s.slots = make([]uint64, size)
-	s.shift = uint8(64 - bits.TrailingZeros(uint(size)))
+// find returns k's slot, or the empty slot where k belongs.  The first
+// probe is the top bits of a Fibonacci hash, so keys that differ only
+// in their high word spread as well as the rest.
+func (s *pairSet) find(k uint64) int {
+	mask := len(s.slots) - 1
+	i := int(k * 0x9e3779b97f4a7c15 >> (64 - bits.Len(uint(mask))))
+	for s.slots[i] != 0 && s.slots[i] != k {
+		i = (i + 1) & mask
+	}
+	return i
 }
 
-// home is k's first probe: the top bits of a Fibonacci hash, so keys
-// that differ only in their high word spread as well as the rest.
-func (s *pairSet) home(k uint64) int { return int((k * 0x9e3779b97f4a7c15) >> s.shift) }
-
-func (s *pairSet) has(k uint64) bool {
-	if s.n == 0 {
-		return false
-	}
-	for i := s.home(k); s.slots[i] != 0; i = (i + 1) & (len(s.slots) - 1) {
-		if s.slots[i] == k {
-			return true
-		}
-	}
-	return false
-}
+func (s *pairSet) has(k uint64) bool { return s.n > 0 && s.slots[s.find(k)] == k }
 
 // insert adds k and reports whether it was absent.
 func (s *pairSet) insert(k uint64) bool {
 	if 2*(s.n+1) > len(s.slots) {
 		old := s.slots
-		s.alloc(max(16, 2*len(old)))
-		s.n = 0
+		s.reset(max(8, len(old)))
 		for _, o := range old {
 			if o != 0 {
-				s.insert(o)
+				s.slots[s.find(o)] = o
+				s.n++
 			}
 		}
 	}
-	i := s.home(k)
-	for ; s.slots[i] != 0; i = (i + 1) & (len(s.slots) - 1) {
-		if s.slots[i] == k {
-			return false
-		}
+	i := s.find(k)
+	if s.slots[i] == k {
+		return false
 	}
 	s.slots[i] = k
 	s.n++
@@ -196,9 +179,7 @@ func (s *pairSet) insert(k uint64) bool {
 
 // reset empties the graph and re-dimensions it for n candidates.
 func (g *interference) reset(n int) {
-	// Over the suite a function's interference pairs number about
-	// twice its candidates.
-	g.pairs.reset(4 * n)
+	g.pairs.reset(4 * n) // suite functions average 2.2 pairs per candidate
 	if cap(g.head) < n {
 		g.head = make([]int32, n)
 	} else {

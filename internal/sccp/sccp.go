@@ -6,15 +6,13 @@
 // the CFG, not Wegman and Zadeck's sparse SSA algorithm: a lattice value
 // (⊤ unvisited / constant / ⊥) is tracked at every block entry, and
 // branch edges are marked executable only when the branch condition
-// does not rule them out.  Entry states cover only the global names, in
-// the sense of Briggs et al. (SPE 1998): registers some block reads
-// before it writes them, and φ operands.  A block-local register is
-// always written before it is read, so it lives only in the one
-// evaluation buffer, and the state does not grow with temporaries or
-// unused register numbers.  Blocks are evaluated in reverse-postorder
-// sweeps, each visiting the blocks whose entry state or executable
-// in-edges changed.  Constants meet by kind and bit pattern, which
-// makes the lattice a semilattice, so on code that reads no undefined
+// does not rule them out.  Entry states cover only global names
+// (Briggs et al., SPE 1998): registers some block reads before it
+// writes them.  Block-local registers live only in the one evaluation
+// buffer, so the state does not grow with temporaries.  Blocks are
+// evaluated in reverse-postorder sweeps, each visiting the blocks whose
+// entry state or executable in-edges changed.  Constants meet by kind
+// and bit pattern, a semilattice, so on code that reads no undefined
 // register the fixpoint does not depend on the visiting order.  A φ
 // meets all of its operands, ignoring which edge each comes from.
 // Instructions whose results are constant are rewritten to
@@ -39,9 +37,7 @@ const (
 	bottom = 3
 )
 
-// value is one lattice cell: 16 bytes, because a float constant keeps
-// its bits in the integer word.  Two cells are equal exactly when they
-// are the same lattice element.
+// value is one 16-byte lattice cell; equal cells are the same element.
 type value struct {
 	kind int8
 	i    int64 // an integer constant, or a float constant's bits
@@ -55,9 +51,7 @@ func (v value) f() float64 { return math.Float64frombits(uint64(v.i)) }
 func (v value) isConst() bool { return v.kind == consti || v.kind == constf }
 
 // meet combines two lattice values.  Constants meet to themselves only
-// when their kind and bit pattern agree: +0.0 and −0.0 compare equal but
-// are different constants, and a NaN is the same constant as a NaN with
-// its bits.
+// when kind and bits agree: +0.0 and −0.0 differ, equal NaNs do not.
 func meet(a, b value) value {
 	switch {
 	case a.kind == top:
@@ -132,24 +126,22 @@ func RunWith(ctx context.Context, f *ir.Func, ac *analysis.Cache) Stats {
 	entry := func(b *ir.Block) state { return backing[b.ID*ng : (b.ID+1)*ng : (b.ID+1)*ng] }
 	out := make(state, nr)
 	edgeExec := make([]bool, edgeBase[nb])
-	// seen marks the blocks an executable edge reaches (and the entry);
-	// pending those whose entry state or executable in-edges changed
-	// since they were last evaluated.
+	// seen marks the blocks reached; pending those whose entry state or
+	// executable in-edges changed since they were last evaluated.
 	flags := make([]bool, 2*nb)
 	seen, pending := flags[:nb], flags[nb:]
 
 	seen[f.Entry().ID], pending[f.Entry().ID] = true, true
-	rpo := ac.RPO()
-	for queued := 1; queued > 0; {
+	for swept := true; swept; {
 		if ctx.Err() != nil {
 			return st
 		}
-		for _, b := range rpo {
+		swept = false
+		for _, b := range ac.RPO() {
 			if !pending[b.ID] {
 				continue
 			}
-			pending[b.ID] = false
-			queued--
+			pending[b.ID], swept = false, true
 			copy(out, entry(b))
 			var condVal value
 			for _, instrID := range b.Instrs {
@@ -159,14 +151,8 @@ func RunWith(ctx context.Context, f *ir.Func, ac *analysis.Cache) Stats {
 				// A repeated successor shares its first occurrence's slot,
 				// so the edge b→s is one flag however often s is listed.
 				e := edgeBase[b.ID] + slices.Index(b.Succs, s)
-				newEdge := !edgeExec[e]
-				edgeExec[e] = true
-				if entry(s).meetInto(out) || newEdge {
-					seen[s.ID] = true
-					if !pending[s.ID] {
-						pending[s.ID] = true
-						queued++
-					}
+				if entry(s).meetInto(out) || !edgeExec[e] {
+					edgeExec[e], seen[s.ID], pending[s.ID] = true, true, true
 				}
 			}
 			if t := b.Terminator(); t != nil && t.Op == ir.OpCBr && condVal.kind == consti {
@@ -243,39 +229,26 @@ func RunWith(ctx context.Context, f *ir.Func, ac *analysis.Cache) Stats {
 	return st
 }
 
-// numberRegs gives every register an instruction names a slot in slot
-// (which must arrive zeroed; slot 0 stands for NoReg and is never read)
-// and returns the bounds of two ranges.  Global names — registers some
-// block reads before it writes them, and φ operands — take slots
-// 1..ng-1; only they can carry a value into a block.  Block-local names
-// take slots ng..nr-1; every read of one follows a write in the same
-// block.  While scanning, slot[r] is -1 for a global name and -(b+2)
-// for a register last written in block b.
+// numberRegs gives each register an instruction names a slot (slot
+// arrives zeroed; slot 0 stands for NoReg).  Global names — registers
+// some block reads before it writes them, φ operands and parameters —
+// take 1..ng-1; block-local names, always written before they are read,
+// take ng..nr-1.  While scanning, slot[r] is -1 for a global name and
+// -(b+2) for a register last written in block b.
 func numberRegs(f *ir.Func, slot []int) (ng, nr int) {
 	globals := 0
 	for _, b := range f.Blocks {
 		here := -(b.ID + 2)
-		def := func(r ir.Reg) {
-			if slot[r] != -1 {
-				slot[r] = here
-			}
-		}
 		for _, instrID := range b.Instrs {
 			in := b.Fn.Instr(instrID)
-			if in.Op == ir.OpEnter {
-				for _, a := range in.Args {
-					def(a)
-				}
-				continue
-			}
 			for _, a := range in.Args {
 				if s := slot[a]; s != -1 && (s != here || in.Op == ir.OpPhi) {
 					slot[a] = -1
 					globals++
 				}
 			}
-			if in.Dst != ir.NoReg {
-				def(in.Dst)
+			if in.Dst != ir.NoReg && slot[in.Dst] != -1 {
+				slot[in.Dst] = here
 			}
 		}
 	}
@@ -290,17 +263,12 @@ func numberRegs(f *ir.Func, slot []int) (ng, nr int) {
 			nr++
 		}
 	}
-	for _, b := range f.Blocks {
-		for _, instrID := range b.Instrs {
-			in := b.Fn.Instr(instrID)
-			for _, a := range in.Args {
-				number(a)
-			}
-			if in.Dst != ir.NoReg {
-				number(in.Dst)
-			}
+	f.ForEachInstr(func(_ *ir.Block, _ int, in *ir.Instr) {
+		for _, a := range in.Args {
+			number(a)
 		}
-	}
+		number(in.Dst) // slot[NoReg] stays 0
+	})
 	return ng, nr
 }
 
@@ -498,8 +466,5 @@ func Fold(op ir.Op, ints []int64, floats []float64, isFloat []bool) (int64, floa
 	if !ok {
 		return 0, 0, false, false
 	}
-	if v.kind == constf {
-		return 0, v.f(), true, true
-	}
-	return v.i, 0, false, true
+	return v.i, v.f(), v.kind == constf, true
 }
