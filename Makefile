@@ -79,12 +79,12 @@ check-suite:
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# One iteration of the PRE and whole-suite sweep benchmarks, part of
-# `check`: keeps them building and running (each op must succeed), not
-# a measurement.  -benchmem prints their B/op and allocs/op to read;
-# no figure is gated.
+# One iteration of the PRE, whole-suite sweep and baseline-tail
+# benchmarks, part of `check`: keeps them building and running (each op
+# must succeed), not a measurement.  -benchmem prints their B/op and
+# allocs/op, and the tail passes' ns/op, to read; no figure is gated.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'PRE|SuiteSweep' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'PRE|SuiteSweep|BaselineTail' -benchtime 1x -benchmem .
 
 # Performance tracking, one harness: the Go micro-benchmarks, then the
 # benchmark's three workloads (see BENCHMARK.json and perfbench/) for

@@ -106,9 +106,9 @@ func (c *candidates) index(r ir.Reg) int {
 // flat arrays (to, next) threaded through per-candidate head indices,
 // so adding an edge never allocates beyond the amortized growth of
 // those arrays — per-candidate append slices would pay a
-// grow-allocation per candidate instead.  Memory is linear in edges (a
-// candidates² bit matrix would need gigabytes for 10^5 copies), and all
-// storage survives round over round (reset, not reallocated).
+// grow-allocation per candidate instead.  Memory is linear in
+// candidates and edges (a candidates² bit matrix would need gigabytes
+// for 10^5 copies); all storage survives round over round.
 type interference struct {
 	pairs pairSet
 	head  []int32 // first edge index per candidate, -1 when none
