@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build test race vet fmt lint fuzz fuzz-smoke check-suite bench bench-smoke perfbench-test
+.PHONY: check build test race vet fmt lint fuzz fuzz-smoke check-suite bench bench-smoke perfbench-test loc
 
 check: fmt vet lint build test race fuzz-smoke check-suite perfbench-test bench-smoke
 
@@ -23,8 +23,9 @@ vet:
 
 # Repo-invariant linter (cmd/eprelint): CFG edges only written through
 # the marking helpers, deterministic pass bodies (no wall clock, no
-# map-order-dependent output), scratch-arena borrows always released.
-# Runs beside go vet; both are part of `check`.
+# map-order-dependent output), scratch-arena borrows always released,
+# analyses (RPO, dominators, loops, liveness) built only by the
+# analysis cache.  Runs beside go vet; both are part of `check`.
 lint:
 	$(GO) run ./cmd/eprelint .
 
@@ -95,3 +96,10 @@ bench:
 	for w in suite-opt serve-miss serve-cached; do \
 		bash perfbench/run.sh --workload $$w --seconds 15 --trace 0 || exit 1; \
 	done
+
+# The net-lines metric: Go lines outside perfbench/, non-test and test
+# files counted apart.  Not part of `check`.
+LOC_GO = find . \( -path ./perfbench -o -path './.*' \) -prune -o -name '*.go'
+loc:
+	@printf 'non-test %s\n' "$$($(LOC_GO) ! -name '*_test.go' -print | xargs cat | wc -l)"
+	@printf 'test     %s\n' "$$($(LOC_GO) -name '*_test.go' -print | xargs cat | wc -l)"

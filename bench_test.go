@@ -74,7 +74,7 @@ func BenchmarkTable2ForwardProp(b *testing.B) {
 				}
 				before, after := 0, 0
 				for _, f := range prog.Funcs {
-					st := reassoc.Run(f, reassoc.DefaultOptions())
+					st := reassoc.Run(f, reassoc.DefaultOptions(), analysis.NewCache(f))
 					before += st.BeforeProp
 					after += st.AfterProp
 				}
@@ -358,7 +358,7 @@ func BenchmarkAblationDupLimit(b *testing.B) {
 					b.Fatal(err)
 				}
 				for _, f := range prog.Funcs {
-					reassoc.Run(f, reassoc.Options{AllowFloat: true, MaxDupSize: lim.max})
+					reassoc.Run(f, reassoc.Options{AllowFloat: true, MaxDupSize: lim.max}, analysis.NewCache(f))
 				}
 				opt, err := core.Optimize(prog, core.LevelPartial) // gvn+pre+baseline tail
 				if err != nil {

@@ -3,8 +3,8 @@
 // file:line:col format.  It enforces the project conventions go vet
 // cannot: CFG edge lists are only written through the marking helpers,
 // pass bodies stay deterministic (no wall clock, no map-iteration
-// order reaching output), and scratch-arena borrows are always
-// released.  Exit status: 0 clean, 1 findings, 2 usage or parse error.
+// order reaching output), scratch-arena borrows are always released,
+// and analyses are built only by the analysis cache.  Exit status: 0 clean, 1 findings, 2 usage or parse error.
 //
 //	eprelint            # lint the module rooted at the cwd
 //	eprelint path/to/repo

@@ -1,7 +1,8 @@
 // Package analysis provides a per-function cache of the standard CFG
-// and dataflow analyses: reverse postorder, RPO numbering, the
-// dominator tree (with frontiers and children), the natural-loop nest,
-// and liveness.
+// and dataflow analyses: reverse postorder, the dominator tree (with
+// frontiers and children), the natural-loop nest, and liveness.  The
+// cache is the only place they are built (eprelint's analysisbuild
+// rule), so its BuildCounts are the complete count of that work.
 //
 // Results are memoized lazily and invalidated by the owning function's
 // generation counters (ir.Func.CFGGeneration / CodeGeneration): the
@@ -41,6 +42,16 @@ func (c BuildCounts) Sub(o BuildCounts) BuildCounts {
 	}
 }
 
+// Add returns c + o, field-wise.
+func (c BuildCounts) Add(o BuildCounts) BuildCounts {
+	return BuildCounts{
+		RPO:      c.RPO + o.RPO,
+		Dom:      c.Dom + o.Dom,
+		Loops:    c.Loops + o.Loops,
+		Liveness: c.Liveness + o.Liveness,
+	}
+}
+
 // Total returns the sum of all fields.
 func (c BuildCounts) Total() uint64 { return c.RPO + c.Dom + c.Loops + c.Liveness }
 
@@ -55,11 +66,10 @@ type Cache struct {
 	cfgGen  uint64
 	codeGen uint64
 
-	rpo     []*ir.Block
-	rpoNums []int
-	dom     *cfg.DomTree
-	loops   *cfg.LoopInfo
-	live    *dataflow.Liveness
+	rpo   []*ir.Block
+	dom   *cfg.DomTree
+	loops *cfg.LoopInfo
+	live  *dataflow.Liveness
 
 	// Reusable worklist buffers the passes borrow; see scratch.go.
 	scratch scratch
@@ -85,7 +95,6 @@ func (c *Cache) refresh() {
 	if g := c.fn.CFGGeneration(); g != c.cfgGen {
 		c.cfgGen = g
 		c.rpo = nil
-		c.rpoNums = nil
 		c.dom = nil
 		c.loops = nil
 	}
@@ -106,29 +115,11 @@ func (c *Cache) RPO() []*ir.Block {
 	return c.rpo
 }
 
-// RPONumbers returns the per-block-ID reverse-postorder indices (-1 for
-// unreachable blocks).  Callers must treat the slice as read-only.
-func (c *Cache) RPONumbers() []int {
-	c.refresh()
-	if c.rpoNums == nil {
-		rpo := c.RPO()
-		nums := make([]int, len(c.fn.Blocks))
-		for i := range nums {
-			nums[i] = -1
-		}
-		for i, b := range rpo {
-			nums[b.ID] = i
-		}
-		c.rpoNums = nums
-	}
-	return c.rpoNums
-}
-
 // DomTree returns the dominator tree (with frontiers).
 func (c *Cache) DomTree() *cfg.DomTree {
 	c.refresh()
 	if c.dom == nil {
-		c.dom = cfg.BuildDomTree(c.fn)
+		c.dom = cfg.BuildDomTree(c.fn, c.RPO())
 		c.counts.Dom++
 	}
 	return c.dom
@@ -160,35 +151,5 @@ func (c *Cache) Liveness() *dataflow.Liveness {
 // When nothing is removed the function's generations — and therefore
 // every cached analysis — stay valid.
 func (c *Cache) RemoveUnreachable() int {
-	return cfg.RemoveUnreachableRPO(c.fn, c.RPO())
-}
-
-// Builds snapshots the process-wide analysis construction counters.
-// Deltas between two snapshots measure how much CFG scaffolding a
-// workload actually built, cache hits excluded.
-type Builds struct {
-	RPO      uint64 `json:"rpo"`
-	Dom      uint64 `json:"dom"`
-	Loops    uint64 `json:"loops"`
-	Liveness uint64 `json:"liveness"`
-}
-
-// GlobalBuilds reads the current process-wide construction counters.
-func GlobalBuilds() Builds {
-	return Builds{
-		RPO:      cfg.RPOBuilds(),
-		Dom:      cfg.DomTreeBuilds(),
-		Loops:    cfg.LoopBuilds(),
-		Liveness: dataflow.LivenessBuilds(),
-	}
-}
-
-// Sub returns b - o, field-wise.
-func (b Builds) Sub(o Builds) Builds {
-	return Builds{
-		RPO:      b.RPO - o.RPO,
-		Dom:      b.Dom - o.Dom,
-		Loops:    b.Loops - o.Loops,
-		Liveness: b.Liveness - o.Liveness,
-	}
+	return cfg.RemoveUnreachable(c.fn, c.RPO())
 }

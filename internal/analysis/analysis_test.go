@@ -54,6 +54,11 @@ func TestCacheInvalidation(t *testing.T) {
 	f := diamond(t)
 	c := analysis.NewCache(f)
 	dom1 := c.DomTree()
+	// The dominator tree is built over the cache's own reverse
+	// postorder, so a fresh cache counts exactly one RPO build for it.
+	if got, want := c.Counts(), (analysis.BuildCounts{RPO: 1, Dom: 1}); got != want {
+		t.Errorf("Counts() after DomTree = %+v, want %+v", got, want)
+	}
 	lv1 := c.Liveness()
 
 	// Instruction-level mutation: liveness rebuilds, dom tree survives.
@@ -75,9 +80,9 @@ func TestCacheInvalidation(t *testing.T) {
 	if c.Liveness() == lv2 {
 		t.Errorf("Liveness not invalidated by structural mutation")
 	}
-	// Liveness takes its reverse postorder from the cache: one per CFG
-	// generation, reused across the instruction-level mutation.
-	// DomTree builds its RPO internally.
+	// The dominator tree and liveness share the cache's reverse
+	// postorder: one per CFG generation, reused across the
+	// instruction-level mutation.
 	want := analysis.BuildCounts{RPO: 2, Dom: 2, Liveness: 3}
 	if got := c.Counts(); got != want {
 		t.Errorf("Counts() = %+v, want %+v", got, want)

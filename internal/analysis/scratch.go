@@ -16,89 +16,57 @@ import "repro/internal/ir"
 // that escapes analysis (or whose lifetime is unclear) is simply not
 // Returned and becomes ordinary garbage.
 type scratch struct {
-	ints   [][]int
-	regs   [][]ir.Reg
-	blocks [][]*ir.Block
-	bools  [][]bool
+	ints   freeList[int]
+	regs   freeList[ir.Reg]
+	blocks freeList[*ir.Block]
+	bools  freeList[bool]
+}
+
+// freeList holds the returned buffers of one element type.
+type freeList[T any] [][]T
+
+// borrow pops the most recently returned buffer that holds n elements,
+// zeroed and cut to length n, or allocates one.
+func (l *freeList[T]) borrow(n int) []T {
+	for i := len(*l) - 1; i >= 0; i-- {
+		if buf := (*l)[i]; cap(buf) >= n {
+			*l = append((*l)[:i], (*l)[i+1:]...)
+			buf = buf[:n]
+			clear(buf)
+			return buf
+		}
+	}
+	return make([]T, n)
+}
+
+// give pushes buf back; an empty buffer is dropped.
+func (l *freeList[T]) give(buf []T) {
+	if cap(buf) > 0 {
+		*l = append(*l, buf)
+	}
 }
 
 // BorrowInts returns a zeroed []int of length n from the arena.
-func (c *Cache) BorrowInts(n int) []int {
-	for i := len(c.scratch.ints) - 1; i >= 0; i-- {
-		if buf := c.scratch.ints[i]; cap(buf) >= n {
-			c.scratch.ints = append(c.scratch.ints[:i], c.scratch.ints[i+1:]...)
-			buf = buf[:n]
-			clear(buf)
-			return buf
-		}
-	}
-	return make([]int, n)
-}
+func (c *Cache) BorrowInts(n int) []int { return c.scratch.ints.borrow(n) }
 
 // ReturnInts gives a BorrowInts buffer back to the arena.
-func (c *Cache) ReturnInts(buf []int) {
-	if cap(buf) > 0 {
-		c.scratch.ints = append(c.scratch.ints, buf)
-	}
-}
+func (c *Cache) ReturnInts(buf []int) { c.scratch.ints.give(buf) }
 
 // BorrowRegs returns a zeroed []ir.Reg of length n from the arena.
-func (c *Cache) BorrowRegs(n int) []ir.Reg {
-	for i := len(c.scratch.regs) - 1; i >= 0; i-- {
-		if buf := c.scratch.regs[i]; cap(buf) >= n {
-			c.scratch.regs = append(c.scratch.regs[:i], c.scratch.regs[i+1:]...)
-			buf = buf[:n]
-			clear(buf)
-			return buf
-		}
-	}
-	return make([]ir.Reg, n)
-}
+func (c *Cache) BorrowRegs(n int) []ir.Reg { return c.scratch.regs.borrow(n) }
 
 // ReturnRegs gives a BorrowRegs buffer back to the arena.
-func (c *Cache) ReturnRegs(buf []ir.Reg) {
-	if cap(buf) > 0 {
-		c.scratch.regs = append(c.scratch.regs, buf)
-	}
-}
+func (c *Cache) ReturnRegs(buf []ir.Reg) { c.scratch.regs.give(buf) }
 
 // BorrowBlocks returns a zeroed []*ir.Block of length n from the
 // arena — the shape of postorder stacks and block worklists.
-func (c *Cache) BorrowBlocks(n int) []*ir.Block {
-	for i := len(c.scratch.blocks) - 1; i >= 0; i-- {
-		if buf := c.scratch.blocks[i]; cap(buf) >= n {
-			c.scratch.blocks = append(c.scratch.blocks[:i], c.scratch.blocks[i+1:]...)
-			buf = buf[:n]
-			clear(buf)
-			return buf
-		}
-	}
-	return make([]*ir.Block, n)
-}
+func (c *Cache) BorrowBlocks(n int) []*ir.Block { return c.scratch.blocks.borrow(n) }
 
 // ReturnBlocks gives a BorrowBlocks buffer back to the arena.
-func (c *Cache) ReturnBlocks(buf []*ir.Block) {
-	if cap(buf) > 0 {
-		c.scratch.blocks = append(c.scratch.blocks, buf)
-	}
-}
+func (c *Cache) ReturnBlocks(buf []*ir.Block) { c.scratch.blocks.give(buf) }
 
 // BorrowBools returns a zeroed []bool of length n from the arena.
-func (c *Cache) BorrowBools(n int) []bool {
-	for i := len(c.scratch.bools) - 1; i >= 0; i-- {
-		if buf := c.scratch.bools[i]; cap(buf) >= n {
-			c.scratch.bools = append(c.scratch.bools[:i], c.scratch.bools[i+1:]...)
-			buf = buf[:n]
-			clear(buf)
-			return buf
-		}
-	}
-	return make([]bool, n)
-}
+func (c *Cache) BorrowBools(n int) []bool { return c.scratch.bools.borrow(n) }
 
 // ReturnBools gives a BorrowBools buffer back to the arena.
-func (c *Cache) ReturnBools(buf []bool) {
-	if cap(buf) > 0 {
-		c.scratch.bools = append(c.scratch.bools, buf)
-	}
-}
+func (c *Cache) ReturnBools(buf []bool) { c.scratch.bools.give(buf) }

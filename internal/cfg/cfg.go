@@ -13,7 +13,6 @@ import "repro/internal/ir"
 // ReversePostorder returns the blocks of f reachable from the entry in
 // reverse postorder.  The entry block is always first.
 func ReversePostorder(f *ir.Func) []*ir.Block {
-	rpoBuilds.Add(1)
 	seen := make([]bool, len(f.Blocks))
 	post := make([]*ir.Block, 0, len(f.Blocks))
 
@@ -44,35 +43,13 @@ func ReversePostorder(f *ir.Func) []*ir.Block {
 	return post
 }
 
-// RPONumbers returns, for each block ID, its index in reverse postorder
-// (or -1 for unreachable blocks).  These indices are the block "ranks"
-// of the paper's §3.1: the first block visited has rank 0 here (the
-// paper counts from 1; only the order matters).
-func RPONumbers(f *ir.Func) []int {
-	rpo := ReversePostorder(f)
-	nums := make([]int, len(f.Blocks))
-	for i := range nums {
-		nums[i] = -1
-	}
-	for i, b := range rpo {
-		nums[b.ID] = i
-	}
-	return nums
-}
-
 // RemoveUnreachable deletes blocks not reachable from the entry,
 // unlinking their edges (and trimming φ-operands in reachable targets).
 // It returns the number of blocks removed.  A call that removes nothing
-// leaves the function's analysis generations untouched.
-func RemoveUnreachable(f *ir.Func) int {
-	return RemoveUnreachableRPO(f, ReversePostorder(f))
-}
-
-// RemoveUnreachableRPO is RemoveUnreachable with the reachability
-// traversal supplied by the caller (typically a cached reverse
-// postorder), avoiding a redundant walk.  rpo must be a current
-// reverse postorder of f.
-func RemoveUnreachableRPO(f *ir.Func, rpo []*ir.Block) int {
+// leaves the function's analysis generations untouched.  rpo is the
+// reachability witness and must be a current reverse postorder of f
+// (analysis.Cache.RemoveUnreachable passes its cached one).
+func RemoveUnreachable(f *ir.Func, rpo []*ir.Block) int {
 	reach := make([]bool, len(f.Blocks))
 	for _, b := range rpo {
 		reach[b.ID] = true

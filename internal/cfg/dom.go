@@ -20,11 +20,10 @@ type DomTree struct {
 
 // BuildDomTree computes dominators with the Cooper–Harvey–Kennedy
 // iterative algorithm ("A Simple, Fast Dominance Algorithm") and
-// dominance frontiers with their two-finger method.
-func BuildDomTree(f *ir.Func) *DomTree {
-	domBuilds.Add(1)
-	t := &DomTree{fn: f}
-	t.rpo = ReversePostorder(f)
+// dominance frontiers with their two-finger method.  rpo must be a
+// current reverse postorder of f; the tree keeps it, read-only.
+func BuildDomTree(f *ir.Func, rpo []*ir.Block) *DomTree {
+	t := &DomTree{fn: f, rpo: rpo}
 	t.rpoNum = make([]int, len(f.Blocks))
 	for i := range t.rpoNum {
 		t.rpoNum[i] = -1

@@ -48,12 +48,12 @@ func (li *LoopInfo) Depth(b *ir.Block) int {
 
 // FindLoops identifies natural loops from back edges (edges t→h where h
 // dominates t), merging loops that share a header, and nests them.
+// Back edges are found in the reverse postorder dom was built over.
 func FindLoops(f *ir.Func, dom *DomTree) *LoopInfo {
-	loopBuilds.Add(1)
 	li := &LoopInfo{innermost: make([]*Loop, len(f.Blocks))}
 	byHeader := map[*ir.Block]*Loop{}
 
-	for _, b := range ReversePostorder(f) {
+	for _, b := range dom.rpo {
 		for _, s := range b.Succs {
 			if !dom.Dominates(s, b) {
 				continue // not a back edge

@@ -126,15 +126,11 @@ type Options struct {
 // Func runs the static analyzers on one function and returns their
 // findings.  The function should already pass ir.Verify; structurally
 // broken input may produce noisy diagnostics but never panics the
-// analyzers into reading out-of-range registers.
-func Func(f *ir.Func, opt Options) []Diagnostic {
-	return FuncWith(f, opt, analysis.NewCache(f))
-}
-
-// FuncWith is Func drawing CFG analyses from the given cache.  The
-// analyzers never mutate f, so the cache stays valid afterwards.
-func FuncWith(f *ir.Func, opt Options, ac *analysis.Cache) []Diagnostic {
-	diags := DefUseWith(f, opt.StrictSSA, ac)
+// analyzers into reading out-of-range registers.  CFG analyses come
+// from the given cache; the analyzers never mutate f, so the cache
+// stays valid afterwards.
+func Func(f *ir.Func, opt Options, ac *analysis.Cache) []Diagnostic {
+	diags := DefUse(f, opt.StrictSSA, ac)
 	if opt.Discipline {
 		diags = append(diags, Discipline(f)...)
 	}
@@ -145,7 +141,7 @@ func FuncWith(f *ir.Func, opt Options, ac *analysis.Cache) []Diagnostic {
 func Program(p *ir.Program, opt Options) []Diagnostic {
 	var diags []Diagnostic
 	for _, f := range p.Funcs {
-		diags = append(diags, Func(f, opt)...)
+		diags = append(diags, Func(f, opt, analysis.NewCache(f))...)
 	}
 	return diags
 }

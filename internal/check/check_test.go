@@ -57,7 +57,7 @@ func main(n: int): real {
 func TestDefUseCleanOnFrontEndOutput(t *testing.T) {
 	prog := compile(t, cleanSrc)
 	for _, f := range prog.Funcs {
-		if diags := check.DefUse(f, false); len(diags) != 0 {
+		if diags := check.DefUse(f, false, analysis.NewCache(f)); len(diags) != 0 {
 			t.Errorf("%s: unexpected diagnostics: %v", f.Name, diags)
 		}
 	}
@@ -65,7 +65,7 @@ func TestDefUseCleanOnFrontEndOutput(t *testing.T) {
 		p := prog.Clone()
 		for _, f := range p.Funcs {
 			pass.Run(&core.PassContext{Ctx: context.Background(), Func: f, Analyses: analysis.NewCache(f)})
-			if diags := check.DefUse(f, false); len(diags) != 0 {
+			if diags := check.DefUse(f, false, analysis.NewCache(f)); len(diags) != 0 {
 				t.Errorf("after %s, %s: unexpected diagnostics: %v", pass.Name, f.Name, diags)
 			}
 		}
@@ -83,7 +83,7 @@ b0:
     ret r2
 }
 `)
-	diags := check.DefUse(p.Funcs[0], false)
+	diags := check.DefUse(p.Funcs[0], false, analysis.NewCache(p.Funcs[0]))
 	if len(check.Errors(diags)) != 1 || !strings.Contains(diags[0].Msg, "undefined register r7") {
 		t.Fatalf("want one undefined-register error, got %v", diags)
 	}
@@ -111,7 +111,7 @@ b3:
     ret r2
 }
 `)
-	diags := check.DefUse(p.Funcs[0], false)
+	diags := check.DefUse(p.Funcs[0], false, analysis.NewCache(p.Funcs[0]))
 	if len(check.Errors(diags)) != 1 || !strings.Contains(diags[0].Msg, "not dominated") {
 		t.Fatalf("want one dominance error, got %v", diags)
 	}
@@ -139,7 +139,7 @@ b3:
     ret r4
 }
 `)
-	if diags := check.DefUse(good.Funcs[0], false); len(diags) != 0 {
+	if diags := check.DefUse(good.Funcs[0], false, analysis.NewCache(good.Funcs[0])); len(diags) != 0 {
 		t.Fatalf("well-formed φ flagged: %v", diags)
 	}
 	bad := parse(t, `
@@ -160,7 +160,7 @@ b3:
     ret r4
 }
 `)
-	diags := check.Errors(check.DefUse(bad.Funcs[0], false))
+	diags := check.Errors(check.DefUse(bad.Funcs[0], false, analysis.NewCache(bad.Funcs[0])))
 	if len(diags) != 1 || !strings.Contains(diags[0].Msg, "b2->b3") {
 		t.Fatalf("want one φ-edge error naming edge b2->b3, got %v", diags)
 	}
@@ -187,7 +187,7 @@ b2:
     ret r3
 }
 `)
-	if diags := check.DefUse(p.Funcs[0], false); len(diags) != 0 {
+	if diags := check.DefUse(p.Funcs[0], false, analysis.NewCache(p.Funcs[0])); len(diags) != 0 {
 		t.Fatalf("loop-carried φ flagged: %v", diags)
 	}
 }
@@ -213,7 +213,7 @@ b2:
     ret r2
 }
 `)
-	diags := check.Errors(check.DefUse(p.Funcs[0], false))
+	diags := check.Errors(check.DefUse(p.Funcs[0], false, analysis.NewCache(p.Funcs[0])))
 	if len(diags) != 1 || !strings.Contains(diags[0].Msg, "r3") {
 		t.Fatalf("want one first-iteration-undefined error for r3, got %v", diags)
 	}
@@ -231,10 +231,10 @@ b0:
     ret r2
 }
 `)
-	if diags := check.DefUse(p.Funcs[0], false); len(diags) != 0 {
+	if diags := check.DefUse(p.Funcs[0], false, analysis.NewCache(p.Funcs[0])); len(diags) != 0 {
 		t.Fatalf("multiple defs are legal outside SSA, got %v", diags)
 	}
-	diags := check.Errors(check.DefUse(p.Funcs[0], true))
+	diags := check.Errors(check.DefUse(p.Funcs[0], true, analysis.NewCache(p.Funcs[0])))
 	if len(diags) != 1 || !strings.Contains(diags[0].Msg, "defined 2 times") {
 		t.Fatalf("strict SSA should flag the double definition, got %v", diags)
 	}
@@ -245,8 +245,8 @@ b0:
 func TestDefUseStrictAfterSSABuild(t *testing.T) {
 	prog := compile(t, cleanSrc)
 	for _, f := range prog.Funcs {
-		ssa.Build(f, ssa.BuildOptions{Prune: true, FoldCopies: true})
-		if diags := check.DefUse(f, true); len(diags) != 0 {
+		ssa.Build(f, ssa.BuildOptions{Prune: true, FoldCopies: true}, analysis.NewCache(f))
+		if diags := check.DefUse(f, true, analysis.NewCache(f)); len(diags) != 0 {
 			t.Errorf("%s after ssa.Build: %v", f.Name, diags)
 		}
 	}
@@ -271,7 +271,7 @@ b3:
     ret r1
 }
 `)
-	diags := check.DefUse(p.Funcs[0], false)
+	diags := check.DefUse(p.Funcs[0], false, analysis.NewCache(p.Funcs[0]))
 	if len(diags) != 1 || diags[0].Severity != check.SevWarning || !strings.Contains(diags[0].Msg, "dead φ") {
 		t.Fatalf("want one dead-φ warning, got %v", diags)
 	}

@@ -33,14 +33,11 @@ type defsite struct {
 // Warnings flag φ pathologies that interpret fine but indicate a pass
 // bug: operands on edges from unreachable predecessors ("dead φ
 // operands") and φ-nodes whose result is never used.
-func DefUse(f *ir.Func, strictSSA bool) []Diagnostic {
-	return DefUseWith(f, strictSSA, analysis.NewCache(f))
-}
-
-// DefUseWith is DefUse drawing the reverse postorder and dominator tree
-// from the given analysis cache.  The checker never mutates f, so the
-// cache stays valid for subsequent passes.
-func DefUseWith(f *ir.Func, strictSSA bool, ac *analysis.Cache) []Diagnostic {
+//
+// The reverse postorder and dominator tree come from the given
+// analysis cache.  The checker never mutates f, so the cache stays
+// valid for subsequent passes.
+func DefUse(f *ir.Func, strictSSA bool, ac *analysis.Cache) []Diagnostic {
 	var diags []Diagnostic
 	errf := func(b *ir.Block, i int, format string, args ...any) {
 		diags = append(diags, Diagnostic{
@@ -107,54 +104,32 @@ func DefUseWith(f *ir.Func, strictSSA bool, ac *analysis.Cache) []Diagnostic {
 		}
 	}
 
-	// Definite assignment for multi-definition registers: out[b] is the
-	// set of registers assigned on every path from entry through b.
+	// Definite assignment for multi-definition registers: outs[b] is the
+	// set of registers assigned on every path from entry through b, and
+	// ins[b] the set assigned on every path into b — an all-paths
+	// forward problem with transfer in ∪ defs(b).  The entry has no
+	// predecessors (ir.Verify), so its in-set is ∅.  SolveForward wants
+	// every predecessor in rpo, but rows of unreachable blocks stay
+	// seeded full, and intersecting with a full row is the identity: an
+	// unreachable predecessor is skipped exactly as if it were absent.
+	ins := dataflow.NewBitMatrix(len(f.Blocks), nr)
 	outs := dataflow.NewBitMatrix(len(f.Blocks), nr)
-	for _, b := range f.Blocks {
-		if b != f.Entry() {
-			outs.Row(b.ID).SetAll()
-		}
-	}
-	addDefs := func(b *ir.Block, s dataflow.BitSet) {
+	outs.SetAll()
+	dataflow.SolveForward(rpo, dataflow.MeetAll, ins, outs, func(b *ir.Block, in, dst dataflow.BitSet) {
+		dst.CopyFrom(in)
 		for _, inID := range b.Instrs {
 			in := b.Fn.Instr(inID)
 			if in.Op == ir.OpEnter {
 				for _, p := range in.Args {
 					if inRange(p) {
-						s.Set(int(p))
+						dst.Set(int(p))
 					}
 				}
 			} else if inRange(in.Dst) {
-				s.Set(int(in.Dst))
+				dst.Set(int(in.Dst))
 			}
 		}
-	}
-	blockIn := func(b *ir.Block, dst dataflow.BitSet) {
-		dst.SetAll()
-		any := false
-		for _, p := range b.Preds {
-			if reachable[p.ID] {
-				dst.Intersect(outs.Row(p.ID))
-				any = true
-			}
-		}
-		if !any {
-			dst.ClearAll()
-		}
-	}
-	addDefs(f.Entry(), outs.Row(f.Entry().ID))
-	tmp := dataflow.NewBitSet(nr)
-	for changed := true; changed; {
-		changed = false
-		for _, b := range rpo[1:] {
-			blockIn(b, tmp)
-			addDefs(b, tmp)
-			if out := outs.Row(b.ID); !tmp.Equal(out) {
-				out.CopyFrom(tmp)
-				changed = true
-			}
-		}
-	}
+	})
 
 	// checkUse reports whether register r is surely defined when read at
 	// (b, i); for φ operands the reading point is the end of pred.
@@ -193,7 +168,7 @@ func DefUseWith(f *ir.Func, strictSSA bool, ac *analysis.Cache) []Diagnostic {
 
 	live := dataflow.NewBitSet(nr)
 	for _, b := range rpo {
-		blockIn(b, live)
+		live.CopyFrom(ins.Row(b.ID))
 		for i, inID := range b.Instrs {
 			in := b.Fn.Instr(inID)
 			switch in.Op {

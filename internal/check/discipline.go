@@ -32,38 +32,9 @@ func Discipline(f *ir.Func) []Diagnostic {
 	nr := f.NumRegs()
 	inRange := func(r ir.Reg) bool { return r != ir.NoReg && int(r) < nr }
 
-	// isExprDef mirrors core.Normalize's classification: destinations of
-	// pure non-copy computations and loads are expression names.
-	isExprDef := func(in *ir.Instr) bool {
-		if in.Dst == ir.NoReg {
-			return false
-		}
-		switch in.Op {
-		case ir.OpCopy, ir.OpEnter, ir.OpCall, ir.OpPhi:
-			return false
-		}
-		return in.Op.Pure() || in.Op.IsLoad()
-	}
-
-	exprDef := make([]bool, nr)
-	varDef := make([]bool, nr)
-	f.ForEachInstr(func(b *ir.Block, i int, in *ir.Instr) {
-		if isExprDef(in) {
-			exprDef[in.Dst] = true
-			return
-		}
-		if in.Op == ir.OpEnter {
-			for _, p := range in.Args {
-				if inRange(p) {
-					varDef[p] = true
-				}
-			}
-			return
-		}
-		if inRange(in.Dst) {
-			varDef[in.Dst] = true
-		}
-	})
+	// The same classification core.Normalize establishes the
+	// discipline with.
+	exprDef, varDef := f.NameKinds()
 
 	for r := ir.Reg(1); int(r) < nr; r++ {
 		if exprDef[r] && varDef[r] {

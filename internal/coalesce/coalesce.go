@@ -23,15 +23,11 @@ type Stats struct {
 
 // Run coalesces copies in f until no more merges are possible.  It
 // must run on φ-free code (after SSA destruction); φ-bearing functions
-// are left untouched.
-func Run(f *ir.Func) Stats {
-	return RunWith(f, analysis.NewCache(f))
-}
-
-// RunWith is Run drawing liveness from the given cache.  Each mutating
-// round marks the function so the next round recomputes liveness; the
-// final (no-op) round leaves valid liveness cached for later passes.
-func RunWith(f *ir.Func, ac *analysis.Cache) Stats {
+// are left untouched.  Liveness comes from the given cache: each
+// mutating round marks the function so the next round recomputes it,
+// and the final (no-op) round leaves valid liveness cached for later
+// passes.
+func Run(f *ir.Func, ac *analysis.Cache) Stats {
 	var st Stats
 	for _, b := range f.Blocks {
 		for _, inID := range b.Instrs {

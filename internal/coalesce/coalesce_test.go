@@ -3,6 +3,7 @@ package coalesce_test
 import (
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/coalesce"
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -47,7 +48,7 @@ b0:
 `
 	f := ir.MustParseFunc(src)
 	want := run(t, f, 10)
-	st := coalesce.Run(f)
+	st := coalesce.Run(f, analysis.NewCache(f))
 	got := run(t, f, 10)
 	if got.I != want.I || got.I != 12 {
 		t.Fatalf("got %d, want 12", got.I)
@@ -76,7 +77,7 @@ b0:
 `
 	f := ir.MustParseFunc(src)
 	want := run(t, f, 6) // (6+1)*6 = 42
-	coalesce.Run(f)
+	coalesce.Run(f, analysis.NewCache(f))
 	got := run(t, f, 6)
 	if got.I != want.I || got.I != 42 {
 		t.Fatalf("got %d, want 42", got.I)
@@ -107,7 +108,7 @@ b2:
 `
 	f := ir.MustParseFunc(src)
 	want := run(t, f, 5)
-	st := coalesce.Run(f)
+	st := coalesce.Run(f, analysis.NewCache(f))
 	got := run(t, f, 5)
 	if got.I != want.I || got.I != 5 {
 		t.Fatalf("got %d, want %d", got.I, want.I)
@@ -153,7 +154,7 @@ b2:
 	}
 	for _, n := range []int64{0, 1, 2, 5} {
 		f := ir.MustParseFunc(src)
-		coalesce.Run(f)
+		coalesce.Run(f, analysis.NewCache(f))
 		if err := ir.Verify(f); err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +175,7 @@ b0:
 }
 `
 	f := ir.MustParseFunc(src)
-	coalesce.Run(f)
+	coalesce.Run(f, analysis.NewCache(f))
 	if countCopies(f) != 0 {
 		t.Errorf("self copy remains\n%s", f)
 	}

@@ -31,43 +31,14 @@ func (s NormalizeStats) Changed() bool { return s.CopiesInserted+s.UsesRewritten
 func Normalize(f *ir.Func) NormalizeStats {
 	var st NormalizeStats
 
-	// Identify expression-name registers: destinations of pure non-copy
-	// computations and loads.  Copy/enter/call targets are variables.
-	isExprDef := func(in *ir.Instr) bool {
-		if in.Dst == ir.NoReg {
-			return false
-		}
-		switch in.Op {
-		case ir.OpCopy, ir.OpEnter, ir.OpCall, ir.OpPhi:
-			return false
-		}
-		return in.Op.Pure() || in.Op.IsLoad()
-	}
-
 	// Phase 1: classify registers.  A register is an expression name
 	// only when *every* definition of it is a computation; a register
 	// that is ever a copy/call/enter target is already a variable
 	// (e.g. a loop counter initialized by loadI and updated through a
 	// copy).
 	nr := f.NumRegs()
-	exprOnly := make([]bool, nr)
-	varTarget := make([]bool, nr)
-	f.ForEachInstr(func(b *ir.Block, i int, in *ir.Instr) {
-		if isExprDef(in) {
-			exprOnly[in.Dst] = true
-			return
-		}
-		if in.Op == ir.OpEnter {
-			for _, p := range in.Args {
-				varTarget[p] = true
-			}
-			return
-		}
-		if in.Dst != ir.NoReg {
-			varTarget[in.Dst] = true
-		}
-	})
-	candidate := func(r ir.Reg) bool { return exprOnly[r] && !varTarget[r] }
+	exprDef, varDef := f.NameKinds()
+	candidate := func(r ir.Reg) bool { return exprDef[r] && !varDef[r] }
 
 	// Phase 2: rewrite the *cross-block* uses.  A use is local when a
 	// definition of the register appears earlier in the same block;

@@ -193,8 +193,18 @@ b3:
 		t.Error("Normalize changed semantics")
 	}
 	// The §5.1 rule: expression names (non-copy computation targets)
-	// must not be live across block boundaries.
-	live := dataflow.LiveAcrossBlocks(f)
+	// must not be live across block boundaries: live into no block,
+	// and no φ operand (a φ operand crosses its edge).
+	lv := analysis.NewCache(f).Liveness()
+	live := dataflow.NewBitSet(f.NumRegs())
+	for _, b := range f.Blocks {
+		live.Union(lv.LiveIn.Row(b.ID))
+		for _, pid := range b.Phis() {
+			for _, a := range f.Instr(pid).Args {
+				live.Set(int(a))
+			}
+		}
+	}
 	exprDst := map[ir.Reg]bool{}
 	varDst := map[ir.Reg]bool{}
 	f.ForEachInstr(func(b *ir.Block, i int, in *ir.Instr) {

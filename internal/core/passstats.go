@@ -53,10 +53,7 @@ func (c *PassStatsCollector) Observe(info PassInfo) {
 		st.Changed++
 	}
 	st.Duration += info.Duration
-	st.Builds.RPO += info.Builds.RPO
-	st.Builds.Dom += info.Builds.Dom
-	st.Builds.Loops += info.Builds.Loops
-	st.Builds.Liveness += info.Builds.Liveness
+	st.Builds = st.Builds.Add(info.Builds)
 }
 
 // Stats returns a snapshot of the per-pass totals in first-observed
@@ -87,10 +84,7 @@ func (c *PassStatsCollector) Write(w io.Writer) {
 		total.Applied += st.Applied
 		total.Changed += st.Changed
 		total.Duration += st.Duration
-		total.Builds.RPO += st.Builds.RPO
-		total.Builds.Dom += st.Builds.Dom
-		total.Builds.Loops += st.Builds.Loops
-		total.Builds.Liveness += st.Builds.Liveness
+		total.Builds = total.Builds.Add(st.Builds)
 	}
 	fmt.Fprintln(w, strings.Repeat("-", 75))
 	fmt.Fprintf(w, "%-16s %8d %8d %12s %6d %6d %6d %6d\n",

@@ -228,7 +228,7 @@ func Passes(names ...string) ([]Pass, error) {
 func AllPasses() []Pass {
 	return []Pass{
 		{"sccp", func(pc *PassContext) any {
-			return sccp.RunWith(pc.Ctx, pc.Func, pc.Analyses)
+			return sccp.Run(pc.Ctx, pc.Func, pc.Analyses)
 		}},
 		{"peephole", func(pc *PassContext) any {
 			return peephole.Run(pc.Func, peephole.Options{})
@@ -237,10 +237,10 @@ func AllPasses() []Pass {
 			return peephole.Run(pc.Func, peephole.Options{MulToShift: true})
 		}},
 		{"dce", func(pc *PassContext) any {
-			return dce.RunWith(pc.Func, pc.Analyses)
+			return dce.Run(pc.Func, pc.Analyses)
 		}},
 		{"coalesce", func(pc *PassContext) any {
-			return coalesce.RunWith(pc.Func, pc.Analyses)
+			return coalesce.Run(pc.Func, pc.Analyses)
 		}},
 		// emptyblocks reports how many blocks it removed or merged.
 		{"emptyblocks", func(pc *PassContext) any {
@@ -262,22 +262,22 @@ func AllPasses() []Pass {
 			return pre.RunToFixpoint(pc.Ctx, pc.Func, pc.Analyses, pre.Lospre)
 		}},
 		{"gvn", func(pc *PassContext) any {
-			return gvn.RunWith(pc.Func, pc.Analyses)
+			return gvn.Run(pc.Func, pc.Analyses)
 		}},
 		{"gvn-precise", func(pc *PassContext) any {
-			return gvn.RunPreciseWith(pc.Func, pc.Analyses)
+			return gvn.RunPrecise(pc.Func, pc.Analyses)
 		}},
 		{"reassoc", func(pc *PassContext) any {
-			return reassoc.RunWith(pc.Func, reassoc.Options{AllowFloat: true}, pc.Analyses)
+			return reassoc.Run(pc.Func, reassoc.Options{AllowFloat: true}, pc.Analyses)
 		}},
 		{"reassoc-dist", func(pc *PassContext) any {
-			return reassoc.RunWith(pc.Func, reassoc.Options{Distribute: true, AllowFloat: true}, pc.Analyses)
+			return reassoc.Run(pc.Func, reassoc.Options{Distribute: true, AllowFloat: true}, pc.Analyses)
 		}},
 		{"cse-dom", func(pc *PassContext) any {
-			return cse.RunDominatorWith(pc.Func, pc.Analyses)
+			return cse.RunDominator(pc.Func, pc.Analyses)
 		}},
 		{"cse-avail", func(pc *PassContext) any {
-			return cse.RunAvailWith(pc.Func, pc.Analyses)
+			return cse.RunAvail(pc.Func, pc.Analyses)
 		}},
 		// Extensions: the two passes the paper reports missing (§4.1)
 		// and expects to compose with reassociation (§5.2).
@@ -285,7 +285,7 @@ func AllPasses() []Pass {
 			return lvn.Run(pc.Func)
 		}},
 		{"strength", func(pc *PassContext) any {
-			return strength.RunWith(pc.Func, pc.Analyses)
+			return strength.Run(pc.Func, pc.Analyses)
 		}},
 		// Diagnostic pass: transforms nothing, runs the semantic
 		// checkers and reports findings on stderr.  In a filter
@@ -301,7 +301,7 @@ func AllPasses() []Pass {
 // checkFunc runs the semantic checkers for the check pass through the
 // shared analysis cache.
 func checkFunc(pc *PassContext) []check.Diagnostic {
-	return check.FuncWith(pc.Func, check.Options{}, pc.Analyses)
+	return check.Func(pc.Func, check.Options{}, pc.Analyses)
 }
 
 // baselineTail is the paper's baseline sequence, run at the end of
@@ -541,7 +541,7 @@ func run(p *ir.Program, passes []Pass, opts OptimizeOptions, cfg *CheckConfig) (
 		for i := range pcs {
 			if !checked[i] {
 				checked[i] = true
-				diags = append(diags, check.TagPass(check.DefUseWith(pcs[i].Func, false, pcs[i].Analyses), pass.Name)...)
+				diags = append(diags, check.TagPass(check.DefUse(pcs[i].Func, false, pcs[i].Analyses), pass.Name)...)
 			}
 		}
 		if cfg.Validate && anyChanged {

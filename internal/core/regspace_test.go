@@ -78,13 +78,13 @@ func TestTailPassStateIgnoresUnusedRegisters(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			run := func(f *ir.Func) (mutated bool) {
+			run := func(f *ir.Func, ac *analysis.Cache) (mutated bool) {
 				gen := f.CodeGeneration()
-				p.Run(&core.PassContext{Ctx: context.Background(), Func: f, Analyses: analysis.NewCache(f)})
+				p.Run(&core.PassContext{Ctx: context.Background(), Func: f, Analyses: ac})
 				return f.CodeGeneration() != gen
 			}
 			plain := ir.MustParseFunc(src)
-			if !run(plain) {
+			if !run(plain, analysis.NewCache(plain)) {
 				t.Fatalf("%s changed nothing on the test function", tc.pass)
 			}
 
@@ -94,9 +94,12 @@ func TestTailPassStateIgnoresUnusedRegisters(t *testing.T) {
 				padded.NewReg()
 			}
 			livenessBytes := allocated(func() { dataflow.ComputeLiveness(padded, cfg.ReversePostorder(padded)) })
-			builds := analysis.GlobalBuilds()
-			total := allocated(func() { run(padded) })
-			liveness := analysis.GlobalBuilds().Sub(builds).Liveness * livenessBytes
+			var ac *analysis.Cache
+			total := allocated(func() {
+				ac = analysis.NewCache(padded)
+				run(padded, ac)
+			})
+			liveness := ac.Counts().Liveness * livenessBytes
 
 			// Registers a pass creates (PRE's temporaries) are numbered
 			// after the padding; shift them back before comparing.

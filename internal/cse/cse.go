@@ -36,14 +36,9 @@ type Stats struct {
 
 // RunDominator performs dominator-based redundancy elimination: a
 // computation is deleted when a lexically identical computation
-// strictly dominates it with no intervening kill.
-func RunDominator(f *ir.Func) Stats {
-	return RunDominatorWith(f, analysis.NewCache(f))
-}
-
-// RunDominatorWith is RunDominator drawing CFG analyses from the given
-// cache.
-func RunDominatorWith(f *ir.Func, ac *analysis.Cache) Stats {
+// strictly dominates it with no intervening kill.  CFG analyses come
+// from the given cache.
+func RunDominator(f *ir.Func, ac *analysis.Cache) Stats {
 	var st Stats
 	st.RemovedBlocks = ac.RemoveUnreachable()
 	regIndex := ac.BorrowInts(f.NumRegs())
@@ -126,13 +121,8 @@ func pruneNonTransparentPath(u *dataflow.Universe, dom *cfg.DomTree, b, child *i
 
 // RunAvail performs classic global CSE over available-expression sets:
 // a computation of e is removed when e ∈ AVIN of its block and no kill
-// precedes it locally.
-func RunAvail(f *ir.Func) Stats {
-	return RunAvailWith(f, analysis.NewCache(f))
-}
-
-// RunAvailWith is RunAvail drawing CFG analyses from the given cache.
-func RunAvailWith(f *ir.Func, ac *analysis.Cache) Stats {
+// precedes it locally.  CFG analyses come from the given cache.
+func RunAvail(f *ir.Func, ac *analysis.Cache) Stats {
 	var st Stats
 	st.RemovedBlocks = ac.RemoveUnreachable()
 	regIndex := ac.BorrowInts(f.NumRegs())

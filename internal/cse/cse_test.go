@@ -87,10 +87,10 @@ func removals(t *testing.T, src string, scheme string) int {
 	var after int
 	switch scheme {
 	case "dom":
-		cse.RunDominator(f)
+		cse.RunDominator(f, analysis.NewCache(f))
 		after = f.InstrCount()
 	case "avail":
-		cse.RunAvail(f)
+		cse.RunAvail(f, analysis.NewCache(f))
 		after = f.InstrCount()
 	case "pre":
 		pre.RunToFixpoint(context.Background(), f, analysis.NewCache(f), pre.Drechsler)
@@ -178,7 +178,7 @@ b0:
 `
 	f := ir.MustParseFunc(src)
 	want, _ := run(t, f, 2, 3)
-	st := cse.RunDominator(f)
+	st := cse.RunDominator(f, analysis.NewCache(f))
 	got, _ := run(t, f, 2, 3)
 	if got.I != want.I {
 		t.Fatalf("semantics changed: %d vs %d", got.I, want.I)
@@ -212,7 +212,7 @@ b2:
 `
 	f := ir.MustParseFunc(src)
 	want, _ := run(t, f, 4)
-	st := cse.RunAvail(f)
+	st := cse.RunAvail(f, analysis.NewCache(f))
 	got, _ := run(t, f, 4)
 	if got.I != want.I {
 		t.Fatalf("semantics changed: %d vs %d", got.I, want.I)

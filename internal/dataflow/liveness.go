@@ -1,9 +1,6 @@
 package dataflow
 
-import (
-	"repro/internal/cfg"
-	"repro/internal/ir"
-)
+import "repro/internal/ir"
 
 // Liveness holds per-block live-in/live-out register sets.  Registers
 // are the elements; the sets have capacity fn.NumRegs().
@@ -18,7 +15,6 @@ type Liveness struct {
 // φ's operands are live out of the corresponding predecessor, not live
 // into the φ's own block.
 func ComputeLiveness(f *ir.Func, rpo []*ir.Block) *Liveness {
-	livenessBuilds.Add(1)
 	n := len(f.Blocks)
 	nr := f.NumRegs()
 	// The returned sets share one matrix; the per-block use/def sets
@@ -85,23 +81,4 @@ func ComputeLiveness(f *ir.Func, rpo []*ir.Block) *Liveness {
 		}
 	}
 	return lv
-}
-
-// LiveAcrossBlocks returns the set of registers that are live into some
-// block, i.e. whose values cross a basic-block boundary.  The paper's
-// §5.1 correctness rule requires that no *expression name* be in this
-// set when PRE runs.
-func LiveAcrossBlocks(f *ir.Func) BitSet {
-	lv := ComputeLiveness(f, cfg.ReversePostorder(f))
-	s := NewBitSet(f.NumRegs())
-	for _, b := range f.Blocks {
-		s.Union(lv.LiveIn.Row(b.ID))
-		// φ operands cross the edge even if not live-in.
-		for _, pid := range b.Phis() {
-			for _, a := range f.Instr(pid).Args {
-				s.Set(int(a))
-			}
-		}
-	}
-	return s
 }

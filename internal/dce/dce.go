@@ -16,16 +16,11 @@ type Stats struct {
 	Removed int
 }
 
-// Run deletes dead instructions from f in place.
-func Run(f *ir.Func) Stats {
-	return RunWith(f, analysis.NewCache(f))
-}
-
-// RunWith is Run drawing liveness from the given cache.  Deletions go
-// through Block.RemoveAt, which bumps the code generation, so each
-// round's liveness is fresh — and the final (no-op) round leaves valid
-// liveness in the cache for the next pass.
-func RunWith(f *ir.Func, ac *analysis.Cache) Stats {
+// Run deletes dead instructions from f in place, drawing liveness from
+// the given cache.  Deletions go through Block.RemoveAt, which bumps the
+// code generation, so each round's liveness is fresh — and the final
+// (no-op) round leaves valid liveness in the cache for the next pass.
+func Run(f *ir.Func, ac *analysis.Cache) Stats {
 	var st Stats
 	live := dataflow.NewBitSet(f.NumRegs()) // refilled per block; DCE adds no register
 	for {

@@ -3,6 +3,7 @@ package dce_test
 import (
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/dce"
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -23,7 +24,7 @@ b0:
 }
 `
 	f := ir.MustParseFunc(src)
-	st := dce.Run(f)
+	st := dce.Run(f, analysis.NewCache(f))
 	if st.Removed != 4 {
 		t.Errorf("removed %d, want 4\n%s", st.Removed, f)
 	}
@@ -60,7 +61,7 @@ b0:
 		t.Fatal(err)
 	}
 	f := prog.Func("f")
-	dce.Run(f)
+	dce.Run(f, analysis.NewCache(f))
 	stores, calls := 0, 0
 	f.ForEachInstr(func(b *ir.Block, i int, in *ir.Instr) {
 		if in.Op.IsStore() {
@@ -95,7 +96,7 @@ b2:
 `
 	f := ir.MustParseFunc(src)
 	before := countInstrs(f)
-	st := dce.Run(f)
+	st := dce.Run(f, analysis.NewCache(f))
 	if st.Removed != 0 {
 		t.Errorf("removed %d live instructions (%d -> %d)\n%s", st.Removed, before, countInstrs(f), f)
 	}
@@ -116,7 +117,7 @@ b0:
 }
 `
 	f := ir.MustParseFunc(src)
-	st := dce.Run(f)
+	st := dce.Run(f, analysis.NewCache(f))
 	if st.Removed != 1 {
 		t.Errorf("dead load kept: %+v\n%s", st, f)
 	}
@@ -140,7 +141,7 @@ b3:
 }
 `
 	f := ir.MustParseFunc(src)
-	st := dce.Run(f)
+	st := dce.Run(f, analysis.NewCache(f))
 	if st.Removed < 1 {
 		t.Errorf("dead φ kept: %+v\n%s", st, f)
 	}

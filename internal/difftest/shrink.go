@@ -3,6 +3,7 @@ package difftest
 import (
 	"context"
 
+	"repro/internal/analysis"
 	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/ir"
@@ -166,7 +167,7 @@ func reproduces(ctx context.Context, cand *ir.Program, known map[string]bool, op
 func defUseErrors(p *ir.Program) map[string]bool {
 	keys := map[string]bool{}
 	for _, f := range p.Funcs {
-		for _, d := range check.Errors(check.DefUse(f, false)) {
+		for _, d := range check.Errors(check.DefUse(f, false, analysis.NewCache(f))) {
 			keys[d.Func+"/"+d.Block+": "+d.Msg] = true
 		}
 	}

@@ -41,18 +41,13 @@ type Stats struct {
 // (folding copies), partitions the values into congruence classes,
 // renames every value to its class representative, removes duplicated
 // φ-nodes, and translates out of SSA by inserting copies.  The
-// function is modified in place.
-func Run(f *ir.Func) Stats {
-	return RunWith(f, analysis.NewCache(f))
-}
-
-// RunWith is Run drawing CFG analyses from the given cache: when the
-// CFG has not changed since a previous pass built the dominator tree,
-// SSA construction here reuses it.
-func RunWith(f *ir.Func, ac *analysis.Cache) Stats {
-	ssa.BuildWith(f, ssa.BuildOptions{Prune: true, FoldCopies: true}, ac)
+// function is modified in place.  CFG analyses come from the given
+// cache: when the CFG has not changed since a previous pass built the
+// dominator tree, SSA construction here reuses it.
+func Run(f *ir.Func, ac *analysis.Cache) Stats {
+	ssa.Build(f, ssa.BuildOptions{Prune: true, FoldCopies: true}, ac)
 	st := Partition(f)
-	ssa.DestructWith(f, ac)
+	ssa.Destruct(f, ac)
 	return st
 }
 

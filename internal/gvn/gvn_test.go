@@ -61,7 +61,7 @@ b0:
 	}
 	_ = u
 
-	gvn.Run(f)
+	gvn.Run(f, analysis.NewCache(f))
 	if err := ir.Verify(f); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ b2:
 `
 	f := ir.MustParseFunc(src)
 	want, _ := run(t, f, 10)
-	st := gvn.Run(f)
+	st := gvn.Run(f, analysis.NewCache(f))
 	if err := ir.Verify(f); err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ b0:
 `
 	f := ir.MustParseFunc(src)
 	want, _ := run(t, f, 9, 2)
-	gvn.Run(f)
+	gvn.Run(f, analysis.NewCache(f))
 	got, _ := run(t, f, 9, 2)
 	if got.I != want.I {
 		t.Fatalf("semantics changed: %d vs %d (want (9+2)*(9-2)+7=84)", got.I, want.I)
@@ -194,7 +194,7 @@ b0:
 `
 	f := ir.MustParseFunc(src)
 	want, _ := run(t, f, 0)
-	st := gvn.Run(f)
+	st := gvn.Run(f, analysis.NewCache(f))
 	got, _ := run(t, f, 0)
 	if got.I != want.I || got.I != 16 {
 		t.Fatalf("got %d, want 16", got.I)
@@ -235,7 +235,7 @@ b0:
 		t.Fatal(err)
 	}
 	f := prog.Func("f")
-	gvn.Run(f)
+	gvn.Run(f, analysis.NewCache(f))
 	if err := ir.Verify(f); err != nil {
 		t.Fatal(err)
 	}

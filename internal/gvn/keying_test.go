@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/gvn"
 	"repro/internal/ir"
 	"repro/internal/ssa"
@@ -156,7 +157,7 @@ func TestIntegerKeyingMatchesStringKeying(t *testing.T) {
 			t.Fatalf("%s: %v", r.Name, err)
 		}
 		for _, f := range prog.Funcs {
-			ssa.Build(f, ssa.BuildOptions{Prune: true, FoldCopies: true})
+			ssa.Build(f, ssa.BuildOptions{Prune: true, FoldCopies: true}, analysis.NewCache(f))
 			values, newClass := gvn.ClassesForTest(f)
 			oldClass := oldClasses(f)
 			if len(oldClass) != len(values) {

@@ -43,33 +43,27 @@ import (
 	"sort"
 
 	"repro/internal/analysis"
-	"repro/internal/cfg"
 	"repro/internal/ir"
 	"repro/internal/ssa"
 )
 
 // RunPrecise performs precise global value numbering on f: pruned SSA
 // construction, the iterative value-expression partition, renaming to
-// class representatives, and SSA destruction.  Drop-in alternative to
-// Run.
-func RunPrecise(f *ir.Func) Stats {
-	return RunPreciseWith(f, analysis.NewCache(f))
-}
-
-// RunPreciseWith is RunPrecise drawing CFG analyses from the given
-// cache, mirroring RunWith.
-func RunPreciseWith(f *ir.Func, ac *analysis.Cache) Stats {
-	ssa.BuildWith(f, ssa.BuildOptions{Prune: true, FoldCopies: true}, ac)
-	st := PartitionPrecise(f)
-	ssa.DestructWith(f, ac)
+// class representatives, and SSA destruction, drawing CFG analyses
+// from the given cache.  Drop-in alternative to Run.
+func RunPrecise(f *ir.Func, ac *analysis.Cache) Stats {
+	ssa.Build(f, ssa.BuildOptions{Prune: true, FoldCopies: true}, ac)
+	st := PartitionPrecise(f, ac.RPO())
+	ssa.Destruct(f, ac)
 	return st
 }
 
 // PartitionPrecise value-numbers an SSA-form function with the precise
 // iterative analysis and renames values to class representatives in
-// place, exactly as Partition does for the AWZ partition.
-func PartitionPrecise(f *ir.Func) Stats {
-	values, class := PreciseClasses(f)
+// place, exactly as Partition does for the AWZ partition.  rpo must be
+// a current reverse postorder of f.
+func PartitionPrecise(f *ir.Func, rpo []*ir.Block) Stats {
+	values, class := PreciseClasses(f, rpo)
 	return renameToReps(f, values, class)
 }
 
@@ -229,8 +223,9 @@ func (t *ptable) commonOp(args []uint32) (ir.Op, int, bool) {
 // f's SSA values.  Like AWZClasses it returns the values in ascending
 // register order and a register-indexed class-id table (0 marks a
 // register that is not an SSA value); two values are congruent exactly
-// when their class ids are equal.
-func PreciseClasses(f *ir.Func) ([]ir.Reg, []uint32) {
+// when their class ids are equal.  rpo must be a current reverse
+// postorder of f; it fixes the processing order.
+func PreciseClasses(f *ir.Func, rpo []*ir.Block) ([]ir.Reg, []uint32) {
 	nr := f.NumRegs()
 	defs := make([]def, nr)
 	var order []ir.Reg // processing order: defs in RPO, then leftovers
@@ -241,7 +236,6 @@ func PreciseClasses(f *ir.Func) ([]ir.Reg, []uint32) {
 		defs[r] = d
 		order = append(order, r)
 	}
-	rpo := cfg.ReversePostorder(f)
 	inRPO := make([]bool, len(f.Blocks))
 	collect := func(b *ir.Block) {
 		for _, inID := range b.Instrs {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/cfg"
 	"repro/internal/gvn"
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -43,7 +44,7 @@ b3:
 }
 `
 	f := ir.MustParseFunc(src)
-	_, pc := gvn.PreciseClasses(f)
+	_, pc := gvn.PreciseClasses(f, cfg.ReversePostorder(f))
 	if classOf(t, pc, 3) != classOf(t, pc, 1) {
 		t.Errorf("φ(x,x) not congruent to x under precise GVN")
 	}
@@ -82,7 +83,7 @@ b3:
 }
 `
 	f := ir.MustParseFunc(src)
-	_, pc := gvn.PreciseClasses(f)
+	_, pc := gvn.PreciseClasses(f, cfg.ReversePostorder(f))
 	if classOf(t, pc, 7) != classOf(t, pc, 9) {
 		t.Errorf("φ(x+1,y+1) not congruent to φ(x,y)+1 under precise GVN")
 	}
@@ -96,7 +97,7 @@ b3:
 	// than round-tripping through SSA construction.)
 	g := ir.MustParseFunc(src)
 	want, _ := run(t, g, 3, 9)
-	gvn.PartitionPrecise(g)
+	gvn.PartitionPrecise(g, cfg.ReversePostorder(g))
 	if err := ir.Verify(g); err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ b2:
 `
 	f := ir.MustParseFunc(src)
 	want, _ := run(t, f, 10)
-	st := gvn.RunPrecise(f)
+	st := gvn.RunPrecise(f, analysis.NewCache(f))
 	if err := ir.Verify(f); err != nil {
 		t.Fatal(err)
 	}
@@ -169,11 +170,11 @@ b2:
 `
 	f := ir.MustParseFunc(src)
 	want, _ := run(t, f, 50)
-	_, pc := gvn.PreciseClasses(f)
+	_, pc := gvn.PreciseClasses(f, cfg.ReversePostorder(f))
 	if classOf(t, pc, 3) != classOf(t, pc, 2) {
 		t.Errorf("self-referential φ not folded to its loop-invariant input")
 	}
-	st := gvn.PartitionPrecise(f)
+	st := gvn.PartitionPrecise(f, cfg.ReversePostorder(f))
 	if err := ir.Verify(f); err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ b2:
 }
 `
 	f := ir.MustParseFunc(src)
-	_, pc := gvn.PreciseClasses(f)
+	_, pc := gvn.PreciseClasses(f, cfg.ReversePostorder(f))
 	if classOf(t, pc, 5) != classOf(t, pc, 7) {
 		t.Errorf("congruent loop φs not merged")
 	}
@@ -239,7 +240,7 @@ b0:
 }
 `
 	f := ir.MustParseFunc(src)
-	_, pc := gvn.PreciseClasses(f)
+	_, pc := gvn.PreciseClasses(f, cfg.ReversePostorder(f))
 	if classOf(t, pc, 3) != classOf(t, pc, 4) {
 		t.Errorf("commutative operands not canonicalized")
 	}
@@ -266,7 +267,7 @@ b0:
 }
 `
 	f := ir.MustParseFunc(src)
-	_, pc := gvn.PreciseClasses(f)
+	_, pc := gvn.PreciseClasses(f, cfg.ReversePostorder(f))
 	if classOf(t, pc, 2) == classOf(t, pc, 3) {
 		t.Errorf("int 0 and float 0.0 wrongly congruent")
 	}
@@ -287,7 +288,7 @@ b0:
 func refinesAWZ(t *testing.T, f *ir.Func, tag string) {
 	t.Helper()
 	values, ac := gvn.AWZClasses(f)
-	_, pc := gvn.PreciseClasses(f)
+	_, pc := gvn.PreciseClasses(f, cfg.ReversePostorder(f))
 	// For each AWZ class, all members must share one precise class.
 	rep := map[uint32]uint32{} // AWZ class -> precise class of first member
 	for _, v := range values {
@@ -331,10 +332,10 @@ func TestPreciseRefinesAWZRandom(t *testing.T) {
 			refVals[f.Name] = v
 
 			ac := analysis.NewCache(f)
-			ssa.BuildWith(f, ssa.BuildOptions{Prune: true, FoldCopies: true}, ac)
+			ssa.Build(f, ssa.BuildOptions{Prune: true, FoldCopies: true}, ac)
 			refinesAWZ(t, f, "seed")
-			gvn.PartitionPrecise(f)
-			ssa.DestructWith(f, ac)
+			gvn.PartitionPrecise(f, ac.RPO())
+			ssa.Destruct(f, ac)
 			if err := ir.Verify(f); err != nil {
 				t.Fatalf("seed %d: after precise GVN: %v\n%s", seed, err, f)
 			}
@@ -364,13 +365,13 @@ func TestPreciseIrreducible(t *testing.T) {
 		prog := progen.Generate(cfg, seed)
 		for _, f := range prog.Funcs {
 			ac := analysis.NewCache(f)
-			ssa.BuildWith(f, ssa.BuildOptions{Prune: true, FoldCopies: true}, ac)
+			ssa.Build(f, ssa.BuildOptions{Prune: true, FoldCopies: true}, ac)
 			refinesAWZ(t, f, "irreducible")
-			st := gvn.PartitionPrecise(f)
+			st := gvn.PartitionPrecise(f, ac.RPO())
 			if st.Values > 0 && st.Classes == 0 {
 				t.Errorf("seed %d %s: empty partition over %d values", seed, f.Name, st.Values)
 			}
-			ssa.DestructWith(f, ac)
+			ssa.Destruct(f, ac)
 			if err := ir.Verify(f); err != nil {
 				t.Fatalf("seed %d %s: %v", seed, f.Name, err)
 			}

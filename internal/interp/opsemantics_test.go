@@ -1,10 +1,12 @@
 package interp_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/peephole"
@@ -53,7 +55,7 @@ func TestFoldMatchesExecution(t *testing.T) {
 		plain, errPlain := run(mk())
 
 		folded := mk()
-		sccp.Run(folded)
+		sccp.Run(context.Background(), folded, analysis.NewCache(folded))
 		viaSccp, errSccp := run(folded)
 
 		peeped := mk()

@@ -172,6 +172,34 @@ func (f *Func) InstrCount() int {
 	return n
 }
 
+// NameKinds classifies f's registers by their definitions: expr[r] is
+// set when some instruction defines r as an expression name (see
+// Instr.DefinesExprName), variable[r] when a copy, call, φ or enter
+// defines it.  A register may be both.  Both tables are NumRegs long;
+// out-of-range registers are ignored.
+func (f *Func) NameKinds() (expr, variable []bool) {
+	nr := f.NumRegs()
+	expr, variable = make([]bool, nr), make([]bool, nr)
+	mark := func(tab []bool, r Reg) {
+		if r != NoReg && int(r) < nr {
+			tab[r] = true
+		}
+	}
+	f.ForEachInstr(func(_ *Block, _ int, in *Instr) {
+		switch {
+		case in.DefinesExprName():
+			mark(expr, in.Dst)
+		case in.Op == OpEnter:
+			for _, p := range in.Args {
+				mark(variable, p)
+			}
+		default:
+			mark(variable, in.Dst)
+		}
+	})
+	return expr, variable
+}
+
 // ForEachInstr calls fn for every instruction in block order.
 func (f *Func) ForEachInstr(fn func(b *Block, i int, in *Instr)) {
 	for _, b := range f.Blocks {

@@ -113,6 +113,21 @@ func (in *Instr) ReplaceUses(old, new Reg) int {
 // IsConst reports whether the instruction materializes a constant.
 func (in *Instr) IsConst() bool { return in.Op == OpLoadI || in.Op == OpLoadF }
 
+// DefinesExprName reports whether in defines an expression name in the
+// sense of the paper's naming discipline (§2.2, §5.1): its target is
+// computed by a pure operation or a load.  Copy, enter, call and φ
+// targets are variable names.
+func (in *Instr) DefinesExprName() bool {
+	if in.Dst == NoReg {
+		return false
+	}
+	switch in.Op {
+	case OpCopy, OpEnter, OpCall, OpPhi:
+		return false
+	}
+	return in.Op.Pure() || in.Op.IsLoad()
+}
+
 // appendInstr appends the instruction in ILOC text syntax (without
 // branch targets, which belong to the block).  The owning function
 // resolves interned call symbols.

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -202,6 +203,47 @@ func (c *checker) checkIRConstruct(f *ast.File) {
 				c.report(n.Pos(), "irconstruct",
 					"new(%s.Instr) outside internal/ir: arena instructions must come from a Func allocator so they carry a valid InstrID", irName)
 			}
+		}
+		return true
+	})
+}
+
+// analysisBuilders are the constructors behind analysis.Cache's
+// getters, by import path.
+var analysisBuilders = []struct {
+	path  string
+	names []string
+}{
+	{"repro/internal/cfg", []string{"ReversePostorder", "BuildDomTree", "FindLoops"}},
+	{"repro/internal/dataflow", []string{"ComputeLiveness"}},
+}
+
+// checkAnalysisBuild flags direct calls to the analysis constructors:
+// outside the cache a build is neither memoized nor counted.  Packages
+// are resolved through the file's import specs, as in
+// checkIRConstruct.
+func (c *checker) checkAnalysisBuild(f *ast.File) {
+	builders := map[string][]string{} // local package name → constructors
+	for _, b := range analysisBuilders {
+		if name := importLocalName(f, b.path); name != "" {
+			builders[name] = b.names
+		}
+	}
+	if len(builders) == 0 {
+		return
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if x, ok := sel.X.(*ast.Ident); ok && slices.Contains(builders[x.Name], sel.Sel.Name) {
+			c.report(call.Pos(), "analysisbuild",
+				"%s.%s outside internal/analysis: ask the pass's analysis.Cache, which memoizes the result and counts the build", x.Name, sel.Sel.Name)
 		}
 		return true
 	})

@@ -1,7 +1,7 @@
 // Package lint is the repo-invariant linter behind cmd/eprelint: a
 // small, stdlib-only (go/parser + go/ast, no go/packages) static
 // analyzer for the project conventions the Go compiler and go vet
-// cannot see.  It enforces four invariants, each scoped to the
+// cannot see.  It enforces five invariants, each scoped to the
 // packages where it is a correctness property rather than a style
 // preference:
 //
@@ -33,6 +33,14 @@
 //     §12).  A borrow that simply goes out of scope silently defeats
 //     the arena.
 //
+//   - analysisbuild: only internal/analysis and internal/cfg may call
+//     the analysis constructors cfg.ReversePostorder, cfg.BuildDomTree,
+//     cfg.FindLoops and dataflow.ComputeLiveness; test files are
+//     exempt.  Everyone else asks the analysis cache, which is what
+//     memoizes the result and counts the build (BuildCounts, per
+//     cache) — a pass that builds its own goes uncounted and rebuilds
+//     what the cache already holds.
+//
 // False positives are suppressed inline with a directive comment on
 // the offending line or the line above:
 //
@@ -56,7 +64,7 @@ import (
 // Diagnostic is one linter finding.
 type Diagnostic struct {
 	Pos     token.Position
-	Check   string // "cfgwrite", "irconstruct", "timenow", "maporder", "scratch"
+	Check   string // "cfgwrite", "irconstruct", "timenow", "maporder", "scratch", "analysisbuild"
 	Message string
 }
 
@@ -101,6 +109,13 @@ var cfgOwners = map[string]bool{
 	"internal/cfg": true,
 }
 
+// analysisOwners may call the analysis constructors: the cache builds
+// through them, and cfg defines (and composes) them.
+var analysisOwners = map[string]bool{
+	"internal/analysis": true,
+	"internal/cfg":      true,
+}
+
 // File lints one parsed file belonging to the module-relative package
 // pkgRel (e.g. "internal/gvn").
 func File(fset *token.FileSet, f *ast.File, pkgRel string) []Diagnostic {
@@ -110,6 +125,9 @@ func File(fset *token.FileSet, f *ast.File, pkgRel string) []Diagnostic {
 	}
 	if pkgRel != "internal/ir" {
 		c.checkIRConstruct(f)
+	}
+	if !analysisOwners[pkgRel] && !strings.HasSuffix(fset.Position(f.Package).Filename, "_test.go") {
+		c.checkAnalysisBuild(f)
 	}
 	if isPassPackage(pkgRel) {
 		c.checkTimeNow(f)

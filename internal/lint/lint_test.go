@@ -11,8 +11,14 @@ import (
 // package and returns the findings.
 func lintSrc(t *testing.T, pkgRel, src string) []Diagnostic {
 	t.Helper()
+	return lintFile(t, pkgRel, "src.go", src)
+}
+
+// lintFile is lintSrc under the given file name.
+func lintFile(t *testing.T, pkgRel, name, src string) []Diagnostic {
+	t.Helper()
 	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "src.go", src, parser.ParseComments)
+	f, err := parser.ParseFile(fset, name, src, parser.ParseComments)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
@@ -347,6 +353,53 @@ func f() {
 	_ = ir.Instr{} //lint:ignore irconstruct detached scratch value, never enters a block
 }`
 	wantChecks(t, lintSrc(t, "internal/difftest", src))
+}
+
+// TestAnalysisBuildFlagged: a pass package that builds an analysis
+// itself — under the plain or an aliased import — bypasses the cache's
+// memoization and its build counts.
+func TestAnalysisBuildFlagged(t *testing.T) {
+	src := `package gvn
+import (
+	"repro/internal/cfg"
+	df "repro/internal/dataflow"
+	"repro/internal/ir"
+)
+func f(fn *ir.Func) {
+	rpo := cfg.ReversePostorder(fn)
+	dom := cfg.BuildDomTree(fn, rpo)
+	_ = cfg.FindLoops(fn, dom)
+	_ = df.ComputeLiveness(fn, rpo)
+	cfg.RemoveUnreachable(fn, rpo) // surgery, not an analysis build
+}`
+	wantChecks(t, lintSrc(t, "internal/gvn", src), "analysisbuild", "analysisbuild", "analysisbuild", "analysisbuild")
+}
+
+func TestAnalysisBuildAllowedInOwnersAndTests(t *testing.T) {
+	src := `package analysis
+import (
+	"repro/internal/cfg"
+	"repro/internal/dataflow"
+)
+func (c *Cache) build() {
+	c.rpo = cfg.ReversePostorder(c.fn)
+	c.live = dataflow.ComputeLiveness(c.fn, c.rpo)
+}`
+	wantChecks(t, lintSrc(t, "internal/analysis", src))
+
+	test := `package gvn_test
+import "repro/internal/cfg"
+func rpo(f *ir.Func) []*ir.Block { return cfg.ReversePostorder(f) }`
+	wantChecks(t, lintFile(t, "internal/gvn", "gvn_test.go", test))
+}
+
+func TestAnalysisBuildSuppressedWithReason(t *testing.T) {
+	src := `package regalloc
+import "repro/internal/cfg"
+func f(fn *ir.Func) []*ir.Block {
+	return cfg.ReversePostorder(fn) //lint:ignore analysisbuild one-off walk on a function no cache serves
+}`
+	wantChecks(t, lintSrc(t, "internal/regalloc", src))
 }
 
 // TestRepoClean is the gate that wires the linter into the test

@@ -126,7 +126,7 @@ b2:
 	// GVN first, as the paper's pipeline does: the naming discipline is
 	// what lets iterated PRE hoist the chain without compensation
 	// copies pinning it.
-	gvn.Run(f)
+	gvn.Run(f, analysis.NewCache(f))
 	st := fixpoint(f, Drechsler)
 	if err := ir.Verify(f); err != nil {
 		t.Fatal(err)
@@ -251,8 +251,7 @@ b2:
 
 // loopOpCount counts occurrences of op inside natural loops.
 func loopOpCount(f *ir.Func, op ir.Op) int {
-	dom := cfg.BuildDomTree(f)
-	li := cfg.FindLoops(f, dom)
+	li := analysis.NewCache(f).Loops()
 	n := 0
 	for _, b := range f.Blocks {
 		if li.Depth(b) == 0 {
@@ -315,8 +314,8 @@ b2:
 			f := ir.MustParseFunc(src)
 			want, before := run(t, f, "f", arg, 5)
 			fixpoint(f, Drechsler)
-			dce.Run(f)
-			coalesce.Run(f)
+			dce.Run(f, analysis.NewCache(f))
+			coalesce.Run(f, analysis.NewCache(f))
 			cfg.RemoveEmptyBlocks(f)
 			got, after := run(t, f, "f", arg, 5)
 			if got != want {

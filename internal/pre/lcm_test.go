@@ -3,7 +3,7 @@ package pre
 import (
 	"testing"
 
-	"repro/internal/cfg"
+	"repro/internal/analysis"
 	"repro/internal/ir"
 )
 
@@ -90,8 +90,7 @@ b2:
 		t.Errorf("expected ≥9 ops saved hoisting the invariant, got %d (%d -> %d)\n%s",
 			before-after, before, after, f)
 	}
-	dom := cfg.BuildDomTree(f)
-	li := cfg.FindLoops(f, dom)
+	li := analysis.NewCache(f).Loops()
 	adds := 0
 	for _, b := range f.Blocks {
 		if li.Depth(b) == 0 {

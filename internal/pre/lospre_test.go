@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/cfg"
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -121,8 +122,7 @@ b4:
 	if hotAfter >= hotBefore {
 		t.Errorf("hot path not shortened: %d -> %d\n%s", hotBefore, hotAfter, f)
 	}
-	dom := cfg.BuildDomTree(f)
-	li := cfg.FindLoops(f, dom)
+	li := analysis.NewCache(f).Loops()
 	for _, b := range f.Blocks {
 		if li.Depth(b) > 0 {
 			for _, inID := range b.Instrs {

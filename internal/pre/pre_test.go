@@ -33,10 +33,10 @@ func run(t *testing.T, f *ir.Func, fn string, args ...int64) (int64, int64) {
 // cleanup removes the compensation copies LCM and lospre leave behind;
 // like the paper's pipeline, they rely on coalescing for that.
 func cleanup(f *ir.Func) {
-	dce.Run(f)
-	coalesce.Run(f)
+	dce.Run(f, analysis.NewCache(f))
+	coalesce.Run(f, analysis.NewCache(f))
 	cfg.RemoveEmptyBlocks(f)
-	dce.Run(f)
+	dce.Run(f, analysis.NewCache(f))
 }
 
 // fixpoint runs a strategy to its fixpoint with a fresh analysis cache.

@@ -51,7 +51,7 @@ b2:
 		t.Fatalf("premise: the mul executes on both paths (%d, %d)", mulsThen, mulsElse)
 	}
 
-	reassoc.Run(f, reassoc.DefaultOptions())
+	reassoc.Run(f, reassoc.DefaultOptions(), analysis.NewCache(f))
 	if err := ir.Verify(f); err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ b2:
 		}
 		return m.OpCounts[ir.OpMul]
 	}
-	reassoc.Run(f, reassoc.DefaultOptions())
+	reassoc.Run(f, reassoc.DefaultOptions(), analysis.NewCache(f))
 	// Reuse the full post-reassociation pipeline pieces via pre alone;
 	// PRE must keep the else path multiply-free.
 	applyPRE(t, f)

@@ -67,15 +67,12 @@ func (s Stats) Expansion() float64 {
 // value.  φ-inputs — one of the paper's essential propagation targets
 // — are rebuilt at the end of the corresponding predecessor, which is
 // where their value crosses the edge.
-func Run(f *ir.Func, opt Options) Stats {
-	return RunWith(f, opt, analysis.NewCache(f))
-}
-
-// RunWith is Run drawing CFG analyses (dominators, liveness, reverse
-// postorder) from the given cache.
-func RunWith(f *ir.Func, opt Options, ac *analysis.Cache) Stats {
-	ssa.BuildWith(f, ssa.BuildOptions{Prune: true, FoldCopies: true}, ac)
-	ranks := ComputeRanksWith(f, ac)
+//
+// CFG analyses (dominators, liveness, reverse postorder) come from the
+// given cache.
+func Run(f *ir.Func, opt Options, ac *analysis.Cache) Stats {
+	ssa.Build(f, ssa.BuildOptions{Prune: true, FoldCopies: true}, ac)
+	ranks := ComputeRanks(f, ac)
 
 	var st Stats
 	st.BeforeProp = f.InstrCount()
@@ -91,7 +88,7 @@ func RunWith(f *ir.Func, opt Options, ac *analysis.Cache) Stats {
 	// Propagation and pruning rewrite instruction slices in place.
 	f.MarkCodeMutated()
 
-	ssa.DestructWith(f, ac)
+	ssa.Destruct(f, ac)
 	return st
 }
 

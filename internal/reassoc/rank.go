@@ -18,7 +18,6 @@ package reassoc
 
 import (
 	"repro/internal/analysis"
-	"repro/internal/cfg"
 	"repro/internal/ir"
 )
 
@@ -45,18 +44,10 @@ func (rk *Ranks) Of(r ir.Reg) int {
 // function must be in SSA form so that every operand is ranked before
 // it is referenced (the paper: "Since the code is in SSA form, each
 // operand will have one definition point and will have been ranked
-// before it is referenced").
-func ComputeRanks(f *ir.Func) *Ranks {
-	return computeRanksRPO(f, cfg.ReversePostorder(f))
-}
-
-// ComputeRanksWith is ComputeRanks drawing the reverse postorder from
-// the given analysis cache.
-func ComputeRanksWith(f *ir.Func, ac *analysis.Cache) *Ranks {
-	return computeRanksRPO(f, ac.RPO())
-}
-
-func computeRanksRPO(f *ir.Func, rpo []*ir.Block) *Ranks {
+// before it is referenced").  The reverse postorder comes from the
+// given analysis cache.
+func ComputeRanks(f *ir.Func, ac *analysis.Cache) *Ranks {
+	rpo := ac.RPO()
 	rk := &Ranks{
 		ByReg:   make([]int, f.NumRegs()),
 		ByBlock: make([]int, len(f.Blocks)),

@@ -1,9 +1,10 @@
 package reassoc_test
 
 import (
+	"context"
 	"testing"
 
-	"repro/internal/cfg"
+	"repro/internal/analysis"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/reassoc"
@@ -44,14 +45,14 @@ b0:
 
 	// Without reassociation SCCP cannot fold 3+2.
 	g := f.Clone()
-	sccp.Run(g)
+	sccp.Run(context.Background(), g, analysis.NewCache(g))
 	addsBefore := countOps(g, ir.OpAdd)
 	if addsBefore != 2 {
 		t.Fatalf("premise: SCCP alone should keep 2 adds, has %d", addsBefore)
 	}
 
-	reassoc.Run(f, reassoc.DefaultOptions())
-	sccp.Run(f)
+	reassoc.Run(f, reassoc.DefaultOptions(), analysis.NewCache(f))
+	sccp.Run(context.Background(), f, analysis.NewCache(f))
 	got, _ := runF(t, f, interp.IntVal(10))
 	if got.I != want.I {
 		t.Fatalf("semantics changed: %d vs %d", got.I, want.I)
@@ -100,7 +101,7 @@ b2:
 `
 	f := ir.MustParseFunc(src)
 	want, _ := runF(t, f, interp.IntVal(3), interp.IntVal(4), interp.IntVal(10))
-	reassoc.Run(f, reassoc.DefaultOptions())
+	reassoc.Run(f, reassoc.DefaultOptions(), analysis.NewCache(f))
 	if err := ir.Verify(f); err != nil {
 		t.Fatal(err)
 	}
@@ -115,8 +116,7 @@ b2:
 	// an add whose operands are both parameters (or renames thereof):
 	// structural proxy — the invariant pair appears as one instruction
 	// whose operands are defined outside the loop.
-	dom := cfg.BuildDomTree(f)
-	li := cfg.FindLoops(f, dom)
+	li := analysis.NewCache(f).Loops()
 	defsOutside := map[ir.Reg]bool{}
 	f.ForEachInstr(func(b *ir.Block, i int, in *ir.Instr) {
 		if li.Depth(b) == 0 {
@@ -190,8 +190,8 @@ b2:
 	ranksOf := func() map[string][]int {
 		// classify rank values by defining op kind
 		out := map[string][]int{}
-		ssa.Build(fc, ssa.BuildOptions{Prune: true, FoldCopies: true})
-		rk := reassoc.ComputeRanks(fc)
+		ssa.Build(fc, ssa.BuildOptions{Prune: true, FoldCopies: true}, analysis.NewCache(fc))
+		rk := reassoc.ComputeRanks(fc, analysis.NewCache(fc))
 		fc.ForEachInstr(func(b *ir.Block, i int, in *ir.Instr) {
 			switch {
 			case in.Op == ir.OpLoadI:
@@ -238,7 +238,7 @@ b0:
 `
 	f := ir.MustParseFunc(src)
 	want, _ := runF(t, f, interp.IntVal(10), interp.IntVal(3), interp.IntVal(5))
-	reassoc.Run(f, reassoc.DefaultOptions())
+	reassoc.Run(f, reassoc.DefaultOptions(), analysis.NewCache(f))
 	got, _ := runF(t, f, interp.IntVal(10), interp.IntVal(3), interp.IntVal(5))
 	if got.I != want.I || got.I != 12 {
 		t.Fatalf("got %d, want 12", got.I)
@@ -283,7 +283,7 @@ b4:
 `
 	f := ir.MustParseFunc(src)
 	want, before := runF(t, f, interp.IntVal(30), interp.IntVal(40), interp.IntVal(5))
-	st := reassoc.Run(f, reassoc.DefaultOptions())
+	st := reassoc.Run(f, reassoc.DefaultOptions(), analysis.NewCache(f))
 	if err := ir.Verify(f); err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ b2:
 }
 `
 	f := ir.MustParseFunc(src)
-	st := reassoc.Run(f, reassoc.DefaultOptions())
+	st := reassoc.Run(f, reassoc.DefaultOptions(), analysis.NewCache(f))
 	if st.BeforeProp == 0 || st.AfterProp == 0 {
 		t.Fatalf("stats not recorded: %+v", st)
 	}
@@ -344,7 +344,7 @@ b0:
 `
 	f := ir.MustParseFunc(src)
 	want, _ := runF(t, f, interp.IntVal(2))
-	reassoc.Run(f, reassoc.Options{AllowFloat: true})
+	reassoc.Run(f, reassoc.Options{AllowFloat: true}, analysis.NewCache(f))
 	got, _ := runF(t, f, interp.IntVal(2))
 	if got.I != want.I || got.I != 1<<24 {
 		t.Fatalf("got %d, want 2^24", got.I)
@@ -356,7 +356,7 @@ b0:
 	}
 	// With MaxDupSize=1 no multi-use value duplicates at all.
 	g := ir.MustParseFunc(src)
-	reassoc.Run(g, reassoc.Options{AllowFloat: true, MaxDupSize: 1})
+	reassoc.Run(g, reassoc.Options{AllowFloat: true, MaxDupSize: 1}, analysis.NewCache(g))
 	got2, _ := runF(t, g, interp.IntVal(2))
 	if got2.I != want.I {
 		t.Fatalf("MaxDupSize=1 changed semantics")
@@ -383,7 +383,7 @@ b0:
 	}
 	f := ir.MustParseFunc(src)
 	want, _ := runF(t, f, args...)
-	reassoc.Run(f, reassoc.Options{AllowFloat: false})
+	reassoc.Run(f, reassoc.Options{AllowFloat: false}, analysis.NewCache(f))
 	got, _ := runF(t, f, args...)
 	if got.F != want.F {
 		t.Errorf("AllowFloat=false changed the result: %g vs %g", got.F, want.F)

@@ -32,7 +32,7 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/cfg"
+	"repro/internal/analysis"
 	"repro/internal/dataflow"
 	"repro/internal/ir"
 )
@@ -95,6 +95,9 @@ func runFunc(f *ir.Func, prog *ir.Program, k int) (Result, error) {
 		}
 	}
 	spilledEver := map[ir.Reg]bool{}
+	// One cache serves every round: spillReg rewrites the code, which
+	// moves its generation, so each round's liveness is fresh.
+	ac := analysis.NewCache(f)
 
 	for round := 0; round < MaxRounds; round++ {
 		res.Rounds++
@@ -103,7 +106,7 @@ func runFunc(f *ir.Func, prog *ir.Program, k int) (Result, error) {
 			t := types[r]
 			return !spilledEver[r] && (t == typeInt || t == typeFloat)
 		}
-		g, present := buildInterference(f)
+		g, present := buildInterference(f, ac.Liveness())
 		coloring, toSpill := color(g, present, k, spillable)
 		if len(toSpill) == 0 {
 			applyColoring(f, coloring, &res)
@@ -147,9 +150,8 @@ func (g *graph) add(a, b ir.Reg) {
 }
 
 // buildInterference computes the interference graph and the set of
-// registers that appear in the function.
-func buildInterference(f *ir.Func) (*graph, map[ir.Reg]bool) {
-	lv := dataflow.ComputeLiveness(f, cfg.ReversePostorder(f))
+// registers that appear in the function, given its current liveness.
+func buildInterference(f *ir.Func, lv *dataflow.Liveness) (*graph, map[ir.Reg]bool) {
 	g := &graph{adj: map[ir.Reg]map[ir.Reg]bool{}}
 	present := map[ir.Reg]bool{}
 	note := func(r ir.Reg) {
@@ -316,6 +318,7 @@ func applyColoring(f *ir.Func, coloring map[ir.Reg]int, res *Result) {
 	for i, p := range f.Params {
 		f.Params[i] = phys(p)
 	}
+	f.MarkCodeMutated()
 }
 
 // InferProgramTypes determines int/float per register for every
@@ -451,4 +454,5 @@ func spillReg(f *ir.Func, prog *ir.Program, v ir.Reg, isFloat bool) {
 		}
 		b.Instrs = out
 	}
+	f.MarkCodeMutated()
 }

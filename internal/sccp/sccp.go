@@ -90,15 +90,11 @@ type Stats struct {
 	BlocksRemoved int
 }
 
-// Run performs conditional constant propagation on f in place.
-func Run(f *ir.Func) Stats {
-	return RunWith(context.Background(), f, analysis.NewCache(f))
-}
-
-// RunWith is Run drawing CFG analyses from the given cache.  It checks
-// ctx before it starts and between sweeps; once ctx is done it returns
-// without rewriting any instruction.
-func RunWith(ctx context.Context, f *ir.Func, ac *analysis.Cache) Stats {
+// Run performs conditional constant propagation on f in place,
+// drawing CFG analyses from the given cache.  It checks ctx before it
+// starts and between sweeps; once ctx is done it returns without
+// rewriting any instruction.
+func Run(ctx context.Context, f *ir.Func, ac *analysis.Cache) Stats {
 	var st Stats
 	if ctx.Err() != nil {
 		return st

@@ -51,7 +51,7 @@ b0:
 `
 	f := ir.MustParseFunc(src)
 	want := run(t, f, 10)
-	st := sccp.Run(f)
+	st := sccp.Run(context.Background(), f, analysis.NewCache(f))
 	got := run(t, f, 10)
 	if got.I != want.I || got.I != 59 {
 		t.Fatalf("got %d, want 59", got.I)
@@ -85,7 +85,7 @@ b3:
 `
 	f := ir.MustParseFunc(src)
 	want := run(t, f, 5)
-	st := sccp.Run(f)
+	st := sccp.Run(context.Background(), f, analysis.NewCache(f))
 	if err := ir.Verify(f); err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ b3:
 }
 `
 	f := ir.MustParseFunc(src)
-	sccp.Run(f)
+	sccp.Run(context.Background(), f, analysis.NewCache(f))
 	for _, arg := range []int64{0, 1} {
 		if got := run(t, f, arg); got.I != 8 {
 			t.Fatalf("f(%d) = %d, want 8", arg, got.I)
@@ -151,7 +151,7 @@ b0:
 }
 `
 	f := ir.MustParseFunc(src)
-	sccp.Run(f)
+	sccp.Run(context.Background(), f, analysis.NewCache(f))
 	if countOps(f, ir.OpCopy) != 1 {
 		t.Errorf("copy was rewritten\n%s", f)
 	}
@@ -174,7 +174,7 @@ b0:
 }
 `
 	f := ir.MustParseFunc(src)
-	sccp.Run(f)
+	sccp.Run(context.Background(), f, analysis.NewCache(f))
 	if countOps(f, ir.OpDiv) != 1 {
 		t.Errorf("div by zero folded away\n%s", f)
 	}
@@ -203,7 +203,7 @@ b2:
 }
 `
 	f := ir.MustParseFunc(src)
-	st := sccp.Run(f)
+	st := sccp.Run(context.Background(), f, analysis.NewCache(f))
 	if err := ir.Verify(f); err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ b0:
 }
 `
 	f := ir.MustParseFunc(src)
-	sccp.Run(f)
+	sccp.Run(context.Background(), f, analysis.NewCache(f))
 	if got := run(t, f, 0); got.I != 4 {
 		t.Fatalf("got %d, want 4", got.I)
 	}
@@ -277,7 +277,7 @@ b1:
 		t.Fatalf("entry lists %d successors, want b1 twice", n)
 	}
 	want := run(t, f, 5)
-	st := sccp.Run(f)
+	st := sccp.Run(context.Background(), f, analysis.NewCache(f))
 	if err := ir.Verify(f); err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ b3:
 }
 `
 	f := ir.MustParseFunc(src)
-	sccp.Run(f)
+	sccp.Run(context.Background(), f, analysis.NewCache(f))
 	for arg, want := range map[int64]float64{1: math.Inf(1), -1: math.Inf(-1)} {
 		if got := run(t, f, arg); got.F != want {
 			t.Errorf("f(%d) = %v, want %v\n%s", arg, got.F, want, f)
@@ -348,7 +348,7 @@ b3:
 }
 `
 	f := ir.MustParseFunc(src)
-	sccp.Run(f)
+	sccp.Run(context.Background(), f, analysis.NewCache(f))
 	if countOps(f, ir.OpFAdd) != 0 {
 		t.Errorf("NaN + 1 at the join not folded\n%s", f)
 	}
@@ -379,7 +379,7 @@ b2:
 }
 `
 	g := ir.MustParseFunc(loop)
-	if st := sccp.Run(g); st.Folded != 2 {
+	if st := sccp.Run(context.Background(), g, analysis.NewCache(g)); st.Folded != 2 {
 		t.Errorf("Folded = %d, want 2 (0/0 and NaN+NaN)\n%s", st.Folded, g)
 	}
 	if got := run(t, g, 3); !math.IsNaN(got.F) {
@@ -439,7 +439,7 @@ b2:
 		if f.CodeGeneration() != gen {
 			t.Errorf("%s: cancelled context rewrote the function\n%s", name, f)
 		}
-		if st := sccp.Run(f); st.Folded != 2 {
+		if st := sccp.Run(context.Background(), f, analysis.NewCache(f)); st.Folded != 2 {
 			t.Errorf("%s: live context folded %d instructions, want 2 (3+4 and 7*7)\n%s", name, st.Folded, f)
 		}
 	}

@@ -39,14 +39,11 @@ type BuildOptions struct {
 // registers with no reaching definition are wired to a zero constant
 // materialized in the entry block (our front end never produces such
 // uses; hand-written ILOC might).
-func Build(f *ir.Func, opt BuildOptions) {
-	BuildWith(f, opt, analysis.NewCache(f))
-}
-
-// BuildWith is Build drawing its dominator tree and liveness from the
-// given analysis cache, so construction reuses results that are still
-// valid from earlier passes.
-func BuildWith(f *ir.Func, opt BuildOptions, ac *analysis.Cache) {
+//
+// The dominator tree and liveness come from the given analysis cache,
+// so construction reuses results that are still valid from earlier
+// passes.
+func Build(f *ir.Func, opt BuildOptions, ac *analysis.Cache) {
 	ac.RemoveUnreachable()
 	dom := ac.DomTree()
 
@@ -255,14 +252,9 @@ func BuildWith(f *ir.Func, opt BuildOptions, ac *analysis.Cache) {
 //
 // All copies placed at the end of one predecessor form a single
 // parallel copy, sequentialized with a temporary when they form a
-// cycle (the classic swap problem).
-func Destruct(f *ir.Func) {
-	DestructWith(f, analysis.NewCache(f))
-}
-
-// DestructWith is Destruct drawing liveness from the given analysis
-// cache.
-func DestructWith(f *ir.Func, ac *analysis.Cache) {
+// cycle (the classic swap problem).  Liveness comes from the given
+// analysis cache.
+func Destruct(f *ir.Func, ac *analysis.Cache) {
 	lv := ac.Liveness()
 
 	type edgeCopies struct {

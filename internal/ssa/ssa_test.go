@@ -3,7 +3,7 @@ package ssa_test
 import (
 	"testing"
 
-	"repro/internal/cfg"
+	"repro/internal/analysis"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/ssa"
@@ -74,7 +74,7 @@ func checkSSAInvariants(t *testing.T, f *ir.Func) {
 			t.Errorf("register %s has %d definitions\n%s", r, n, f)
 		}
 	}
-	dom := cfg.BuildDomTree(f)
+	dom := analysis.NewCache(f).DomTree()
 	f.ForEachInstr(func(b *ir.Block, i int, in *ir.Instr) {
 		if in.Op == ir.OpEnter {
 			return
@@ -113,7 +113,7 @@ func checkSSAInvariants(t *testing.T, f *ir.Func) {
 func TestBuildProducesValidSSA(t *testing.T) {
 	f := ir.MustParseFunc(loopFunc)
 	want := runFoo(t, f, 1, 2)
-	ssa.Build(f, ssa.BuildOptions{Prune: true, FoldCopies: true})
+	ssa.Build(f, ssa.BuildOptions{Prune: true, FoldCopies: true}, analysis.NewCache(f))
 	if err := ir.Verify(f); err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestBuildProducesValidSSA(t *testing.T) {
 func TestBuildWithoutPruning(t *testing.T) {
 	f := ir.MustParseFunc(loopFunc)
 	want := runFoo(t, f, 5, 6)
-	ssa.Build(f, ssa.BuildOptions{Prune: false, FoldCopies: false})
+	ssa.Build(f, ssa.BuildOptions{Prune: false, FoldCopies: false}, analysis.NewCache(f))
 	if err := ir.Verify(f); err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ b0:
     ret r3
 }
 `)
-		ssa.Build(f, opt)
+		ssa.Build(f, opt, analysis.NewCache(f))
 		if err := ir.Verify(f); err != nil {
 			t.Fatal(err)
 		}
@@ -186,8 +186,8 @@ func TestDestructRoundTrip(t *testing.T) {
 	for _, in := range [][2]int64{{1, 2}, {50, 50}, {200, 0}} {
 		f := ir.MustParseFunc(loopFunc)
 		want := runFoo(t, f, in[0], in[1])
-		ssa.Build(f, ssa.BuildOptions{Prune: true, FoldCopies: true})
-		ssa.Destruct(f)
+		ssa.Build(f, ssa.BuildOptions{Prune: true, FoldCopies: true}, analysis.NewCache(f))
+		ssa.Destruct(f, analysis.NewCache(f))
 		if err := ir.Verify(f); err != nil {
 			t.Fatal(err)
 		}
@@ -249,9 +249,9 @@ b2:
 		if got := run(f, 1, 2, n); got != want {
 			t.Fatalf("sanity: swap(1,2,%d) = %d, want %d", n, got, want)
 		}
-		ssa.Build(f, ssa.BuildOptions{Prune: true, FoldCopies: true})
+		ssa.Build(f, ssa.BuildOptions{Prune: true, FoldCopies: true}, analysis.NewCache(f))
 		checkSSAInvariants(t, f)
-		ssa.Destruct(f)
+		ssa.Destruct(f, analysis.NewCache(f))
 		if err := ir.Verify(f); err != nil {
 			t.Fatal(err)
 		}
@@ -326,7 +326,7 @@ b2:
 	}
 	for _, n := range []int64{0, 1, 3} {
 		f := ir.MustParseFunc(count)
-		ssa.Destruct(f)
+		ssa.Destruct(f, analysis.NewCache(f))
 		if err := ir.Verify(f); err != nil {
 			t.Fatal(err)
 		}

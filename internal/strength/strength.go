@@ -35,23 +35,14 @@ type Stats struct {
 	Reduced  int // multiplications replaced by derived IVs
 }
 
-// Run performs strength reduction on f in place.
-func Run(f *ir.Func) Stats {
-	return RunWith(f, analysis.NewCache(f))
-}
-
-// RunWith is Run drawing CFG analyses (dominators, loops, liveness)
-// from the given cache.
-func RunWith(f *ir.Func, ac *analysis.Cache) Stats {
-	ssa.BuildWith(f, ssa.BuildOptions{Prune: true, FoldCopies: true}, ac)
+// Run performs strength reduction on f in place, drawing CFG analyses
+// (dominators, loops, liveness) from the given cache.
+func Run(f *ir.Func, ac *analysis.Cache) Stats {
+	ssa.Build(f, ssa.BuildOptions{Prune: true, FoldCopies: true}, ac)
 	st := reduce(f, ac)
-	ssa.DestructWith(f, ac)
+	ssa.Destruct(f, ac)
 	return st
 }
-
-// ReduceSSA runs the analysis and rewrite on a function already in SSA
-// form (for callers composing their own pipelines).
-func ReduceSSA(f *ir.Func) Stats { return reduce(f, analysis.NewCache(f)) }
 
 type ivInfo struct {
 	phi     *ir.Instr // i = φ(init, next)

@@ -3,7 +3,7 @@ package strength_test
 import (
 	"testing"
 
-	"repro/internal/cfg"
+	"repro/internal/analysis"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/strength"
@@ -25,8 +25,7 @@ func run(t *testing.T, f *ir.Func, args ...int64) (interp.Value, int64) {
 
 // loopMulCount counts multiplications inside natural loops.
 func loopMulCount(f *ir.Func) int {
-	dom := cfg.BuildDomTree(f)
-	li := cfg.FindLoops(f, dom)
+	li := analysis.NewCache(f).Loops()
 	n := 0
 	for _, b := range f.Blocks {
 		if li.Depth(b) == 0 {
@@ -65,7 +64,7 @@ b2:
 `
 	f := ir.MustParseFunc(src)
 	ref, _ := run(t, f, 10)
-	st := strength.Run(f)
+	st := strength.Run(f, analysis.NewCache(f))
 	if err := ir.Verify(f); err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +105,7 @@ b2:
 `
 	f := ir.MustParseFunc(src)
 	ref, _ := run(t, f, 8, 3, 5)
-	st := strength.Run(f)
+	st := strength.Run(f, analysis.NewCache(f))
 	if err := ir.Verify(f); err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +146,7 @@ b2:
 `
 	f := ir.MustParseFunc(src)
 	ref, _ := run(t, f, 6)
-	st := strength.Run(f)
+	st := strength.Run(f, analysis.NewCache(f))
 	got, _ := run(t, f, 6)
 	if got.I != ref.I {
 		t.Fatalf("semantics changed: %d vs %d", got.I, ref.I)
@@ -179,7 +178,7 @@ b2:
 `
 	f := ir.MustParseFunc(src)
 	ref, _ := run(t, f, 20, 7)
-	st := strength.Run(f)
+	st := strength.Run(f, analysis.NewCache(f))
 	got, _ := run(t, f, 20, 7)
 	if got.I != ref.I {
 		t.Fatalf("semantics changed: %d vs %d", got.I, ref.I)

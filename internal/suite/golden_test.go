@@ -20,18 +20,24 @@ import (
 
 // levelHashes optimizes every given routine at every Table 1 level and
 // returns the sha256 of each optimized program's ILOC text, keyed
-// "routine level".
-func levelHashes(t *testing.T, routines []Routine) map[string]string {
+// "routine level", and the analyses the run's caches built, summed
+// over every pass application's PassInfo.Builds.
+func levelHashes(t *testing.T, routines []Routine) (map[string]string, analysis.BuildCounts) {
 	t.Helper()
 	out := map[string]string{}
+	var builds analysis.BuildCounts
+	opts := core.OptimizeOptions{OnPass: func(info core.PassInfo) { builds = builds.Add(info.Builds) }}
 	for _, r := range routines {
 		prog, err := r.Compile()
 		if err != nil {
 			t.Fatalf("%s: %v", r.Name, err)
 		}
-		addLevelHashes(t, out, r.Name, prog, nil, nil)
+		for _, level := range core.Levels {
+			key := r.Name + " " + string(level)
+			out[key] = optimizedHash(t, key, prog, level, opts)
+		}
 	}
-	return out
+	return out, builds
 }
 
 // addLevelHashes adds prog's entries under name to out: one per level
@@ -186,10 +192,12 @@ func TestGoldenLevelOutputs(t *testing.T) {
 
 // cachePerPassHashes is levelHashes with every pass given a brand-new
 // analysis cache, the way each pass rebuilt its own dominators and
-// liveness before the shared cache existed.
-func cachePerPassHashes(t *testing.T, routines []Routine) map[string]string {
+// liveness before the shared cache existed; the counts are summed over
+// those caches.
+func cachePerPassHashes(t *testing.T, routines []Routine) (map[string]string, analysis.BuildCounts) {
 	t.Helper()
 	out := map[string]string{}
+	var builds analysis.BuildCounts
 	for _, r := range routines {
 		prog, err := r.Compile()
 		if err != nil {
@@ -203,7 +211,9 @@ func cachePerPassHashes(t *testing.T, routines []Routine) map[string]string {
 					if err != nil {
 						t.Fatal(err)
 					}
-					p.Run(&core.PassContext{Ctx: context.Background(), Func: f, Analyses: analysis.NewCache(f)})
+					ac := analysis.NewCache(f)
+					p.Run(&core.PassContext{Ctx: context.Background(), Func: f, Analyses: ac})
+					builds = builds.Add(ac.Counts())
 					if err := ir.Verify(f); err != nil {
 						t.Fatalf("%s at %s, after %s: %v", r.Name, level, name, err)
 					}
@@ -213,7 +223,7 @@ func cachePerPassHashes(t *testing.T, routines []Routine) map[string]string {
 			out[r.Name+" "+string(level)] = hex.EncodeToString(sum[:])
 		}
 	}
-	return out
+	return out, builds
 }
 
 // TestAnalysisCacheDomReduction is the refactor's quantitative
@@ -238,13 +248,8 @@ func TestAnalysisCacheDomReduction(t *testing.T) {
 			minift = append(minift, r)
 		}
 	}
-	before := analysis.GlobalBuilds()
-	cachedHashes := levelHashes(t, minift)
-	cached := analysis.GlobalBuilds().Sub(before)
-
-	before = analysis.GlobalBuilds()
-	uncachedHashes := cachePerPassHashes(t, minift)
-	uncached := analysis.GlobalBuilds().Sub(before)
+	cachedHashes, cached := levelHashes(t, minift)
+	uncachedHashes, uncached := cachePerPassHashes(t, minift)
 
 	if len(uncachedHashes) != len(cachedHashes) {
 		t.Errorf("cached run produced %d outputs, cache-per-pass run %d", len(cachedHashes), len(uncachedHashes))

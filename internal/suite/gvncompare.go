@@ -68,9 +68,9 @@ type partitionDelta struct {
 // not yet in SSA form (the builder's contract).
 func comparePartitions(f *ir.Func, build ssa.BuildOptions) partitionDelta {
 	ac := analysis.NewCache(f)
-	ssa.BuildWith(f, build, ac)
+	ssa.Build(f, build, ac)
 	values, awz := gvn.AWZClasses(f)
-	_, precise := gvn.PreciseClasses(f)
+	_, precise := gvn.PreciseClasses(f, ac.RPO())
 	return partitionDelta{
 		values:   len(values),
 		awz:      classCount(values, awz),
